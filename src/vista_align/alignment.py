@@ -6,6 +6,7 @@ Hypotheses map coordinates expressed in map A's frame into map B's frame.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -60,14 +61,13 @@ def prune(hypothesis, params):
     return None
 
 
-def solve_submap_pair(submap_a, submap_b, params, max_candidates=None):
+def solve_submap_pair(submap_a, submap_b, params):
     """One correspondence search step: affinity -> densest clique -> Arun.
 
     Returns (transform, inlier set) or None when no transform is estimable
     (fewer than 3 inliers, or degenerate geometry).
     """
-    kwargs = {} if max_candidates is None else {"max_candidates": max_candidates}
-    assoc, affinity = build_affinity(submap_a, submap_b, params, **kwargs)
+    assoc, affinity = build_affinity(submap_a, submap_b, params)
     inliers = densest_clique(affinity, assoc)
     if len(inliers) < 3:
         return None
@@ -81,45 +81,50 @@ def solve_submap_pair(submap_a, submap_b, params, max_candidates=None):
     return transform, frozenset(inliers)
 
 
-def align_maps(map_a, map_b, params, max_candidates=None, threads=1):
+def solve_pairs(subs_a, subs_b, params, threads=1):
+    """Solve every distinct submap pair of the all-to-all grid once.
+
+    Grid pairs whose submaps have identical landmark content share one solve
+    (results are identical by construction). Returns
+    {(landmark_ids_a, landmark_ids_b): (solve_submap_pair result, seconds)}.
+    """
+    unique_a = {sa.landmark_ids: sa for sa in subs_a}.values()
+    unique_b = {sb.landmark_ids: sb for sb in subs_b}.values()
+    pairs = [(sa, sb) for sa in unique_a for sb in unique_b]
+
+    def solve(pair):
+        sa, sb = pair
+        t0 = time.perf_counter()
+        result = solve_submap_pair(sa, sb, params)
+        return (sa.landmark_ids, sb.landmark_ids), (result, time.perf_counter() - t0)
+
+    if threads > 1 and len(pairs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return dict(pool.map(solve, pairs))
+    return dict(map(solve, pairs))
+
+
+def align_maps(map_a, map_b, params, threads=1):
     """All-to-all submap comparison between two maps.
 
     Returns all kept hypotheses sorted by cardinality descending, ties broken
-    by (source submap id, target submap id). Submap pairs with identical
-    landmark content share one solve (results are identical by construction).
+    by (source submap id, target submap id); grid pairs with identical
+    landmark content each get a hypothesis from their shared solve.
     """
     if len(map_a) == 0 or len(map_b) == 0:
         raise ValueError("maps must be non-empty")
     subs_a = generate_submaps(map_a, params)
     subs_b = generate_submaps(map_b, params)
-
-    pair_keys = {}
-    for ia, sa in enumerate(subs_a):
-        for ib, sb in enumerate(subs_b):
-            pair_keys[(ia, ib)] = (sa.landmark_ids, sb.landmark_ids)
-    unique = {}
-    for (ia, ib), key in pair_keys.items():
-        unique.setdefault(key, (ia, ib))
-
-    def solve(key):
-        ia, ib = unique[key]
-        return key, solve_submap_pair(subs_a[ia], subs_b[ib], params,
-                                      max_candidates=max_candidates)
-
-    if threads > 1 and len(unique) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(solve, list(unique)))
-    else:
-        results = dict(solve(key) for key in unique)
+    results = solve_pairs(subs_a, subs_b, params, threads)
 
     hypotheses = []
-    for (ia, ib), key in pair_keys.items():
-        res = results[key]
-        if res is None:
-            continue
-        transform, inliers = res
-        hyp = AlignmentHypothesis(transform, inliers, len(inliers), ia, ib)
-        if prune(hyp, params) is None:
-            hypotheses.append(hyp)
+    for ia, sa in enumerate(subs_a):
+        for ib, sb in enumerate(subs_b):
+            res, _ = results[(sa.landmark_ids, sb.landmark_ids)]
+            if res is None:
+                continue
+            hyp = AlignmentHypothesis(res[0], res[1], len(res[1]), ia, ib)
+            if prune(hyp, params) is None:
+                hypotheses.append(hyp)
     hypotheses.sort(key=lambda h: (-h.cardinality, h.source_submap, h.target_submap))
     return hypotheses

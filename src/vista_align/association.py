@@ -39,7 +39,9 @@ class AffinityMatrix:
         if M.shape != (self.size, self.size):
             raise ValueError("entries must be %d x %d" % (self.size, self.size))
         if self.size:
-            if not np.allclose(M, M.T):
+            step = max(1, (1 << 17) // self.size)   # row bands of ~1 MB
+            if not all(np.allclose(M[i:i + step], M[:, i:i + step].T)
+                       for i in range(0, self.size, step)):
                 raise ValueError("affinity matrix must be symmetric")
             if M.min() < 0 or M.max() > 1:
                 raise ValueError("affinity entries must lie in [0, 1]")
@@ -76,18 +78,20 @@ def build_affinity(submap_a, submap_b, params, max_candidates=MAX_CANDIDATES):
     DA = np.linalg.norm(pa[:, None, :] - pa[None, :, :], axis=2)
     DB = np.linalg.norm(pb[:, None, :] - pb[None, :, :], axis=2)
 
-    # association p = (i, k) lives at flat index i * nb + k
+    # association p = (i, k) lives at flat index i * nb + k. X is reused as
+    # the matrix: a large pair holds one n x n float array, not several.
     X = DA[:, None, :, None] - DB[None, :, None, :]
-    valid = np.abs(X) <= params.epsilon
+    valid = (X <= params.epsilon) & (X >= -params.epsilon)
     valid &= (DA >= params.gamma)[:, None, :, None]   # gamma within map A
     valid &= (DB >= params.gamma)[None, :, None, :]   # gamma within map B
     ia = np.arange(na)
     valid[ia, :, ia, :] = False                       # shared source endpoint
     ib = np.arange(nb)
     valid[:, ib, :, ib] = False                       # shared target endpoint
-    M = np.zeros((na, nb, na, nb))
-    M[valid] = np.exp(-0.5 * (X[valid] / params.sigma) ** 2)
-    M = M.reshape(n, n)
+    kernel = X[valid]
+    X.fill(0.0)
+    X[valid] = np.exp(-0.5 * (kernel / params.sigma) ** 2)
+    M = X.reshape(n, n)
     np.fill_diagonal(M, 1.0)
 
     associations = [Association(i, k) for i in range(na) for k in range(nb)]
@@ -220,8 +224,9 @@ def densest_clique(affinity, assoc):
         u = v
 
     d = 0.0
+    Md = A.copy()
     for _ in range(60):
-        Md = np.where(infeasible, -d, A)
+        np.copyto(Md, -d, where=infeasible)      # A, with -d on infeasible pairs
         for _ in range(200):
             v = np.maximum(Md @ u, 0.0)
             norm = np.linalg.norm(v)

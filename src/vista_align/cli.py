@@ -29,7 +29,13 @@ def _threads(args):
     if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("VISTA_ALIGN_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError as exc:
+        raise InputError("VISTA_ALIGN_THREADS must be an integer, got %r"
+                         % env) from exc
 
 
 def _read_json(path, what):
@@ -117,8 +123,7 @@ def cmd_submaps(args):
     params = _load_params(args.config)
     obj_map = formats.load_map(args.map)
     t0 = time.perf_counter()
-    filtered = submap.mahalanobis_filter(obj_map, params.omega_percentile) \
-        if len(obj_map) >= 2 else obj_map
+    filtered = submap.inlier_map(obj_map, params)
     submaps = submap.generate_submaps(filtered, params)
     os.makedirs(args.out, exist_ok=True)
     names = []
@@ -147,16 +152,25 @@ def _hypothesis_record(h):
             "roll": roll, "pitch": pitch, "yaw": yaw}
 
 
+def _load_map_pair(args):
+    maps = []
+    for flag, path in (("--map-a", args.map_a), ("--map-b", args.map_b)):
+        obj_map = formats.load_map(path)
+        if len(obj_map) == 0:
+            raise InputError("%s: field 'landmarks' is empty" % flag)
+        maps.append(obj_map)
+    return maps
+
+
 def cmd_match(args):
     params = _load_params(args.config)
-    map_a = formats.load_map(args.map_a)
-    map_b = formats.load_map(args.map_b)
+    if args.top_k is not None and args.top_k < 1:
+        raise InputError("--top-k must be >= 1, got %d" % args.top_k)
+    map_a, map_b = _load_map_pair(args)
     t0 = time.perf_counter()
-    fa = submap.mahalanobis_filter(map_a, params.omega_percentile) \
-        if len(map_a) >= 2 else map_a
-    fb = submap.mahalanobis_filter(map_b, params.omega_percentile) \
-        if len(map_b) >= 2 else map_b
-    hypotheses = alignment.align_maps(fa, fb, params, threads=_threads(args))
+    hypotheses = alignment.align_maps(submap.inlier_map(map_a, params),
+                                      submap.inlier_map(map_b, params),
+                                      params, threads=_threads(args))
     if args.top_k is not None:
         hypotheses = hypotheses[:args.top_k]
     formats.atomic_write(args.out, json.dumps(
@@ -179,11 +193,16 @@ def _parse_sweep(text):
 
 def cmd_evaluate(args):
     params = _load_params(args.config)
-    map_a = formats.load_map(args.map_a)
-    map_b = formats.load_map(args.map_b)
+    if args.repeats < 3:
+        raise InputError("--repeats must be >= 3, got %d" % args.repeats)
+    if args.voxel is not None and not args.voxel > 0:
+        raise InputError("--voxel must be positive, got %g" % args.voxel)
+    map_a, map_b = _load_map_pair(args)
     truth = formats.load_transform(args.truth)
     sweep = _parse_sweep(args.sweep)
     t0 = time.perf_counter()
+    map_a = submap.inlier_map(map_a, params)
+    map_b = submap.inlier_map(map_b, params)
     outcomes = evaluation.evaluate_map_pair(map_a, map_b, truth, params,
                                             voxel=args.voxel)
     rows = evaluation.precision_recall(outcomes, params, sweep)
@@ -202,13 +221,10 @@ def cmd_evaluate(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value hyperparameter file")
-    common.add_argument("--seed", type=int, help="global random seed override")
     common.add_argument("--log-json", action="store_true",
                         help="emit one JSON object per pipeline stage")
-    common.add_argument("--threads", type=int,
-                        help="max parallel submap-pair solves "
-                             "(default: $VISTA_ALIGN_THREADS or 1)")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", help="flat key=value hyperparameter file")
 
     parser = argparse.ArgumentParser(
         prog="vista-align",
@@ -222,6 +238,7 @@ def build_parser():
     p.add_argument("--trajectory", required=True,
                    help="trajectory spec JSON (includes intrinsics)")
     p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, help="override the scene spec's seed")
     p.add_argument("--noise", type=float, default=0.0, help="pixel noise sigma, px")
     p.add_argument("--dropout", type=float, default=0.0,
                    help="per-detection dropout probability")
@@ -229,28 +246,31 @@ def build_parser():
                    help="per-object track-split probability")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("build-map", parents=[common],
+    p = sub.add_parser("build-map", parents=[configured],
                        help="triangulate a track file into an object map")
     p.add_argument("--tracks", required=True, help="track file JSON")
     p.add_argument("--out", required=True, help="output map JSON")
     p.add_argument("--agent-id", default="agent", help="agent id for the map")
     p.set_defaults(func=cmd_build_map)
 
-    p = sub.add_parser("submaps", parents=[common],
+    p = sub.add_parser("submaps", parents=[configured],
                        help="filter inliers and write the submap grid")
     p.add_argument("--map", required=True, help="object map JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_submaps)
 
-    p = sub.add_parser("match", parents=[common],
+    p = sub.add_parser("match", parents=[configured],
                        help="all-to-all submap matching between two maps")
     p.add_argument("--map-a", required=True, help="source object map JSON")
     p.add_argument("--map-b", required=True, help="target object map JSON")
     p.add_argument("--out", required=True, help="output hypothesis list JSON")
     p.add_argument("--top-k", type=int, help="truncate to the top-k hypotheses")
+    p.add_argument("--threads", type=int,
+                   help="max parallel submap-pair solves "
+                        "(default: $VISTA_ALIGN_THREADS or 1)")
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("evaluate", parents=[common],
+    p = sub.add_parser("evaluate", parents=[configured],
                        help="precision/recall sweep against a known alignment")
     p.add_argument("--map-a", required=True, help="source object map JSON")
     p.add_argument("--map-b", required=True, help="target object map JSON")
@@ -270,7 +290,7 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

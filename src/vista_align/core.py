@@ -168,7 +168,7 @@ class Hyperparameters:
 
     n_min: int = 3                  # min detections (strict >) for triangulation
     omega_percentile: float = 95.0  # Mahalanobis inlier percentile
-    window: float = 2.0             # submap length/width, m
+    window: float = 2.0             # IoU voxel default (w/4); >= overlap, m
     overlap: float = 1.0            # grid step between submap centers, m
     n_max: int = 50                 # max objects per submap
     sigma: float = 0.05             # expected pairwise-consistency noise, m
@@ -182,8 +182,8 @@ class Hyperparameters:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be strictly positive" % name)
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be finite and strictly positive" % name)
         if self.epsilon < self.sigma:
             raise ValueError("epsilon must be >= sigma")
         if self.overlap > self.window:

@@ -4,14 +4,13 @@ gate, and per-comparison runtime measurement."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import solve_submap_pair
+from .alignment import AlignmentHypothesis, prune, solve_pairs
 from .core import transform_angles
-from .submap import Submap, generate_submaps, mahalanobis_filter
+from .submap import Submap, generate_submaps
 
 
 def default_voxel(params):
@@ -85,8 +84,7 @@ def precision_recall(outcomes, params, s_max_sweep):
     return rows
 
 
-def evaluate_map_pair(map_a, map_b, truth, params, voxel=None,
-                      filter_inliers=True, max_candidates=None):
+def evaluate_map_pair(map_a, map_b, truth, params, voxel=None):
     """Run the full correspondence search over every submap pair and collect
     per-pair outcomes for PR aggregation.
 
@@ -95,40 +93,33 @@ def evaluate_map_pair(map_a, map_b, truth, params, voxel=None,
     """
     if voxel is None:
         voxel = default_voxel(params)
-    fa = mahalanobis_filter(map_a, params.omega_percentile) if (
-        filter_inliers and len(map_a) >= 2) else map_a
-    fb = mahalanobis_filter(map_b, params.omega_percentile) if (
-        filter_inliers and len(map_b) >= 2) else map_b
-    subs_a = generate_submaps(fa, params)
-    subs_b = generate_submaps(fb, params)
+    subs_a = generate_submaps(map_a, params)
+    subs_b = generate_submaps(map_b, params)
+    results = solve_pairs(subs_a, subs_b, params)
     truth_inv = truth.inverse()
 
-    solve_cache, iou_cache = {}, {}
+    by_content = {}
     outcomes = []
-    for sa in subs_a:
-        for sb in subs_b:
+    for ia, sa in enumerate(subs_a):
+        for ib, sb in enumerate(subs_b):
             key = (sa.landmark_ids, sb.landmark_ids)
-            if key not in solve_cache:
-                res = solve_submap_pair(sa, sb, params, max_candidates=max_candidates)
+            if key not in by_content:
+                res, _ = results[key]
                 if res is None:
-                    solve_cache[key] = (0, False, False)
+                    cardinality, attitude_ok, correct = 0, False, False
                 else:
-                    transform, inliers = res
-                    roll, pitch, _ = transform_angles(transform)
-                    attitude_ok = (abs(roll) <= params.theta_rp
-                                   and abs(pitch) <= params.theta_rp)
-                    solve_cache[key] = (len(inliers), attitude_ok,
-                                        classify(transform, truth, params))
-                iou_cache[key] = submap_iou(
-                    sa, Submap(sb.center, sb.landmark_ids,
-                               truth_inv.apply(sb.points)), voxel)
-            cardinality, attitude_ok, correct = solve_cache[key]
-            outcomes.append(PairOutcome(iou_cache[key], cardinality,
-                                        attitude_ok, correct))
+                    hyp = AlignmentHypothesis(res[0], res[1], len(res[1]), ia, ib)
+                    cardinality = hyp.cardinality
+                    attitude_ok = prune(hyp, params) != "attitude"
+                    correct = classify(hyp, truth, params)
+                iou = submap_iou(sa, Submap(sb.center, sb.landmark_ids,
+                                            truth_inv.apply(sb.points)), voxel)
+                by_content[key] = PairOutcome(iou, cardinality, attitude_ok, correct)
+            outcomes.append(by_content[key])
     return outcomes
 
 
-def timing(map_a, map_b, params, repeats, max_candidates=None):
+def timing(map_a, map_b, params, repeats):
     """Wall-clock (mean, std) seconds per correspondence search step, i.e.
     one affinity + densest-clique + Arun call on a submap pair. Duplicate
     submap contents are timed once per repeat."""
@@ -136,18 +127,6 @@ def timing(map_a, map_b, params, repeats, max_candidates=None):
         raise ValueError("repeats must be >= 3")
     subs_a = generate_submaps(map_a, params)
     subs_b = generate_submaps(map_b, params)
-    seen, pairs = set(), []
-    for sa in subs_a:
-        for sb in subs_b:
-            key = (sa.landmark_ids, sb.landmark_ids)
-            if key not in seen:
-                seen.add(key)
-                pairs.append((sa, sb))
-    durations = []
-    for _ in range(repeats):
-        for sa, sb in pairs:
-            t0 = time.perf_counter()
-            solve_submap_pair(sa, sb, params, max_candidates=max_candidates)
-            durations.append(time.perf_counter() - t0)
-    durations = np.array(durations)
+    durations = np.array([seconds for _ in range(repeats) for _, seconds
+                          in solve_pairs(subs_a, subs_b, params).values()])
     return float(durations.mean()), float(durations.std())

@@ -201,8 +201,11 @@ def load_config(path, base=None):
 
 
 def transform_to_json(transform):
-    return ('{"rotation":%s,"translation":%s}'
-            % (_floats(transform.rotation.ravel()), _floats(transform.translation)))
+    """Full precision: 9 digits would fail the loader's 1e-9 orthonormality
+    check on most rotations."""
+    return json.dumps({"rotation": transform.rotation.ravel().tolist(),
+                       "translation": transform.translation.tolist()},
+                      separators=(",", ":"))
 
 
 def parse_transform(text):

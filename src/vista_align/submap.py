@@ -2,8 +2,9 @@
 
 Submap centers tile the x-y bounding box of the landmark positions with step
 `overlap`; each center keeps the up-to-n_max landmarks nearest (3D Euclidean)
-to the center lifted to the mean landmark height. The window size only sets
-the grid extent semantics; membership is purely nearest-to-center.
+to the center lifted to the mean landmark height. Membership is purely the
+n_max nearest landmarks: `window` does not bound it, and only sets the default
+IoU voxel (window / 4) and the upper bound on the grid step (overlap <= window).
 """
 
 from __future__ import annotations
@@ -61,6 +62,15 @@ def mahalanobis_filter(obj_map, omega_percentile):
     thresh = np.percentile(dist, omega_percentile)
     kept = [lm for lm, d in zip(obj_map.landmarks, dist) if d <= thresh]
     return ObjectMap(obj_map.agent_id, kept, obj_map.frame_label)
+
+
+def inlier_map(obj_map, params):
+    """The map's Mahalanobis inliers at `params.omega_percentile`, the input
+    of submap generation. Maps with fewer than 2 landmarks have no covariance
+    to measure against and pass through unchanged."""
+    if len(obj_map) < 2:
+        return obj_map
+    return mahalanobis_filter(obj_map, params.omega_percentile)
 
 
 def generate_submaps(obj_map, params):

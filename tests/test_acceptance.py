@@ -22,6 +22,7 @@ from vista_align.evaluation import (PairOutcome, classify, evaluate_map_pair,
                                     precision_recall, timing)
 from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
                                     perturb_frame, render_tracks)
+from vista_align.submap import inlier_map
 
 from conftest import random_rotation
 
@@ -214,7 +215,9 @@ def end_to_end():
         map_b, truth = perturb_frame(map_b0, float(rng.uniform(-60.0, 60.0)),
                                      [float(rng.uniform(-5.0, 5.0)),
                                       float(rng.uniform(-5.0, 5.0)), 0.0])
-        outcomes.extend(evaluate_map_pair(map_a, map_b, truth, params))
+        outcomes.extend(evaluate_map_pair(inlier_map(map_a, params),
+                                          inlier_map(map_b, params),
+                                          truth, params))
         if seed < 3:
             hyps = align_maps(map_a, map_b, params)
             top_correct.append(bool(hyps)

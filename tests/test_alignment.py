@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from vista_align import alignment
 from vista_align.alignment import (AlignmentHypothesis, align_maps, arun,
                                    prune, solve_submap_pair)
 from vista_align.association import Association
 from vista_align.core import (DegenerateGeometryError, Hyperparameters,
                               Landmark, ObjectMap, RigidTransform, rotation_x,
                               rotation_z)
-from vista_align.submap import Submap
+from vista_align.submap import Submap, generate_submaps
 
 from conftest import random_rotation
 
@@ -198,3 +199,37 @@ def test_align_maps_thread_count_does_not_change_results():
 def test_align_maps_rejects_empty_maps():
     with pytest.raises(ValueError):
         align_maps(ObjectMap("a", []), ObjectMap("b", []), Hyperparameters())
+
+
+@pytest.mark.parametrize("n_points, n_max", [(12, 50), (14, 6)])
+def test_engine_solves_each_distinct_pair_once(n_points, n_max, monkeypatch):
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(0.0, 4.0, size=(n_points, 3)) * np.array([1.0, 1.0, 0.2])
+    ma = map_from_points(pts)
+    mb = map_from_points(pts + np.array([0.3, -0.2, 0.0]))
+    params = Hyperparameters(n_max=n_max)
+    grid = [(ia, sa, ib, sb)
+            for ia, sa in enumerate(generate_submaps(ma, params))
+            for ib, sb in enumerate(generate_submaps(mb, params))]
+    expected = []                     # one solve per grid pair, no dedupe
+    for ia, sa, ib, sb in grid:
+        res = solve_submap_pair(sa, sb, params)
+        if res is not None:
+            h = AlignmentHypothesis(res[0], res[1], len(res[1]), ia, ib)
+            if prune(h, params) is None:
+                expected.append(h)
+    expected.sort(key=lambda h: (-h.cardinality, h.source_submap, h.target_submap))
+
+    calls = []
+
+    def counting(sa, sb, p):
+        calls.append((sa.landmark_ids, sb.landmark_ids))
+        return solve_submap_pair(sa, sb, p)
+
+    monkeypatch.setattr(alignment, "solve_submap_pair", counting)
+    hyps = align_maps(ma, mb, params)
+    assert sorted(calls) == sorted({(sa.landmark_ids, sb.landmark_ids)
+                                    for _, sa, _, sb in grid})
+    assert len(calls) < len(grid)
+    assert ([(h.source_submap, h.target_submap, h.inliers) for h in hyps]
+            == [(h.source_submap, h.target_submap, h.inliers) for h in expected])

@@ -58,6 +58,38 @@ def test_affinity_matrix_validation():
         AffinityMatrix(2, np.array([[0.5, 0.0], [0.0, 1.0]]))   # bad diagonal
 
 
+@pytest.mark.parametrize("i, j", [(0, 599), (300, 450), (598, 599)])
+def test_affinity_matrix_symmetry_checked_in_every_row_band(i, j):
+    # 600 x 600 is checked in bands of 218 rows; an asymmetric pair in any
+    # band, the last one included, is rejected.
+    M = np.eye(600)
+    M[i, j] = M[j, i] = 0.5
+    AffinityMatrix(600, M)
+    M[j, i] = 0.25
+    with pytest.raises(ValueError, match="symmetric"):
+        AffinityMatrix(600, M)
+
+
+def test_build_affinity_matches_entrywise_kernel():
+    rng = np.random.default_rng(5)
+    pa = rng.uniform(0.0, 1.5, size=(6, 3))
+    pb = np.vstack([rotation_z(20.0).dot(pa[:5].T).T + rng.normal(0.0, 0.03, (5, 3)),
+                    rng.uniform(0.0, 1.5, size=(2, 3))])
+    params = Hyperparameters()
+    assoc, aff = build_affinity(sub(pa), sub(pb), params)
+    DA = np.linalg.norm(pa[:, None] - pa[None], axis=2)
+    DB = np.linalg.norm(pb[:, None] - pb[None], axis=2)
+    expected = np.eye(len(assoc))
+    for p, (i, k) in enumerate((a.index_a, a.index_b) for a in assoc):
+        for q, (j, m) in enumerate((a.index_a, a.index_b) for a in assoc):
+            if i != j and k != m and DA[i, j] >= params.gamma \
+                    and DB[k, m] >= params.gamma:
+                expected[p, q] = consistency_score(DA[i, j] - DB[k, m],
+                                                   params.sigma, params.epsilon)
+    assert 0 < np.count_nonzero(expected) - len(assoc) < expected.size - len(assoc)
+    assert np.allclose(aff.entries, expected, rtol=1e-12, atol=0.0)
+
+
 def test_build_affinity_identical_submaps():
     pts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     params = Hyperparameters()

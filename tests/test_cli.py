@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from vista_align import cli, formats
-from vista_align.core import Landmark, ObjectMap, RigidTransform, rotation_z
+from vista_align import cli, evaluation, formats, submap
+from vista_align.core import (Hyperparameters, Landmark, ObjectMap,
+                              RigidTransform, rotation_z)
 
 
 SCENE = {"n_objects": 36, "extent": [10.0, 10.0, 1.5], "seed": 3}
@@ -198,3 +199,78 @@ def test_help_listing():
     with pytest.raises(SystemExit) as exc:
         cli.run(["--help"])
     assert exc.value.code == 0
+
+
+@pytest.fixture
+def small_maps(tmp_path):
+    """Two copies of a 20-landmark map, an empty map, a truth file and a
+    config with a NaN sigma."""
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(0.0, 5.0, size=(20, 3)) * np.array([1.0, 1.0, 0.3])
+    m = ObjectMap("a", [Landmark(i, p, 1e-4 * np.eye(3)) for i, p in enumerate(pts)])
+    paths = {k: str(tmp_path / (k + ".json")) for k in ("a", "b", "empty", "truth")}
+    formats.save_map(m, paths["a"])
+    formats.save_map(m, paths["b"])
+    formats.save_map(ObjectMap("e", []), paths["empty"])
+    formats.atomic_write(paths["truth"],
+                         formats.transform_to_json(RigidTransform.identity()))
+    paths["nan_cfg"] = str(tmp_path / "nan.cfg")
+    formats.atomic_write(paths["nan_cfg"], "sigma = nan\n")
+    paths["dir"], paths["out"] = str(tmp_path), str(tmp_path / "out")
+    return paths
+
+
+MALFORMED = {
+    "threads_env_not_int": (["match"], {"VISTA_ALIGN_THREADS": "abc"},
+                            "VISTA_ALIGN_THREADS"),
+    "repeats_below_3": (["evaluate", "--repeats", "1"], {}, "--repeats"),
+    "negative_voxel": (["evaluate", "--voxel", "-1"], {}, "--voxel"),
+    "empty_map": (["match", "--map-b", "{empty}"], {}, "landmarks"),
+    "directory_as_map": (["match", "--map-a", "{dir}"], {}, "{dir}"),
+    "negative_top_k": (["match", "--top-k", "-1"], {}, "--top-k"),
+    "nan_sigma": (["match", "--config", "{nan_cfg}"], {}, "sigma"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1_naming_field(case, small_maps, monkeypatch, capsys):
+    argv, env, field = MALFORMED[case]
+    command, extra = argv[0], [a.format(**small_maps) for a in argv[1:]]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    base = {"--map-a": small_maps["a"], "--map-b": small_maps["b"],
+            "--out": small_maps["out"]}
+    if command == "evaluate":
+        base["--truth"] = small_maps["truth"]
+    for flag in extra[::2]:
+        base.pop(flag, None)
+    args = [command] + [x for kv in base.items() for x in kv] + extra
+    assert cli.run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert field.format(**small_maps) in err
+
+
+def test_evaluate_times_the_filtered_maps_it_scores(small_maps, monkeypatch):
+    seen = {}
+
+    def record(name, fn):
+        def wrapper(map_a, map_b, *args, **kwargs):
+            seen[name] = (map_a, map_b)
+            return fn(map_a, map_b, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(evaluation, "evaluate_map_pair",
+                        record("outcomes", evaluation.evaluate_map_pair))
+    monkeypatch.setattr(evaluation, "timing", record("timing", evaluation.timing))
+    assert cli.run(["evaluate", "--map-a", small_maps["a"],
+                    "--map-b", small_maps["b"], "--truth", small_maps["truth"],
+                    "--out", small_maps["out"]]) == 0
+    raw = formats.load_map(small_maps["a"])
+    inliers = submap.mahalanobis_filter(raw, Hyperparameters().omega_percentile)
+    assert len(inliers) < len(raw)
+
+    def ids(maps):
+        return [[lm.landmark_id for lm in m.landmarks] for m in maps]
+
+    assert ids(seen["timing"]) == ids(seen["outcomes"]) == ids([inliers] * 2)

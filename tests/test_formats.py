@@ -9,6 +9,8 @@ from vista_align.core import (CameraIntrinsics, Detection, Hyperparameters,
                               InputError, Landmark, ObjectMap, Pose,
                               RigidTransform, Track, rotation_z)
 
+from conftest import random_rotation
+
 
 def small_map():
     rng = np.random.default_rng(5)
@@ -137,10 +139,16 @@ def test_parse_config_invalid_combination_reported():
 
 
 def test_transform_round_trip():
-    t = RigidTransform(rotation_z(33.0), np.array([1.5, -2.0, 0.25]))
-    t2 = formats.parse_transform(formats.transform_to_json(t))
-    assert np.allclose(t2.rotation, t.rotation, atol=1e-8)
-    assert np.allclose(t2.translation, t.translation, atol=1e-8)
+    rng = np.random.default_rng(11)
+    transforms = [RigidTransform(rotation_z(33.0), np.array([1.5, -2.0, 0.25]))]
+    for _ in range(20):
+        shift = rng.uniform(-50.0, 50.0, size=3)
+        transforms.append(RigidTransform(rotation_z(rng.uniform(-180, 180)), shift))
+        transforms.append(RigidTransform(random_rotation(rng), shift))
+    for t in transforms:
+        t2 = formats.parse_transform(formats.transform_to_json(t))
+        assert np.array_equal(t2.rotation, t.rotation)
+        assert np.array_equal(t2.translation, t.translation)
 
 
 def test_parse_transform_rejects_non_rotation():
