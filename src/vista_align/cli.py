@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 import time
 
-import numpy as np
-
 from . import alignment, evaluation, formats, simulation, submap, triangulation
-from .core import CameraIntrinsics, Hyperparameters, InputError, transform_angles
+from .core import Hyperparameters, InputError, transform_angles
 
 
 def _log_json(enabled, stage, **fields):
@@ -38,47 +38,19 @@ def _threads(args):
                          % env) from exc
 
 
-def _read_json(path, what):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError("%s file is not valid JSON: %s" % (what, exc)) from exc
-
-
-def _scene_spec(path, seed_override):
-    data = _read_json(path, "scene spec")
-    try:
-        return simulation.SceneSpec(
-            n_objects=data["n_objects"],
-            extent=data["extent"],
-            n_dynamic=data.get("n_dynamic", 0),
-            dynamic_velocity=data.get("dynamic_velocity", 0.0),
-            seed=seed_override if seed_override is not None else data.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("invalid scene spec: %s" % exc) from exc
-
-
-def _trajectory_spec(path):
-    data = _read_json(path, "trajectory spec")
-    try:
-        spec = simulation.TrajectorySpec(
-            waypoints=data["waypoints"],
-            frames=data["frames"],
-            camera_pitch=data.get("camera_pitch", 0.0),
-            altitude=data.get("altitude", 10.0))
-        intr = data["intrinsics"]
-        intrinsics = CameraIntrinsics(fx=intr["fx"], fy=intr["fy"], cx=intr["cx"],
-                                      cy=intr["cy"], width=intr["width"],
-                                      height=intr["height"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("invalid trajectory spec: %s" % exc) from exc
-    return spec, intrinsics
-
-
 def cmd_simulate(args):
-    scene_spec = _scene_spec(args.scene, args.seed)
-    trajectory, intrinsics = _trajectory_spec(args.trajectory)
+    if not 0 <= args.noise < math.inf:
+        raise InputError("--noise must be finite and >= 0, got %g" % args.noise)
+    for flag, rate in (("--dropout", args.dropout),
+                       ("--duplicate-rate", args.duplicate_rate)):
+        if not 0 <= rate <= 1:
+            raise InputError("%s must lie in [0, 1], got %g" % (flag, rate))
+    scene_spec = formats.load_scene_spec(args.scene)
+    if args.seed is not None:
+        if args.seed < 0:
+            raise InputError("--seed must be >= 0, got %d" % args.seed)
+        scene_spec = dataclasses.replace(scene_spec, seed=args.seed)
+    trajectory, intrinsics = formats.load_trajectory_spec(args.trajectory)
     t0 = time.perf_counter()
     scene = simulation.generate_scene(scene_spec)
     tracks, poses = simulation.render_tracks(
@@ -205,6 +177,9 @@ def cmd_evaluate(args):
     map_b = submap.inlier_map(map_b, params)
     outcomes = evaluation.evaluate_map_pair(map_a, map_b, truth, params,
                                             voxel=args.voxel)
+    if not outcomes:
+        raise InputError("no submap pairs: field 'landmarks' of each map must "
+                         "hold more than s_max = %d inliers" % params.s_max)
     rows = evaluation.precision_recall(outcomes, params, sweep)
     mean_rt, std_rt = evaluation.timing(map_a, map_b, params, args.repeats)
     lines = ["s_max,precision,recall,hypothesized,overlapping_pairs,"

@@ -85,8 +85,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        for name in ("fx", "fy"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be finite and positive" % name)
         if not (0 <= self.cx < self.width):
             raise ValueError("cx must lie within [0, width)")
         if not (0 <= self.cy < self.height):
@@ -190,6 +191,8 @@ class Hyperparameters:
             raise ValueError("overlap must be <= window")
         if not (0 < self.theta_overlap <= 1):
             raise ValueError("theta_overlap must lie in (0, 1]")
+        if self.omega_percentile > 100:
+            raise ValueError("omega_percentile must lie in (0, 100]")
 
 
 @dataclass(frozen=True)

@@ -122,11 +122,13 @@ def evaluate_map_pair(map_a, map_b, truth, params, voxel=None):
 def timing(map_a, map_b, params, repeats):
     """Wall-clock (mean, std) seconds per correspondence search step, i.e.
     one affinity + densest-clique + Arun call on a submap pair. Duplicate
-    submap contents are timed once per repeat."""
+    submap contents are timed once per repeat; no pair is a ValueError."""
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
     subs_a = generate_submaps(map_a, params)
     subs_b = generate_submaps(map_b, params)
     durations = np.array([seconds for _ in range(repeats) for _, seconds
                           in solve_pairs(subs_a, subs_b, params).values()])
+    if not durations.size:
+        raise ValueError("no submap pair to time")
     return float(durations.mean()), float(durations.std())

@@ -1,4 +1,4 @@
-"""File formats: object maps, track files, configs, and transforms.
+"""File formats: every file the CLI reads is parsed here, and only here.
 
 Map serialization is canonical (fixed key order, %.9g floats, compact
 separators) so that parse -> serialize round trips are byte-identical.
@@ -6,6 +6,7 @@ separators) so that parse -> serialize round trips are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -14,6 +15,7 @@ import numpy as np
 
 from .core import (CameraIntrinsics, Detection, Hyperparameters, InputError,
                    Landmark, ObjectMap, Pose, RigidTransform, Track)
+from .simulation import SceneSpec, TrajectorySpec
 
 
 def _f(x):
@@ -36,40 +38,82 @@ def map_to_json(obj_map):
                ",".join(parts)))
 
 
-def _require(record, field, kind=None, context=""):
+_NUMBER = (int, float)
+
+
+def _int(digits):
+    value = int(digits)
+    float(value)  # OverflowError: every number must fit a float
+    return value
+
+
+def _json(text, what):
+    """Decode one input document; `what` names the file in the error."""
+    try:
+        return json.loads(text, parse_int=_int)
+    except (ValueError, OverflowError, RecursionError) as exc:
+        raise InputError("%s is not valid JSON: %s" % (what, exc)) from exc
+
+
+def _require(record, field, kind=None, context="", default=None, length=None):
+    """record[field] as a `kind` (a JSON boolean never is one), or as a float
+    array of `length` numbers; if absent, `default` or an error."""
+    if not isinstance(record, dict):
+        raise InputError("expected an object with field '%s'%s" % (field, context))
     if field not in record:
-        raise InputError("missing field '%s'%s" % (field, context))
+        if default is None:
+            raise InputError("missing field '%s'%s" % (field, context))
+        return default
     value = record[field]
-    if kind is not None and not isinstance(value, kind):
+    if length is not None:
+        return _numbers(value, field, length, context)
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise InputError("field '%s' has wrong type%s" % (field, context))
     return value
 
 
-def parse_map(text):
+def _numbers(value, field, length, context=""):
+    if not (isinstance(value, list) and len(value) == length
+            and all(type(v) in _NUMBER for v in value)):
+        raise InputError("field '%s' must be a list of %d numbers%s"
+                         % (field, length, context))
+    return np.array(value, dtype=float)
+
+
+@contextlib.contextmanager
+def _invalid(what):
+    """Re-raise a constructor's ValueError as an InputError about `what`."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError("map file is not valid JSON: %s" % exc) from exc
+        yield
+    except ValueError as exc:
+        raise InputError("invalid %s: %s" % (what, exc)) from exc
+
+
+def _intrinsics(data):
+    idata = _require(data, "intrinsics", dict)
+    with _invalid("intrinsics"):
+        return CameraIntrinsics(
+            fx=_require(idata, "fx", _NUMBER, " in intrinsics"),
+            fy=_require(idata, "fy", _NUMBER, " in intrinsics"),
+            cx=_require(idata, "cx", _NUMBER, " in intrinsics"),
+            cy=_require(idata, "cy", _NUMBER, " in intrinsics"),
+            width=_require(idata, "width", int, " in intrinsics"),
+            height=_require(idata, "height", int, " in intrinsics"))
+
+
+def parse_map(text):
+    data = _json(text, "map file")
     agent_id = _require(data, "agent_id", str)
     frame_label = _require(data, "frame_label", str)
     landmarks = []
     for rec in _require(data, "landmarks", list):
         lid = _require(rec, "id", int, " in landmark record")
-        pos = _require(rec, "position", list, " in landmark record")
-        cov = _require(rec, "covariance", list, " in landmark record")
-        if len(pos) != 3:
-            raise InputError("field 'position' must have 3 entries")
-        if len(cov) != 9:
-            raise InputError("field 'covariance' must have 9 entries (row-major)")
-        try:
-            landmarks.append(Landmark(lid, np.array(pos, dtype=float),
-                                      np.array(cov, dtype=float).reshape(3, 3)))
-        except ValueError as exc:
-            raise InputError("invalid landmark %d: %s" % (lid, exc)) from exc
-    try:
+        pos = _require(rec, "position", context=" in landmark record", length=3)
+        cov = _require(rec, "covariance", context=" in landmark record", length=9)
+        with _invalid("landmark %d" % lid):
+            landmarks.append(Landmark(lid, pos, cov.reshape(3, 3)))
+    with _invalid("map"):
         return ObjectMap(agent_id, landmarks, frame_label)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def save_map(obj_map, path):
@@ -102,45 +146,25 @@ def track_file_to_json(intrinsics, poses, tracks):
 
 def parse_track_file(text):
     """Parse a track file into (intrinsics, {frame: Pose}, [Track])."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError("track file is not valid JSON: %s" % exc) from exc
-    idata = _require(data, "intrinsics", dict)
-    try:
-        intrinsics = CameraIntrinsics(
-            fx=_require(idata, "fx", (int, float), " in intrinsics"),
-            fy=_require(idata, "fy", (int, float), " in intrinsics"),
-            cx=_require(idata, "cx", (int, float), " in intrinsics"),
-            cy=_require(idata, "cy", (int, float), " in intrinsics"),
-            width=_require(idata, "width", int, " in intrinsics"),
-            height=_require(idata, "height", int, " in intrinsics"))
-    except ValueError as exc:
-        raise InputError("invalid intrinsics: %s" % exc) from exc
+    data = _json(text, "track file")
+    intrinsics = _intrinsics(data)
     poses = {}
     for rec in _require(data, "poses", list):
         frame = _require(rec, "frame", int, " in pose record")
-        rot = _require(rec, "rotation", list, " in pose record")
-        tra = _require(rec, "translation", list, " in pose record")
-        if len(rot) != 9:
-            raise InputError("field 'rotation' must have 9 entries (row-major)")
-        if len(tra) != 3:
-            raise InputError("field 'translation' must have 3 entries")
+        rot = _require(rec, "rotation", context=" in pose record", length=9)
+        tra = _require(rec, "translation", context=" in pose record", length=3)
         if frame in poses:
             raise InputError("duplicate pose for field 'frame' = %d" % frame)
-        try:
-            poses[frame] = Pose(np.array(rot, dtype=float).reshape(3, 3),
-                                np.array(tra, dtype=float), frame)
-        except ValueError as exc:
-            raise InputError("invalid pose at frame %d: %s" % (frame, exc)) from exc
+        with _invalid("pose at frame %d" % frame):
+            poses[frame] = Pose(rot.reshape(3, 3), tra, frame)
     tracks = []
     for rec in _require(data, "tracks", list):
         tid = _require(rec, "id", int, " in track record")
         dets = []
         for drec in _require(rec, "detections", list, " in track record"):
             frame = _require(drec, "frame", int, " in detection record")
-            u = _require(drec, "u", (int, float), " in detection record")
-            v = _require(drec, "v", (int, float), " in detection record")
+            u = _require(drec, "u", _NUMBER, " in detection record")
+            v = _require(drec, "v", _NUMBER, " in detection record")
             if not (0 <= u < intrinsics.width and 0 <= v < intrinsics.height):
                 raise InputError("detection centroid (%g, %g) outside image in "
                                  "track %d" % (u, v, tid))
@@ -148,10 +172,8 @@ def parse_track_file(text):
                 raise InputError("track %d references frame %d with no pose"
                                  % (tid, frame))
             dets.append(Detection(frame, np.array([u, v], dtype=float)))
-        try:
+        with _invalid("track %d" % tid):
             tracks.append(Track(tid, dets))
-        except ValueError as exc:
-            raise InputError("invalid track %d: %s" % (tid, exc)) from exc
     if len({t.track_id for t in tracks}) != len(tracks):
         raise InputError("duplicate values in field 'id' of tracks")
     return intrinsics, poses, tracks
@@ -169,7 +191,7 @@ def load_track_file(path):
 _INT_KEYS = {"n_min", "n_max", "s_max"}
 
 
-def parse_config(text, base=None):
+def parse_config(text):
     """Parse a flat `key = value` config; unknown keys are rejected."""
     values = {}
     known = set(Hyperparameters.__dataclass_fields__)
@@ -187,17 +209,13 @@ def parse_config(text, base=None):
             values[key] = int(val) if key in _INT_KEYS else float(val)
         except ValueError as exc:
             raise InputError("config key '%s' has a non-numeric value" % key) from exc
-    base_values = {k: getattr(base, k) for k in known} if base is not None else {}
-    base_values.update(values)
-    try:
-        return Hyperparameters(**base_values)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    with _invalid("config"):
+        return Hyperparameters(**values)
 
 
-def load_config(path, base=None):
+def load_config(path):
     with open(path) as fh:
-        return parse_config(fh.read(), base=base)
+        return parse_config(fh.read())
 
 
 def transform_to_json(transform):
@@ -209,26 +227,54 @@ def transform_to_json(transform):
 
 
 def parse_transform(text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError("transform file is not valid JSON: %s" % exc) from exc
-    rot = _require(data, "rotation", list)
-    tra = _require(data, "translation", list)
-    if len(rot) != 9:
-        raise InputError("field 'rotation' must have 9 entries (row-major)")
-    if len(tra) != 3:
-        raise InputError("field 'translation' must have 3 entries")
-    try:
-        return RigidTransform(np.array(rot, dtype=float).reshape(3, 3),
-                              np.array(tra, dtype=float))
-    except ValueError as exc:
-        raise InputError("invalid transform: %s" % exc) from exc
+    data = _json(text, "transform file")
+    with _invalid("transform"):
+        return RigidTransform(_require(data, "rotation", length=9).reshape(3, 3),
+                              _require(data, "translation", length=3))
 
 
 def load_transform(path):
     with open(path) as fh:
         return parse_transform(fh.read())
+
+
+def parse_scene_spec(text):
+    """Parse a scene spec; fields it omits take SceneSpec's defaults."""
+    data = _json(text, "scene spec")
+    with _invalid("scene spec"):
+        return SceneSpec(
+            n_objects=_require(data, "n_objects", int),
+            extent=_require(data, "extent", length=3),
+            n_dynamic=_require(data, "n_dynamic", int, default=SceneSpec.n_dynamic),
+            dynamic_velocity=_require(data, "dynamic_velocity", _NUMBER,
+                                      default=SceneSpec.dynamic_velocity),
+            seed=_require(data, "seed", int, default=SceneSpec.seed))
+
+
+def load_scene_spec(path):
+    with open(path) as fh:
+        return parse_scene_spec(fh.read())
+
+
+def parse_trajectory_spec(text):
+    """Parse a trajectory spec into (TrajectorySpec, CameraIntrinsics)."""
+    data = _json(text, "trajectory spec")
+    waypoints = [_numbers(w, "waypoints[%d]" % i, 3)
+                 for i, w in enumerate(_require(data, "waypoints", list))]
+    with _invalid("trajectory spec"):
+        spec = TrajectorySpec(
+            waypoints=waypoints,
+            frames=_require(data, "frames", int),
+            camera_pitch=_require(data, "camera_pitch", _NUMBER,
+                                  default=TrajectorySpec.camera_pitch),
+            altitude=_require(data, "altitude", _NUMBER,
+                              default=TrajectorySpec.altitude))
+    return spec, _intrinsics(data)
+
+
+def load_trajectory_spec(path):
+    with open(path) as fh:
+        return parse_trajectory_spec(fh.read())
 
 
 def atomic_write(path, text):

@@ -33,10 +33,16 @@ class SceneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "extent", tuple(float(e) for e in self.extent))
-        if len(self.extent) != 3 or any(e <= 0 for e in self.extent):
-            raise ValueError("extent must be three positive components")
+        if len(self.extent) != 3 or not all(0 < e < math.inf for e in self.extent):
+            raise ValueError("extent must be three finite positive components")
+        if self.n_objects < 0:
+            raise ValueError("n_objects must be >= 0")
         if not (0 <= self.n_dynamic <= self.n_objects):
             raise ValueError("n_dynamic must lie in [0, n_objects]")
+        if not abs(self.dynamic_velocity) < math.inf:
+            raise ValueError("dynamic_velocity must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,11 @@ class TrajectorySpec:
             raise ValueError("camera_pitch must lie in [0, 89] degrees")
         if len(self.waypoints) < 2:
             raise ValueError("at least two waypoints are required")
+        if not (np.all(np.isfinite(self.waypoints)) and abs(self.altitude) < math.inf):
+            raise ValueError("waypoints and altitude must be finite")
+        xy = np.array(self.waypoints)[:, :2]
+        if not 0 < np.linalg.norm(np.diff(xy, axis=0), axis=1).sum() < math.inf:
+            raise ValueError("waypoints must span a non-degenerate, finite path")
 
 
 @dataclass(frozen=True)
@@ -92,8 +103,6 @@ def trajectory_poses(trajectory):
     seg = np.linalg.norm(np.diff(wps[:, :2], axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
-    if total <= 0:
-        raise ValueError("waypoints must span a non-degenerate path")
     R = _R_NADIR @ rotation_y(trajectory.camera_pitch)
     poses = {}
     for f in range(trajectory.frames):

@@ -99,7 +99,7 @@ def reprojection_jacobian(pose, intrinsics, point):
     return J
 
 
-def refine(track, poses, intrinsics, guess, residual_floor_px=RESIDUAL_FLOOR_PX):
+def refine(track, poses, intrinsics, guess):
     """Gauss-Newton refinement of a track's 3D position.
 
     Returns a Landmark with covariance s^2 (J'J)^-1 where
@@ -149,9 +149,9 @@ def refine(track, poses, intrinsics, guess, residual_floor_px=RESIDUAL_FLOOR_PX)
         raise DivergedError("no convergence within %d iterations" % MAX_ITERS)
 
     rms = np.sqrt(cost / (2 * m))
-    if rms > residual_floor_px:
+    if rms > RESIDUAL_FLOOR_PX:
         raise DivergedError("converged residual %.2f px exceeds the %.1f px floor"
-                            % (rms, residual_floor_px))
+                            % (rms, RESIDUAL_FLOOR_PX))
     s2 = cost / max(1, 2 * m - 3)
     cov = s2 * np.linalg.inv(J.T @ J)
     cov = 0.5 * (cov + cov.T)
@@ -169,7 +169,7 @@ class BuildStats:
     n_discarded_diverged: int = 0  # includes degenerate-geometry tracks
 
 
-def build_map(tracks, poses, intrinsics, params, agent_id, frame_label="odom"):
+def build_map(tracks, poses, intrinsics, params, agent_id):
     """Triangulate every track independently into an ObjectMap.
 
     Returns (ObjectMap, BuildStats). Diverged and degenerate tracks are
@@ -188,4 +188,4 @@ def build_map(tracks, poses, intrinsics, params, agent_id, frame_label="odom"):
     stats.n_landmarks = len(landmarks)
     if not landmarks:
         warnings.warn("build_map produced an empty map for agent %r" % agent_id)
-    return ObjectMap(agent_id, landmarks, frame_label), stats
+    return ObjectMap(agent_id, landmarks), stats

@@ -201,51 +201,121 @@ def test_help_listing():
     assert exc.value.code == 0
 
 
+TRACKS = {"intrinsics": TRAJECTORY["intrinsics"],
+          "poses": [{"frame": 0, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+                     "translation": [5.0, 5.0, 8.0]}],
+          "tracks": []}
+
+
 @pytest.fixture
 def small_maps(tmp_path):
-    """Two copies of a 20-landmark map, an empty map, a truth file and a
-    config with a NaN sigma."""
+    """Two copies of a 20-landmark map, an empty map, a 4-landmark map, a
+    map file holding a bare number, a truth file, configs with a NaN sigma
+    and an out-of-range omega_percentile, and valid scene, trajectory and
+    track files."""
     rng = np.random.default_rng(12)
     pts = rng.uniform(0.0, 5.0, size=(20, 3)) * np.array([1.0, 1.0, 0.3])
     m = ObjectMap("a", [Landmark(i, p, 1e-4 * np.eye(3)) for i, p in enumerate(pts)])
-    paths = {k: str(tmp_path / (k + ".json")) for k in ("a", "b", "empty", "truth")}
+    paths = {k: str(tmp_path / (k + ".json"))
+             for k in ("a", "b", "empty", "tiny", "five", "truth", "scene",
+                       "trajectory", "tracks")}
     formats.save_map(m, paths["a"])
     formats.save_map(m, paths["b"])
     formats.save_map(ObjectMap("e", []), paths["empty"])
+    formats.save_map(ObjectMap("t", m.landmarks[:4]), paths["tiny"])
+    formats.atomic_write(paths["five"], "5")
     formats.atomic_write(paths["truth"],
                          formats.transform_to_json(RigidTransform.identity()))
+    for name, doc in (("scene", SCENE), ("trajectory", TRAJECTORY),
+                      ("tracks", TRACKS)):
+        formats.atomic_write(paths[name], json.dumps(doc))
     paths["nan_cfg"] = str(tmp_path / "nan.cfg")
     formats.atomic_write(paths["nan_cfg"], "sigma = nan\n")
+    paths["omega_cfg"] = str(tmp_path / "omega.cfg")
+    formats.atomic_write(paths["omega_cfg"], "omega_percentile = 150\n")
     paths["dir"], paths["out"] = str(tmp_path), str(tmp_path / "out")
     return paths
 
 
+def patched(doc, patch):
+    """`doc` with the keys of `patch` set, merging into nested objects."""
+    return {**doc, **{k: patched(doc[k], v) if isinstance(v, dict) else v
+                      for k, v in patch.items()}}
+
+
+BASE_ARGS = {
+    "simulate": ["--scene", "{scene}", "--trajectory", "{trajectory}",
+                 "--out", "{out}"],
+    "build-map": ["--tracks", "{tracks}", "--out", "{out}"],
+    "match": ["--map-a", "{a}", "--map-b", "{b}", "--out", "{out}"],
+    "evaluate": ["--map-a", "{a}", "--map-b", "{b}", "--truth", "{truth}",
+                 "--out", "{out}"],
+}
+
+NAN = float("nan")
+
+# case: (argv, environment, {input file: patch of its JSON}, expected name)
 MALFORMED = {
-    "threads_env_not_int": (["match"], {"VISTA_ALIGN_THREADS": "abc"},
+    "threads_env_not_int": (["match"], {"VISTA_ALIGN_THREADS": "abc"}, {},
                             "VISTA_ALIGN_THREADS"),
-    "repeats_below_3": (["evaluate", "--repeats", "1"], {}, "--repeats"),
-    "negative_voxel": (["evaluate", "--voxel", "-1"], {}, "--voxel"),
-    "empty_map": (["match", "--map-b", "{empty}"], {}, "landmarks"),
-    "directory_as_map": (["match", "--map-a", "{dir}"], {}, "{dir}"),
-    "negative_top_k": (["match", "--top-k", "-1"], {}, "--top-k"),
-    "nan_sigma": (["match", "--config", "{nan_cfg}"], {}, "sigma"),
+    "repeats_below_3": (["evaluate", "--repeats", "1"], {}, {}, "--repeats"),
+    "negative_voxel": (["evaluate", "--voxel", "-1"], {}, {}, "--voxel"),
+    "empty_map": (["match", "--map-b", "{empty}"], {}, {}, "landmarks"),
+    "directory_as_map": (["match", "--map-a", "{dir}"], {}, {}, "{dir}"),
+    "negative_top_k": (["match", "--top-k", "-1"], {}, {}, "--top-k"),
+    "nan_sigma": (["match", "--config", "{nan_cfg}"], {}, {}, "sigma"),
+    "no_submap_pair": (["evaluate", "--map-a", "{tiny}", "--map-b", "{tiny}"],
+                       {}, {}, "s_max"),
+    "scene_fractional_n_objects": (["simulate"], {},
+                                   {"scene": {"n_objects": 2.5}}, "n_objects"),
+    "scene_string_n_objects": (["simulate"], {}, {"scene": {"n_objects": "x"}},
+                               "n_objects"),
+    "scene_scalar_extent": (["simulate"], {}, {"scene": {"extent": 5}}, "extent"),
+    "scene_nan_extent": (["simulate"], {}, {"scene": {"extent": [NAN, 1, 1]}},
+                         "extent"),
+    "scene_negative_seed": (["simulate"], {}, {"scene": {"seed": -1}}, "seed"),
+    "scene_string_velocity": (["simulate"], {},
+                              {"scene": {"dynamic_velocity": "x"}},
+                              "dynamic_velocity"),
+    "trajectory_fractional_frames": (["simulate"], {},
+                                     {"trajectory": {"frames": 2.5}}, "frames"),
+    "trajectory_equal_waypoints": (["simulate"], {},
+                                   {"trajectory": {"waypoints": [[1, 1, 0]] * 2}},
+                                   "waypoints"),
+    "trajectory_string_altitude": (["simulate"], {},
+                                   {"trajectory": {"altitude": "x"}}, "altitude"),
+    "trajectory_fractional_width": (["simulate"], {},
+                                    {"trajectory": {"intrinsics": {"width": 640.5}}},
+                                    "width"),
+    "trajectory_string_fx": (["simulate"], {},
+                             {"trajectory": {"intrinsics": {"fx": "a"}}}, "fx"),
+    "tracks_nan_fx": (["build-map"], {}, {"tracks": {"intrinsics": {"fx": NAN}}},
+                      "fx"),
+    "map_file_is_a_number": (["match", "--map-a", "{five}"], {}, {}, "agent_id"),
+    "omega_percentile_above_100": (["match", "--config", "{omega_cfg}"], {}, {},
+                                   "omega_percentile"),
+    "negative_noise": (["simulate", "--noise", "-1"], {}, {}, "--noise"),
+    "dropout_above_1": (["simulate", "--dropout", "2"], {}, {}, "--dropout"),
+    "nan_duplicate_rate": (["simulate", "--duplicate-rate", "nan"], {}, {},
+                           "--duplicate-rate"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_1_naming_field(case, small_maps, monkeypatch, capsys):
-    argv, env, field = MALFORMED[case]
-    command, extra = argv[0], [a.format(**small_maps) for a in argv[1:]]
+    argv, env, patches, field = MALFORMED[case]
+    for name, patch in patches.items():
+        with open(small_maps[name]) as fh:
+            doc = patched(json.load(fh), patch)
+        small_maps[name] = small_maps[name] + ".patched"
+        formats.atomic_write(small_maps[name], json.dumps(doc))
+    command, extra = argv[0], argv[1:]
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    base = {"--map-a": small_maps["a"], "--map-b": small_maps["b"],
-            "--out": small_maps["out"]}
-    if command == "evaluate":
-        base["--truth"] = small_maps["truth"]
-    for flag in extra[::2]:
-        base.pop(flag, None)
+    base = BASE_ARGS[command]
+    base = {k: v for k, v in zip(base[::2], base[1::2]) if k not in extra[::2]}
     args = [command] + [x for kv in base.items() for x in kv] + extra
-    assert cli.run(args) == 1
+    assert cli.run([a.format(**small_maps) for a in args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert field.format(**small_maps) in err

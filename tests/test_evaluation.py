@@ -172,6 +172,13 @@ def test_timing_enforces_min_repeats():
         timing(m, m, Hyperparameters(), 2)
 
 
+def test_timing_rejects_maps_without_submaps():
+    # 4 landmarks cannot fill a submap that passes |S| > s_max = 4
+    m = map_from_points(np.random.default_rng(6).uniform(size=(4, 3)))
+    with pytest.raises(ValueError, match="no submap pair"):
+        timing(m, m, Hyperparameters(), 3)
+
+
 def test_timing_small_pair_is_fast():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.0, 0.8, size=(5, 3))

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vista_align import formats
 from vista_align.core import (CameraIntrinsics, Detection, Hyperparameters,
@@ -164,3 +165,70 @@ def test_atomic_write_replaces_and_cleans_up(tmp_path):
     with open(path) as fh:
         assert fh.read() == "two"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def config_text(doc):
+    """A config file setting each field of `doc` to its value's JSON text."""
+    items = doc.items() if isinstance(doc, dict) else [("sigma", doc)]
+    return "".join("%s = %s\n" % (k, json.dumps(v)) for k, v in items)
+
+
+def from_json(parse):
+    return lambda doc: parse(json.dumps(doc))
+
+
+# Each parser, fed a document, with the field names its format uses.
+PARSERS = {
+    "map": (from_json(formats.parse_map),
+            ["agent_id", "frame_label", "landmarks", "id", "position",
+             "covariance"]),
+    "track_file": (from_json(formats.parse_track_file),
+                   ["intrinsics", "fx", "fy", "cx", "cy", "width", "height",
+                    "poses", "frame", "rotation", "translation", "tracks", "id",
+                    "detections", "u", "v"]),
+    "transform": (from_json(formats.parse_transform), ["rotation", "translation"]),
+    "scene_spec": (from_json(formats.parse_scene_spec),
+                   ["n_objects", "extent", "n_dynamic", "dynamic_velocity",
+                    "seed"]),
+    "trajectory_spec": (from_json(formats.parse_trajectory_spec),
+                        ["waypoints", "frames", "camera_pitch", "altitude",
+                         "intrinsics", "fx", "fy", "cx", "cy", "width",
+                         "height"]),
+    "config": (lambda doc: formats.parse_config(config_text(doc)),
+               list(Hyperparameters.__dataclass_fields__)),
+}
+
+
+def json_documents(fields):
+    """Arbitrary JSON values whose objects use `fields` and one unknown key."""
+    keys = st.sampled_from(fields + ["other"])
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=3))
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=9)
+                       | st.dictionaries(keys, inner, max_size=len(fields))),
+        max_leaves=16)
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+def test_parsers_accept_or_raise_input_error(name):
+    parse, fields = PARSERS[name]
+
+    @settings(max_examples=75, derandomize=True, database=None, deadline=None)
+    @given(doc=json_documents(fields))
+    def check(doc):
+        try:
+            parse(doc)
+        except InputError:
+            pass
+
+    check()
+
+
+def test_parsers_reject_deep_nesting():
+    for parse in (formats.parse_map, formats.parse_track_file,
+                  formats.parse_transform, formats.parse_scene_spec,
+                  formats.parse_trajectory_spec):
+        with pytest.raises(InputError, match="not valid JSON"):
+            parse("[" * 100000)
