@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,19 +84,23 @@ def solve_submap_pair(submap_a, submap_b, params):
 def solve_pairs(subs_a, subs_b, params, threads=1):
     """Solve every distinct submap pair of the all-to-all grid once.
 
-    Grid pairs whose submaps have identical landmark content share one solve
+    Grid cells whose submaps have identical landmark content share one solve
     (results are identical by construction). Returns
-    {(landmark_ids_a, landmark_ids_b): (solve_submap_pair result, seconds)}.
+    {(grid_a, grid_b): (solve_submap_pair result, seconds)}, where grid_a and
+    grid_b are the tuples of grid indices that share one content.
     """
-    unique_a = {sa.landmark_ids: sa for sa in subs_a}.values()
-    unique_b = {sb.landmark_ids: sb for sb in subs_b}.values()
-    pairs = [(sa, sb) for sa in unique_a for sb in unique_b]
+    groups_a, groups_b = {}, {}
+    for subs, groups in ((subs_a, groups_a), (subs_b, groups_b)):
+        for i, sm in enumerate(subs):
+            groups.setdefault(sm.landmark_ids, []).append(i)
+    pairs = [(tuple(ga), tuple(gb)) for ga in groups_a.values()
+             for gb in groups_b.values()]
 
     def solve(pair):
-        sa, sb = pair
+        ga, gb = pair
         t0 = time.perf_counter()
-        result = solve_submap_pair(sa, sb, params)
-        return (sa.landmark_ids, sb.landmark_ids), (result, time.perf_counter() - t0)
+        result = solve_submap_pair(subs_a[ga[0]], subs_b[gb[0]], params)
+        return pair, (result, time.perf_counter() - t0)
 
     if threads > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -115,16 +119,15 @@ def align_maps(map_a, map_b, params, threads=1):
         raise ValueError("maps must be non-empty")
     subs_a = generate_submaps(map_a, params)
     subs_b = generate_submaps(map_b, params)
-    results = solve_pairs(subs_a, subs_b, params, threads)
 
     hypotheses = []
-    for ia, sa in enumerate(subs_a):
-        for ib, sb in enumerate(subs_b):
-            res, _ = results[(sa.landmark_ids, sb.landmark_ids)]
-            if res is None:
-                continue
-            hyp = AlignmentHypothesis(res[0], res[1], len(res[1]), ia, ib)
-            if prune(hyp, params) is None:
-                hypotheses.append(hyp)
+    for (grid_a, grid_b), (res, _) in solve_pairs(subs_a, subs_b, params,
+                                                  threads).items():
+        if res is None:
+            continue
+        hyp = AlignmentHypothesis(res[0], res[1], len(res[1]), grid_a[0], grid_b[0])
+        if prune(hyp, params) is None:
+            hypotheses += [replace(hyp, source_submap=ia, target_submap=ib)
+                           for ia in grid_a for ib in grid_b]
     hypotheses.sort(key=lambda h: (-h.cardinality, h.source_submap, h.target_submap))
     return hypotheses

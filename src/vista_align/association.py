@@ -60,7 +60,7 @@ def consistency_score(x, sigma, epsilon):
     return float(score) if score.ndim == 0 else score
 
 
-def build_affinity(submap_a, submap_b, params, max_candidates=MAX_CANDIDATES):
+def build_affinity(submap_a, submap_b, params):
     """All-to-all candidate associations and their pairwise affinity matrix.
 
     Entries are zeroed for association pairs that share an endpoint (one-to-one
@@ -71,9 +71,9 @@ def build_affinity(submap_a, submap_b, params, max_candidates=MAX_CANDIDATES):
     if na == 0 or nb == 0:
         raise ValueError("submaps must be non-empty")
     n = na * nb
-    if n > max_candidates:
+    if n > MAX_CANDIDATES:
         raise SizeLimitError("candidate count %d exceeds cap %d; check submap "
-                             "parameters" % (n, max_candidates))
+                             "parameters" % (n, MAX_CANDIDATES))
     pa, pb = submap_a.points, submap_b.points
     DA = np.linalg.norm(pa[:, None, :] - pa[None, :, :], axis=2)
     DB = np.linalg.norm(pb[:, None, :] - pb[None, :, :], axis=2)
@@ -96,13 +96,6 @@ def build_affinity(submap_a, submap_b, params, max_candidates=MAX_CANDIDATES):
 
     associations = [Association(i, k) for i in range(na) for k in range(nb)]
     return associations, AffinityMatrix(n, M)
-
-
-def _density(idx, A):
-    if not len(idx):
-        return 0.0
-    sub = A[np.ix_(idx, idx)]
-    return float(sub.sum()) / len(idx)
 
 
 def _grow(seed, A, feasible):
@@ -196,6 +189,20 @@ def _round(u, A, feasible):
     return _local_improve(best, A, feasible)
 
 
+def _ascend(M, u, iterations, restart):
+    """Projected power iteration u <- max(M u, 0) / |max(M u, 0)| for at most
+    `iterations` steps, stopping once u moves by less than 1e-9. An ascent
+    that collapses (M u <= 0 everywhere) restarts from `restart`."""
+    for _ in range(iterations):
+        v = np.maximum(M @ u, 0.0)
+        norm = np.linalg.norm(v)
+        v = v / norm if norm >= 1e-12 else restart
+        if np.linalg.norm(v - u) < 1e-9:
+            return v
+        u = v
+    return u
+
+
 def densest_clique(affinity, assoc):
     """Approximate densest geometrically consistent clique (the inlier set).
 
@@ -211,35 +218,15 @@ def densest_clique(affinity, assoc):
     infeasible = ~feasible
     np.fill_diagonal(infeasible, False)
 
-    u = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(100):
-        v = np.maximum(A @ u, 0.0)
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            break
-        v /= norm
-        if np.linalg.norm(v - u) < 1e-9:
-            u = v
-            break
-        u = v
+    restart = np.zeros(n)                         # e_j, j the heaviest row
+    restart[int(np.argmax(A.sum(axis=1)))] = 1.0
+    u = _ascend(A, np.full(n, 1.0 / np.sqrt(n)), 100, restart)
 
     d = 0.0
     Md = A.copy()
     for _ in range(60):
         np.copyto(Md, -d, where=infeasible)      # A, with -d on infeasible pairs
-        for _ in range(200):
-            v = np.maximum(Md @ u, 0.0)
-            norm = np.linalg.norm(v)
-            if norm < 1e-12:
-                # ascent collapsed; restart from the heaviest row
-                v = np.zeros(n)
-                v[int(np.argmax(A.sum(axis=1)))] = 1.0
-                norm = 1.0
-            v /= norm
-            if np.linalg.norm(v - u) < 1e-9:
-                u = v
-                break
-            u = v
+        u = _ascend(Md, u, 200, restart)
         support = np.flatnonzero(u > _SUPPORT_TOL)
         if support.size and not infeasible[np.ix_(support, support)].any():
             break

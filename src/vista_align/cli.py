@@ -27,15 +27,16 @@ def _load_params(path):
 
 def _threads(args):
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("VISTA_ALIGN_THREADS")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError as exc:
-        raise InputError("VISTA_ALIGN_THREADS must be an integer, got %r"
-                         % env) from exc
+        name, threads = "--threads", args.threads
+    else:
+        name, env = "VISTA_ALIGN_THREADS", os.environ.get("VISTA_ALIGN_THREADS")
+        try:
+            threads = int(env) if env else 1
+        except ValueError as exc:
+            raise InputError("%s must be an integer, got %r" % (name, env)) from exc
+    if threads < 1:
+        raise InputError("%s must be >= 1, got %d" % (name, threads))
+    return threads
 
 
 def cmd_simulate(args):

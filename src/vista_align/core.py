@@ -136,7 +136,9 @@ class Landmark:
         C = self.covariance
         if np.linalg.norm(C - C.T) >= 1e-12:
             raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh(C).min() < -1e-12:
+        # %.9g map rounding moves an eigenvalue by at most 1.5e-8 of the
+        # largest entry; a saved rank-deficient covariance must load again.
+        if np.linalg.eigvalsh(C).min() < -max(1e-12, 2e-8 * np.abs(C).max()):
             raise ValueError("covariance must be positive semi-definite")
 
 

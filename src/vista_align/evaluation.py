@@ -4,13 +4,13 @@ gate, and per-comparison runtime measurement."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .alignment import AlignmentHypothesis, prune, solve_pairs
 from .core import transform_angles
-from .submap import Submap, generate_submaps
+from .submap import generate_submaps
 
 
 def default_voxel(params):
@@ -95,27 +95,21 @@ def evaluate_map_pair(map_a, map_b, truth, params, voxel=None):
         voxel = default_voxel(params)
     subs_a = generate_submaps(map_a, params)
     subs_b = generate_submaps(map_b, params)
-    results = solve_pairs(subs_a, subs_b, params)
     truth_inv = truth.inverse()
 
-    by_content = {}
     outcomes = []
-    for ia, sa in enumerate(subs_a):
-        for ib, sb in enumerate(subs_b):
-            key = (sa.landmark_ids, sb.landmark_ids)
-            if key not in by_content:
-                res, _ = results[key]
-                if res is None:
-                    cardinality, attitude_ok, correct = 0, False, False
-                else:
-                    hyp = AlignmentHypothesis(res[0], res[1], len(res[1]), ia, ib)
-                    cardinality = hyp.cardinality
-                    attitude_ok = prune(hyp, params) != "attitude"
-                    correct = classify(hyp, truth, params)
-                iou = submap_iou(sa, Submap(sb.center, sb.landmark_ids,
-                                            truth_inv.apply(sb.points)), voxel)
-                by_content[key] = PairOutcome(iou, cardinality, attitude_ok, correct)
-            outcomes.append(by_content[key])
+    for (grid_a, grid_b), (res, _) in solve_pairs(subs_a, subs_b, params).items():
+        sa, sb = subs_a[grid_a[0]], subs_b[grid_b[0]]
+        if res is None:
+            cardinality, attitude_ok, correct = 0, False, False
+        else:
+            hyp = AlignmentHypothesis(res[0], res[1], len(res[1]), grid_a[0], grid_b[0])
+            cardinality = hyp.cardinality
+            attitude_ok = prune(hyp, params) != "attitude"
+            correct = classify(hyp, truth, params)
+        iou = submap_iou(sa, replace(sb, points=truth_inv.apply(sb.points)), voxel)
+        outcomes += [PairOutcome(iou, cardinality, attitude_ok, correct)] \
+            * (len(grid_a) * len(grid_b))
     return outcomes
 
 

@@ -1,13 +1,18 @@
+import functools
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from vista_align import alignment
+from vista_align import alignment, evaluation
 from vista_align.alignment import (AlignmentHypothesis, align_maps, arun,
                                    prune, solve_submap_pair)
 from vista_align.association import Association
 from vista_align.core import (DegenerateGeometryError, Hyperparameters,
                               Landmark, ObjectMap, RigidTransform, rotation_x,
                               rotation_z)
+from vista_align.evaluation import (PairOutcome, classify, default_voxel,
+                                    evaluate_map_pair, submap_iou)
 from vista_align.submap import Submap, generate_submaps
 
 from conftest import random_rotation
@@ -201,19 +206,32 @@ def test_align_maps_rejects_empty_maps():
         align_maps(ObjectMap("a", []), ObjectMap("b", []), Hyperparameters())
 
 
-@pytest.mark.parametrize("n_points, n_max", [(12, 50), (14, 6)])
-def test_engine_solves_each_distinct_pair_once(n_points, n_max, monkeypatch):
+SHIFT = np.array([0.3, -0.2, 0.0])      # map B is map A moved by SHIFT
+
+
+@functools.lru_cache(maxsize=None)
+def engine_case(n_points, n_max):
+    """Maps A and B, their parameters, and every grid pair solved on its own,
+    with no dedupe: [(ia, sa, ib, sb, solve_submap_pair result)]."""
     rng = np.random.default_rng(13)
     pts = rng.uniform(0.0, 4.0, size=(n_points, 3)) * np.array([1.0, 1.0, 0.2])
-    ma = map_from_points(pts)
-    mb = map_from_points(pts + np.array([0.3, -0.2, 0.0]))
+    ma, mb = map_from_points(pts), map_from_points(pts + SHIFT)
     params = Hyperparameters(n_max=n_max)
-    grid = [(ia, sa, ib, sb)
+    grid = [(ia, sa, ib, sb, solve_submap_pair(sa, sb, params))
             for ia, sa in enumerate(generate_submaps(ma, params))
             for ib, sb in enumerate(generate_submaps(mb, params))]
-    expected = []                     # one solve per grid pair, no dedupe
-    for ia, sa, ib, sb in grid:
-        res = solve_submap_pair(sa, sb, params)
+    return ma, mb, params, grid
+
+
+# one submap content per map, and several contents per map
+ENGINE_CASES = [(12, 50), (14, 6)]
+
+
+@pytest.mark.parametrize("n_points, n_max", ENGINE_CASES)
+def test_engine_solves_each_distinct_pair_once(n_points, n_max, monkeypatch):
+    ma, mb, params, grid = engine_case(n_points, n_max)
+    expected = []
+    for ia, sa, ib, sb, res in grid:
         if res is not None:
             h = AlignmentHypothesis(res[0], res[1], len(res[1]), ia, ib)
             if prune(h, params) is None:
@@ -229,7 +247,48 @@ def test_engine_solves_each_distinct_pair_once(n_points, n_max, monkeypatch):
     monkeypatch.setattr(alignment, "solve_submap_pair", counting)
     hyps = align_maps(ma, mb, params)
     assert sorted(calls) == sorted({(sa.landmark_ids, sb.landmark_ids)
-                                    for _, sa, _, sb in grid})
+                                    for _, sa, _, sb, _ in grid})
     assert len(calls) < len(grid)
     assert ([(h.source_submap, h.target_submap, h.inliers) for h in hyps]
             == [(h.source_submap, h.target_submap, h.inliers) for h in expected])
+
+
+@pytest.mark.parametrize("n_points, n_max", ENGINE_CASES)
+def test_evaluate_map_pair_equals_per_grid_loop(n_points, n_max):
+    ma, mb, params, grid = engine_case(n_points, n_max)
+    truth = RigidTransform(np.eye(3), SHIFT)
+    voxel = default_voxel(params)
+    expected = Counter()
+    for ia, sa, ib, sb, res in grid:
+        cardinality, attitude_ok, correct = 0, False, False
+        if res is not None:
+            h = AlignmentHypothesis(res[0], res[1], len(res[1]), ia, ib)
+            cardinality = h.cardinality
+            attitude_ok = prune(h, params) != "attitude"
+            correct = classify(h, truth, params)
+        moved = Submap(sb.center, sb.landmark_ids, truth.inverse().apply(sb.points))
+        expected[PairOutcome(submap_iou(sa, moved, voxel), cardinality,
+                             attitude_ok, correct)] += 1
+    assert any(o.correct for o in expected)
+    assert Counter(evaluate_map_pair(ma, mb, truth, params)) == expected
+
+
+@pytest.mark.parametrize("n_points, n_max", ENGINE_CASES)
+def test_prune_runs_once_per_distinct_solved_pair(n_points, n_max, monkeypatch):
+    ma, mb, params, grid = engine_case(n_points, n_max)
+    solved = [(sa.landmark_ids, sb.landmark_ids)
+              for _, sa, _, sb, res in grid if res is not None]
+    assert len(set(solved)) < len(solved)
+    calls = []
+
+    def counting(h, p):
+        calls.append(h)
+        return prune(h, p)
+
+    monkeypatch.setattr(alignment, "prune", counting)
+    monkeypatch.setattr(evaluation, "prune", counting)
+    align_maps(ma, mb, params)
+    assert len(calls) == len(set(solved))
+    calls.clear()
+    evaluate_map_pair(ma, mb, RigidTransform(np.eye(3), SHIFT), params)
+    assert len(calls) == len(set(solved))

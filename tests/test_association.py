@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from vista_align.association import (Association, AffinityMatrix,
-                                     build_affinity, consistency_score,
-                                     densest_clique, densest_clique_exact)
+from vista_align.association import (MAX_CANDIDATES, Association,
+                                     AffinityMatrix, build_affinity,
+                                     consistency_score, densest_clique,
+                                     densest_clique_exact)
 from vista_align.core import (Hyperparameters, RigidTransform, SizeLimitError,
                               TooLargeError, rotation_z)
 from vista_align.submap import Submap
@@ -126,9 +127,10 @@ def test_build_affinity_gamma_rule():
 
 
 def test_build_affinity_size_limit():
-    pts = np.random.default_rng(0).uniform(size=(11, 3))
+    pts = np.random.default_rng(0).uniform(size=(101, 3))
+    assert 101 * 100 > MAX_CANDIDATES
     with pytest.raises(SizeLimitError):
-        build_affinity(sub(pts), sub(pts), Hyperparameters(), max_candidates=100)
+        build_affinity(sub(pts), sub(pts[:100]), Hyperparameters())
 
 
 def test_build_affinity_swap_symmetry():

@@ -258,6 +258,9 @@ NAN = float("nan")
 MALFORMED = {
     "threads_env_not_int": (["match"], {"VISTA_ALIGN_THREADS": "abc"}, {},
                             "VISTA_ALIGN_THREADS"),
+    "threads_env_below_1": (["match"], {"VISTA_ALIGN_THREADS": "0"}, {},
+                            "VISTA_ALIGN_THREADS"),
+    "threads_flag_below_1": (["match", "--threads", "-2"], {}, {}, "--threads"),
     "repeats_below_3": (["evaluate", "--repeats", "1"], {}, {}, "--repeats"),
     "negative_voxel": (["evaluate", "--voxel", "-1"], {}, {}, "--voxel"),
     "empty_map": (["match", "--map-b", "{empty}"], {}, {}, "landmarks"),

@@ -152,6 +152,20 @@ def test_landmark_covariance_validation():
         Landmark(0, np.zeros(3), -np.eye(3))
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+def test_landmark_psd_tolerance_is_relative(scale):
+    # a rank-2 covariance with its null direction pushed below zero
+    R = random_rotation(np.random.default_rng(3))
+    C = scale * R @ np.diag([1.0, 0.3, 0.0]) @ R.T
+    C = (C + C.T) / 2
+    null = np.outer(R[:, 2], R[:, 2])
+    null = (null + null.T) / 2
+    peak = np.abs(C).max()
+    Landmark(0, np.zeros(3), C - 5e-9 * peak * null)       # 9-digit rounding
+    with pytest.raises(ValueError, match="positive semi-definite"):
+        Landmark(0, np.zeros(3), C - 1e-6 * peak * null)
+
+
 def test_object_map_unique_ids():
     lm = Landmark(1, np.zeros(3), np.eye(3))
     with pytest.raises(ValueError):

@@ -28,6 +28,28 @@ def test_map_round_trip_is_byte_identical():
     assert again == text
 
 
+# A landmark: position, a 3 x k covariance factor (k = 1 and 2 give singular
+# covariances) and a power-of-ten scale for the covariance.
+LANDMARKS = st.tuples(
+    st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+    st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k),
+        min_size=3, max_size=3)),
+    st.integers(-8, 3))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(landmarks=st.lists(LANDMARKS, max_size=4))
+def test_map_round_trip_is_byte_identical_for_any_valid_map(landmarks):
+    lms = []
+    for i, (position, factor, exponent) in enumerate(landmarks):
+        A = np.array(factor)
+        C = 10.0 ** exponent * (A @ A.T)
+        lms.append(Landmark(i, position, (C + C.T) / 2))
+    text = formats.map_to_json(ObjectMap("agent", lms))
+    assert formats.map_to_json(formats.parse_map(text)) == text
+
+
 def test_map_round_trip_preserves_values():
     m = small_map()
     m2 = formats.parse_map(formats.map_to_json(m))
