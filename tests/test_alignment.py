@@ -195,10 +195,14 @@ def test_align_maps_thread_count_does_not_change_results():
     h1 = align_maps(ma, mb, Hyperparameters(n_max=8), threads=1)
     h4 = align_maps(ma, mb, Hyperparameters(n_max=8), threads=4)
     assert len(h1) == len(h4)
-    for a, b in zip(h1, h4):
+    for a, b in zip(h1, h4):          # bit for bit, as the README promises
+        assert a.inliers == b.inliers
         assert a.cardinality == b.cardinality
-        assert np.allclose(a.transform.rotation, b.transform.rotation)
-        assert np.allclose(a.transform.translation, b.transform.translation)
+        assert (a.source_submap, a.target_submap) == (b.source_submap,
+                                                      b.target_submap)
+        assert a.transform.rotation.tobytes() == b.transform.rotation.tobytes()
+        assert (a.transform.translation.tobytes()
+                == b.transform.translation.tobytes())
 
 
 def test_align_maps_rejects_empty_maps():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from vista_align import association
 from vista_align.association import (MAX_CANDIDATES, Association,
-                                     AffinityMatrix, build_affinity,
+                                     AffinityMatrix, _ascend, build_affinity,
                                      consistency_score, densest_clique,
                                      densest_clique_exact)
 from vista_align.core import (Hyperparameters, RigidTransform, SizeLimitError,
@@ -257,3 +258,113 @@ def test_densest_clique_output_always_feasible():
                 if i != j:
                     assert M[i, j] > 0.0
         assert _pair_density(out, M, assoc) >= 1.0
+
+
+def _reference_ascend(M, u, iterations, restart):
+    """The ascent loop with no 2-cycle exit: it runs every step until the
+    1e-9 convergence test fires."""
+    for _ in range(iterations):
+        v = np.maximum(M @ u, 0.0)
+        norm = np.linalg.norm(v)
+        v = v / norm if norm >= 1e-12 else restart
+        if np.linalg.norm(v - u) < 1e-9:
+            return v
+        u = v
+    return u
+
+
+class CountingMatrix:
+    """A matrix that counts its matrix-vector products."""
+
+    def __init__(self, M):
+        self.M, self.calls = M, 0
+
+    def __matmul__(self, u):
+        self.calls += 1
+        return self.M @ u
+
+
+def cycling_ascent():
+    """A penalised matrix, its restart e_0 and a start that collapses.
+
+    Node 0 is feasible with nodes 1-4, which are pairwise infeasible, and
+    nodes 5 and 6 are infeasible with every other node (penalty -2). From
+    the start (e_5 + e_6) / sqrt(2), M u < 0 everywhere, so the ascent
+    restarts at e_0; e_0 maps to N_0, the normalised feasible neighbourhood
+    {0, ..., 4}, and N_0 maps back to e_0, bit for bit.
+    """
+    n = 7
+    M = np.full((n, n), -2.0)
+    M[0, 1:5] = M[1:5, 0] = 0.8
+    np.fill_diagonal(M, 1.0)
+    restart = np.eye(n)[0]
+    start = np.zeros(n)
+    start[5:] = 1.0 / np.sqrt(2.0)
+    return M, restart, start
+
+
+@pytest.mark.parametrize("state", ["collapse", "e_j", "N_j"])
+def test_ascend_two_cycle_returns_the_full_schedule_result(state):
+    M, restart, start = cycling_ascent()
+    u = {"collapse": start, "e_j": restart,
+         "N_j": _reference_ascend(M, restart, 1, restart)}[state]
+    ends = set()
+    for iterations in (1, 2, 3, 4, 199, 200):
+        counted = CountingMatrix(M)
+        got = _ascend(counted, u, iterations, restart)
+        want = _reference_ascend(M, u, iterations, restart)
+        assert got.tobytes() == want.tobytes()
+        assert counted.calls <= 3
+        ends.add(want.tobytes())
+    assert len(ends) == 2            # odd and even schedules end apart
+
+
+def test_ascend_convergent_case_is_unchanged():
+    rng = np.random.default_rng(6)
+    M = rng.uniform(size=(30, 30))
+    M = 0.5 * (M + M.T)
+    M[M < 0.6] = 0.0
+    np.fill_diagonal(M, 1.0)
+    restart = np.eye(30)[0]
+    u = np.full(30, 1.0 / np.sqrt(30.0))
+    for iterations in (1, 2, 5, 200):
+        counted = CountingMatrix(M)
+        got = _ascend(counted, u, iterations, restart)
+        want = _reference_ascend(M, u, iterations, restart)
+        assert got.tobytes() == want.tobytes()
+    assert counted.calls < 200       # the 200-step run converged
+
+
+def _clique_and_matvecs(monkeypatch, ascend, aff, assoc):
+    """densest_clique with `ascend` as its ascent loop, and its matvecs."""
+    calls = []
+
+    def counted(M, u, iterations, restart):
+        matrix = CountingMatrix(M)
+        out = ascend(matrix, u, iterations, restart)
+        calls.append(matrix.calls)
+        return out
+
+    monkeypatch.setattr(association, "_ascend", counted)
+    return densest_clique(aff, assoc), sum(calls)
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_densest_clique_cycle_exit_keeps_the_inlier_set(monkeypatch, overlap):
+    rng = np.random.default_rng(3)
+    pa = rng.uniform(0.0, 4.0, size=(16, 3))
+    pb = rng.uniform(0.0, 4.0, size=(16, 3))
+    if overlap:                      # 10 of 16 points shared, moved rigidly
+        t = RigidTransform(rotation_z(40.0), np.array([2.0, -1.0, 0.0]))
+        pb[:10] = t.apply(pa[:10])
+    assoc, aff = build_affinity(sub(pa), sub(pb), Hyperparameters())
+    want, ref_calls = _clique_and_matvecs(monkeypatch, _reference_ascend,
+                                          aff, assoc)
+    got, calls = _clique_and_matvecs(monkeypatch, _ascend, aff, assoc)
+    assert got == want
+    if overlap:
+        assert {(a.index_a, a.index_b) for a in got} == {(i, i)
+                                                        for i in range(10)}
+    else:                            # the whole homotopy schedule cycles
+        assert ref_calls > 10000
+        assert calls < 1000
