@@ -6,13 +6,14 @@ Hypotheses map coordinates expressed in map A's frame into map B's frame.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .association import build_affinity, densest_clique
+from .association import Association, build_affinity, densest_clique
 from .core import DegenerateGeometryError, RigidTransform, transform_angles
 from .submap import generate_submaps
 
@@ -67,18 +68,16 @@ def solve_submap_pair(submap_a, submap_b, params):
     Returns (transform, inlier set) or None when no transform is estimable
     (fewer than 3 inliers, or degenerate geometry).
     """
-    assoc, affinity = build_affinity(submap_a, submap_b, params)
-    inliers = densest_clique(affinity, assoc)
-    if len(inliers) < 3:
+    pairs, affinity = build_affinity(submap_a, submap_b, params)
+    selected = pairs[densest_clique(affinity)]    # sorted by (index_a, index_b)
+    if len(selected) < 3:
         return None
-    ordered = sorted(inliers, key=lambda a: (a.index_a, a.index_b))
-    pa = submap_a.points[[a.index_a for a in ordered]]
-    pb = submap_b.points[[a.index_b for a in ordered]]
     try:
-        transform = arun(pa, pb)
+        transform = arun(submap_a.points[selected[:, 0]],
+                         submap_b.points[selected[:, 1]])
     except DegenerateGeometryError:
         return None
-    return transform, frozenset(inliers)
+    return transform, frozenset(Association(i, k) for i, k in selected.tolist())
 
 
 def solve_pairs(subs_a, subs_b, params, threads=1):
@@ -87,7 +86,8 @@ def solve_pairs(subs_a, subs_b, params, threads=1):
     Grid cells whose submaps have identical landmark content share one solve
     (results are identical by construction). Returns
     {(grid_a, grid_b): (solve_submap_pair result, seconds)}, where grid_a and
-    grid_b are the tuples of grid indices that share one content.
+    grid_b are the tuples of grid indices that share one content. At most
+    min(threads, os.cpu_count()) solves run at once.
     """
     groups_a, groups_b = {}, {}
     for subs, groups in ((subs_a, groups_a), (subs_b, groups_b)):
@@ -102,8 +102,9 @@ def solve_pairs(subs_a, subs_b, params, threads=1):
         result = solve_submap_pair(subs_a[ga[0]], subs_b[gb[0]], params)
         return pair, (result, time.perf_counter() - t0)
 
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(pairs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return dict(pool.map(solve, pairs))
     return dict(map(solve, pairs))
 

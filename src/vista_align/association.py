@@ -1,12 +1,15 @@
 """Weighted geometric-consistency graph and densest-clique inlier selection.
 
-Candidate associations are all-to-all point pairs between two submaps. Two
-associations are consistent when the intra-map distances of their endpoints
-agree; agreement is scored by a Gaussian kernel with a hard cutoff. The
-inlier set is the support of a binary u maximizing u'Au / u'u subject to
-never selecting a zero-affinity pair, found by a projected power-iteration
-ascent with a geometric homotopy penalty on infeasible pairs, then rounded
-greedily and truncated to the densest prefix.
+Candidate associations are all-to-all point pairs between two submaps,
+numbered p = index_a * nb + index_b; `build_affinity` returns them as an
+(n, 2) index array next to their affinity matrix, and the solvers return
+the selected candidate indices. Two candidates are consistent when the
+intra-map distances of their endpoints agree; agreement is scored by a
+Gaussian kernel with a hard cutoff. The inlier set is the support of a
+binary u maximizing u'Au / u'u subject to never selecting a zero-affinity
+pair, found by a projected power-iteration ascent with a geometric homotopy
+penalty on infeasible pairs, then rounded greedily and truncated to the
+densest prefix.
 """
 
 from __future__ import annotations
@@ -31,23 +34,15 @@ class Association:
 
 @dataclass(frozen=True)
 class AffinityMatrix:
+    """Pairwise affinity of `size` candidates as a dense float array.
+
+    Unchecked precondition of both solvers, true of every matrix
+    `build_affinity` makes: `entries` is size x size, exactly symmetric,
+    in [0, 1], with a unit diagonal; zero marks an inconsistent pair.
+    """
+
     size: int
     entries: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.entries, dtype=float)
-        if M.shape != (self.size, self.size):
-            raise ValueError("entries must be %d x %d" % (self.size, self.size))
-        if self.size:
-            step = max(1, (1 << 17) // self.size)   # row bands of ~1 MB
-            if not all(np.allclose(M[i:i + step], M[:, i:i + step].T)
-                       for i in range(0, self.size, step)):
-                raise ValueError("affinity matrix must be symmetric")
-            if M.min() < 0 or M.max() > 1:
-                raise ValueError("affinity entries must lie in [0, 1]")
-            if not np.allclose(np.diag(M), 1.0):
-                raise ValueError("affinity diagonal must be all ones")
-        object.__setattr__(self, "entries", M)
 
 
 def consistency_score(x, sigma, epsilon):
@@ -62,6 +57,9 @@ def consistency_score(x, sigma, epsilon):
 
 def build_affinity(submap_a, submap_b, params):
     """All-to-all candidate associations and their pairwise affinity matrix.
+
+    Returns (pairs, AffinityMatrix): row p of the (n, 2) int array `pairs`
+    is (index_a, index_b), with p = index_a * nb + index_b.
 
     Entries are zeroed for association pairs that share an endpoint (one-to-one
     matching) or whose endpoints within either map are closer than gamma
@@ -94,8 +92,7 @@ def build_affinity(submap_a, submap_b, params):
     M = X.reshape(n, n)
     np.fill_diagonal(M, 1.0)
 
-    associations = [Association(i, k) for i in range(na) for k in range(nb)]
-    return associations, AffinityMatrix(n, M)
+    return np.indices((na, nb)).reshape(2, n).T, AffinityMatrix(n, M)
 
 
 def _grow(seed, A, feasible):
@@ -211,8 +208,10 @@ def _ascend(M, u, iterations, restart):
     return u
 
 
-def densest_clique(affinity, assoc):
-    """Approximate densest geometrically consistent clique (the inlier set).
+def densest_clique(affinity):
+    """Approximate densest geometrically consistent clique (the inlier set),
+    as a sorted array of candidate indices. `affinity` must meet the
+    precondition stated on `AffinityMatrix`.
 
     Deterministic: the ascent starts from a power-iteration estimate of the
     principal eigenvector, the homotopy penalty grows geometrically (x1.4)
@@ -225,7 +224,7 @@ def densest_clique(affinity, assoc):
     A = affinity.entries
     n = affinity.size
     if n == 0:
-        return set()
+        return np.zeros(0, dtype=int)
     feasible = A > 0.0
     infeasible = ~feasible
     np.fill_diagonal(infeasible, False)
@@ -244,12 +243,13 @@ def densest_clique(affinity, assoc):
             break
         d = 0.25 if d == 0.0 else d * 1.4
 
-    selected = _round(u, A, feasible)
-    return {assoc[i] for i in selected}
+    return np.array(_round(u, A, feasible), dtype=int)   # sorted
 
 
-def densest_clique_exact(affinity, assoc):
-    """Exhaustive oracle for the densest consistent clique (n <= 20).
+def densest_clique_exact(affinity):
+    """Exhaustive oracle for the densest consistent clique (n <= 20), as a
+    sorted array of candidate indices, under the same precondition as
+    `densest_clique`.
 
     Ties are broken by larger cardinality, then lexicographically earliest
     index set.
@@ -258,8 +258,6 @@ def densest_clique_exact(affinity, assoc):
     n = affinity.size
     if n > 20:
         raise TooLargeError("exhaustive enumeration is capped at 20 associations")
-    if n == 0:
-        return set()
     Z = np.asarray(np.logical_not(A > 0.0), dtype=float)
     np.fill_diagonal(Z, 0.0)
 
@@ -284,4 +282,4 @@ def densest_clique_exact(affinity, assoc):
                 cand = indices(int(masks[idx]))
                 if kk > best_k or (kk == best_k and cand < best_idx):
                     best_k, best_idx = kk, cand
-    return {assoc[i] for i in best_idx}
+    return np.array(best_idx, dtype=int)

@@ -25,20 +25,6 @@ def _load_params(path):
     return formats.load_config(path)
 
 
-def _threads(args):
-    if args.threads is not None:
-        name, threads = "--threads", args.threads
-    else:
-        name, env = "VISTA_ALIGN_THREADS", os.environ.get("VISTA_ALIGN_THREADS")
-        try:
-            threads = int(env) if env else 1
-        except ValueError as exc:
-            raise InputError("%s must be an integer, got %r" % (name, env)) from exc
-    if threads < 1:
-        raise InputError("%s must be >= 1, got %d" % (name, threads))
-    return threads
-
-
 def cmd_simulate(args):
     if not 0 <= args.noise < math.inf:
         raise InputError("--noise must be finite and >= 0, got %g" % args.noise)
@@ -139,11 +125,13 @@ def cmd_match(args):
     params = _load_params(args.config)
     if args.top_k is not None and args.top_k < 1:
         raise InputError("--top-k must be >= 1, got %d" % args.top_k)
+    if args.threads < 1:
+        raise InputError("--threads must be >= 1, got %d" % args.threads)
     map_a, map_b = _load_map_pair(args)
     t0 = time.perf_counter()
     hypotheses = alignment.align_maps(submap.inlier_map(map_a, params),
                                       submap.inlier_map(map_b, params),
-                                      params, threads=_threads(args))
+                                      params, threads=args.threads)
     if args.top_k is not None:
         hypotheses = hypotheses[:args.top_k]
     formats.atomic_write(args.out, json.dumps(
@@ -241,9 +229,9 @@ def build_parser():
     p.add_argument("--map-b", required=True, help="target object map JSON")
     p.add_argument("--out", required=True, help="output hypothesis list JSON")
     p.add_argument("--top-k", type=int, help="truncate to the top-k hypotheses")
-    p.add_argument("--threads", type=int,
-                   help="max parallel submap-pair solves "
-                        "(default: $VISTA_ALIGN_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="max parallel submap-pair solves, capped at the CPU "
+                        "count (default 1)")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("evaluate", parents=[configured],

@@ -278,12 +278,18 @@ def load_trajectory_spec(path):
 
 
 def atomic_write(path, text):
-    """Write text to path via a temp file + rename in the same directory."""
+    """Write text to path via a temp file + rename in the same directory.
+
+    The file gets the mode open() would give it, 0666 less the umask, not
+    the temp file's private 0600."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)           # setting the umask is the only way to read it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -12,9 +12,8 @@ import pytest
 from vista_align import formats
 from vista_align import triangulation as tri
 from vista_align.alignment import align_maps, arun
-from vista_align.association import (Association, AffinityMatrix,
-                                     consistency_score, densest_clique,
-                                     densest_clique_exact)
+from vista_align.association import (AffinityMatrix, consistency_score,
+                                     densest_clique, densest_clique_exact)
 from vista_align.core import (CameraIntrinsics, Hyperparameters, Landmark,
                               ObjectMap, Pose, RigidTransform, project,
                               rotation_z)
@@ -45,12 +44,10 @@ def _random_instance(seed):
     M = 0.5 * (M + M.T)
     M[M < rng.uniform(0.2, 0.7)] = 0.0
     np.fill_diagonal(M, 1.0)
-    assoc = [Association(i, 0) for i in range(n)]
-    return AffinityMatrix(n, M), assoc
+    return AffinityMatrix(n, M)
 
 
-def _density(selected, M, assoc):
-    idx = [assoc.index(a) for a in selected]
+def _density(idx, M):
     return float(M[np.ix_(idx, idx)].sum()) / len(idx)
 
 
@@ -59,13 +56,12 @@ def test_criterion_1_clique_oracle_equivalence():
     card_match = 0
     density_ok = 0
     for seed in range(500):
-        aff, assoc = _random_instance(seed)
-        got = densest_clique(aff, assoc)
-        opt = densest_clique_exact(aff, assoc)
+        aff = _random_instance(seed)
+        got = densest_clique(aff)
+        opt = densest_clique_exact(aff)
         if len(got) == len(opt):
             card_match += 1
-        if _density(got, aff.entries, assoc) >= \
-                0.95 * _density(opt, aff.entries, assoc):
+        if _density(got, aff.entries) >= 0.95 * _density(opt, aff.entries):
             density_ok += 1
     elapsed = time.perf_counter() - t0
     _report(1, card_match >= 450 and density_ok == 500 and elapsed < 10.0)

@@ -257,6 +257,40 @@ def test_engine_solves_each_distinct_pair_once(n_points, n_max, monkeypatch):
             == [(h.source_submap, h.target_submap, h.inliers) for h in expected])
 
 
+# (--threads, os.cpu_count(), max_workers of the pool, None for no pool)
+THREAD_CAPS = [(10 ** 6, 2, 2), (3, 64, 3), (8, None, None), (1, 64, None)]
+
+
+@pytest.mark.parametrize("threads, cpus, workers", THREAD_CAPS)
+def test_solve_pairs_starts_at_most_cpu_count_workers(threads, cpus, workers,
+                                                      monkeypatch):
+    pools = []
+
+    class RecordingExecutor:
+        """Records max_workers and solves in the calling thread."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(alignment, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(alignment.os, "cpu_count", lambda: cpus)
+    ma, mb, params, grid = engine_case(14, 6)
+    solved = alignment.solve_pairs(generate_submaps(ma, params),
+                                   generate_submaps(mb, params), params, threads)
+    assert pools == ([] if workers is None else [workers])
+    assert len(solved) == len({(sa.landmark_ids, sb.landmark_ids)
+                               for _, sa, _, sb, _ in grid}) > 3
+
+
 @pytest.mark.parametrize("n_points, n_max", ENGINE_CASES)
 def test_evaluate_map_pair_equals_per_grid_loop(n_points, n_max):
     ma, mb, params, grid = engine_case(n_points, n_max)

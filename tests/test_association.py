@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vista_align import association
-from vista_align.association import (MAX_CANDIDATES, Association,
-                                     AffinityMatrix, _ascend, build_affinity,
+from vista_align.association import (MAX_CANDIDATES, AffinityMatrix,
+                                     _ascend, build_affinity,
                                      consistency_score, densest_clique,
                                      densest_clique_exact)
 from vista_align.core import (Hyperparameters, RigidTransform, SizeLimitError,
@@ -20,8 +21,7 @@ def sub(points):
     return Submap([0.0, 0.0], list(range(len(pts))), pts)
 
 
-def _pair_density(selected, M, assoc):
-    idx = [assoc.index(a) for a in selected]
+def _pair_density(idx, M):
     return float(M[np.ix_(idx, idx)].sum()) / len(idx)
 
 
@@ -51,80 +51,52 @@ def test_consistency_score_validates_params():
         consistency_score(0.0, 0.05, -1.0)
 
 
-def test_affinity_matrix_validation():
-    with pytest.raises(ValueError):
-        AffinityMatrix(2, np.array([[1.0, 0.5], [0.4, 1.0]]))   # asymmetric
-    with pytest.raises(ValueError):
-        AffinityMatrix(2, np.array([[1.0, 2.0], [2.0, 1.0]]))   # out of range
-    with pytest.raises(ValueError):
-        AffinityMatrix(2, np.array([[0.5, 0.0], [0.0, 1.0]]))   # bad diagonal
-
-
-@pytest.mark.parametrize("i, j", [(0, 599), (300, 450), (598, 599)])
-def test_affinity_matrix_symmetry_checked_in_every_row_band(i, j):
-    # 600 x 600 is checked in bands of 218 rows; an asymmetric pair in any
-    # band, the last one included, is rejected.
-    M = np.eye(600)
-    M[i, j] = M[j, i] = 0.5
-    AffinityMatrix(600, M)
-    M[j, i] = 0.25
-    with pytest.raises(ValueError, match="symmetric"):
-        AffinityMatrix(600, M)
-
-
 def test_build_affinity_matches_entrywise_kernel():
     rng = np.random.default_rng(5)
     pa = rng.uniform(0.0, 1.5, size=(6, 3))
     pb = np.vstack([rotation_z(20.0).dot(pa[:5].T).T + rng.normal(0.0, 0.03, (5, 3)),
                     rng.uniform(0.0, 1.5, size=(2, 3))])
     params = Hyperparameters()
-    assoc, aff = build_affinity(sub(pa), sub(pb), params)
+    pairs, aff = build_affinity(sub(pa), sub(pb), params)
     DA = np.linalg.norm(pa[:, None] - pa[None], axis=2)
     DB = np.linalg.norm(pb[:, None] - pb[None], axis=2)
-    expected = np.eye(len(assoc))
-    for p, (i, k) in enumerate((a.index_a, a.index_b) for a in assoc):
-        for q, (j, m) in enumerate((a.index_a, a.index_b) for a in assoc):
+    expected = np.eye(len(pairs))
+    for p, (i, k) in enumerate(pairs.tolist()):
+        for q, (j, m) in enumerate(pairs.tolist()):
             if i != j and k != m and DA[i, j] >= params.gamma \
                     and DB[k, m] >= params.gamma:
                 expected[p, q] = consistency_score(DA[i, j] - DB[k, m],
                                                    params.sigma, params.epsilon)
-    assert 0 < np.count_nonzero(expected) - len(assoc) < expected.size - len(assoc)
+    assert 0 < np.count_nonzero(expected) - len(pairs) < expected.size - len(pairs)
     assert np.allclose(aff.entries, expected, rtol=1e-12, atol=0.0)
 
 
 def test_build_affinity_identical_submaps():
     pts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     params = Hyperparameters()
-    assoc, aff = build_affinity(sub(pts), sub(pts), params)
-    assert len(assoc) == 9
-    correct = [assoc.index(Association(i, i)) for i in range(3)]
+    pairs, aff = build_affinity(sub(pts), sub(pts), params)
+    assert len(pairs) == 9
+    correct = [i * 3 + i for i in range(3)]
     block = aff.entries[np.ix_(correct, correct)]
     assert np.allclose(block, 1.0)
 
 
 def test_build_affinity_shared_endpoint_zeroed():
     pts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
-    assoc, aff = build_affinity(sub(pts), sub(pts), Hyperparameters())
-    i_k = assoc.index(Association(0, 0))
-    i_l = assoc.index(Association(0, 1))
-    assert aff.entries[i_k, i_l] == 0.0
-    k_i = assoc.index(Association(1, 0))
-    assert aff.entries[i_k, k_i] == 0.0
+    _, aff = build_affinity(sub(pts), sub(pts), Hyperparameters())
+    assert aff.entries[0 * 2 + 0, 0 * 2 + 1] == 0.0     # (0, 0) vs (0, 1)
+    assert aff.entries[0 * 2 + 0, 1 * 2 + 0] == 0.0     # (0, 0) vs (1, 0)
 
 
 def test_build_affinity_gamma_rule():
     # two points in map A only 0.05 m apart (< gamma = 0.1)
     pa = [[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]]
     pb = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
-    assoc, aff = build_affinity(sub(pa), sub(pb), Hyperparameters())
-    p = assoc.index(Association(0, 0))
-    q = assoc.index(Association(1, 1))
-    assert aff.entries[p, q] == 0.0
+    _, aff = build_affinity(sub(pa), sub(pb), Hyperparameters())
+    assert aff.entries[0 * 2 + 0, 1 * 2 + 1] == 0.0     # (0, 0) vs (1, 1)
     # and symmetric on the target side
-    assoc, aff = build_affinity(sub(pb), sub(pa), Hyperparameters())
-    p = assoc.index(Association(0, 0))
-    q = assoc.index(Association(1, 1))
-    assert aff.entries[p, q] == 0.0
+    _, aff = build_affinity(sub(pb), sub(pa), Hyperparameters())
+    assert aff.entries[0 * 2 + 0, 1 * 2 + 1] == 0.0
 
 
 def test_build_affinity_size_limit():
@@ -139,13 +111,11 @@ def test_build_affinity_swap_symmetry():
     pa = rng.uniform(0.0, 3.0, size=(4, 3))
     pb = rng.uniform(0.0, 3.0, size=(5, 3))
     params = Hyperparameters()
-    assoc_ab, aff_ab = build_affinity(sub(pa), sub(pb), params)
-    assoc_ba, aff_ba = build_affinity(sub(pb), sub(pa), params)
-    for p, ap in enumerate(assoc_ab):
-        for q, aq in enumerate(assoc_ab):
-            ps = assoc_ba.index(Association(ap.index_b, ap.index_a))
-            qs = assoc_ba.index(Association(aq.index_b, aq.index_a))
-            assert aff_ab.entries[p, q] == aff_ba.entries[ps, qs]
+    pairs, aff_ab = build_affinity(sub(pa), sub(pb), params)
+    _, aff_ba = build_affinity(sub(pb), sub(pa), params)
+    swapped = pairs[:, 1] * len(pa) + pairs[:, 0]   # (i, k) -> (k, i) in B-A
+    assert np.array_equal(aff_ab.entries,
+                          aff_ba.entries[np.ix_(swapped, swapped)])
 
 
 def test_build_affinity_rigid_invariance():
@@ -159,29 +129,52 @@ def test_build_affinity_rigid_invariance():
     assert np.allclose(aff1.entries, aff2.entries, atol=1e-9)
 
 
+# Points on a 5 cm lattice in a 1 m cube: intra-map distances often agree
+# across the two maps or fall below gamma, so every rule of the build fires.
+LATTICE_POINTS = st.lists(st.tuples(*[st.integers(0, 20)] * 3), min_size=1,
+                          max_size=7).map(lambda pts: 0.05 * np.array(pts, float))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(pa=LATTICE_POINTS, pb=LATTICE_POINTS)
+def test_build_affinity_meets_the_solver_precondition(pa, pb):
+    # What AffinityMatrix states and the solvers rely on, unchecked at run time.
+    pairs, aff = build_affinity(sub(pa), sub(pb), Hyperparameters())
+    na, nb = len(pa), len(pb)
+    M = aff.entries
+    assert aff.size == na * nb and M.shape == (na * nb, na * nb)
+    assert np.array_equal(M, M.T)
+    assert M.min() >= 0.0 and M.max() <= 1.0
+    assert np.all(np.diag(M) == 1.0)
+    shared = ((pairs[:, None, 0] == pairs[None, :, 0])
+              | (pairs[:, None, 1] == pairs[None, :, 1]))
+    np.fill_diagonal(shared, False)
+    assert not M[shared].any()
+    assert pairs.tolist() == [list(divmod(p, nb)) for p in range(na * nb)]
+
+
 def unit_graph(n, edges):
     """Affinity with unit weight on listed edges, used as a hand oracle."""
     M = np.zeros((n, n))
     for i, j in edges:
         M[i, j] = M[j, i] = 1.0
     np.fill_diagonal(M, 1.0)
-    assoc = [Association(i, 0) for i in range(n)]
-    return AffinityMatrix(n, M), assoc
+    return AffinityMatrix(n, M)
 
 
 def test_densest_clique_complete_graph():
-    aff, assoc = unit_graph(4, [(i, j) for i in range(4) for j in range(i)])
-    out = densest_clique(aff, assoc)
-    assert out == set(assoc)
-    assert _pair_density(out, aff.entries, assoc) == 4.0
+    aff = unit_graph(4, [(i, j) for i in range(4) for j in range(i)])
+    out = densest_clique(aff)
+    assert out.tolist() == [0, 1, 2, 3]
+    assert _pair_density(out, aff.entries) == 4.0
 
 
 def test_densest_clique_picks_larger_group():
     # disjoint consistent groups of size 3 and 2
-    aff, assoc = unit_graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-    out = densest_clique(aff, assoc)
-    assert out == {assoc[0], assoc[1], assoc[2]}
-    assert out == densest_clique_exact(aff, assoc)
+    aff = unit_graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    out = densest_clique(aff)
+    assert out.tolist() == [0, 1, 2]
+    assert out.tolist() == densest_clique_exact(aff).tolist()
 
 
 def test_densest_clique_true_associations_under_rigid_transform():
@@ -191,54 +184,50 @@ def test_densest_clique_true_associations_under_rigid_transform():
     pb = t.apply(pa)
     params = Hyperparameters()
     # 8 true associations + 4 wrong ones, small enough for the oracle
-    cand = [Association(i, i) for i in range(8)]
-    cand += [Association(0, 1), Association(2, 5), Association(3, 7),
-             Association(6, 4)]
-    na = nb = 8
-    pts_a, pts_b = pa, pb
+    cand = [(i, i) for i in range(8)] + [(0, 1), (2, 5), (3, 7), (6, 4)]
     M = np.zeros((12, 12))
-    for p, ap in enumerate(cand):
-        for q, aq in enumerate(cand):
+    for p, (i, k) in enumerate(cand):
+        for q, (j, m) in enumerate(cand):
             if p == q:
                 M[p, q] = 1.0
                 continue
-            if ap.index_a == aq.index_a or ap.index_b == aq.index_b:
+            if i == j or k == m:
                 continue
-            da = np.linalg.norm(pts_a[ap.index_a] - pts_a[aq.index_a])
-            db = np.linalg.norm(pts_b[ap.index_b] - pts_b[aq.index_b])
+            da = np.linalg.norm(pa[i] - pa[j])
+            db = np.linalg.norm(pb[k] - pb[m])
             if da < params.gamma or db < params.gamma:
                 continue
             x = da - db
             if abs(x) <= params.epsilon:
                 M[p, q] = math.exp(-0.5 * (x / params.sigma) ** 2)
     aff = AffinityMatrix(12, M)
-    expected = set(cand[:8])
-    assert densest_clique_exact(aff, cand) == expected
-    assert densest_clique(aff, cand) == expected
+    expected = list(range(8))
+    assert densest_clique_exact(aff).tolist() == expected
+    assert densest_clique(aff).tolist() == expected
 
 
 def test_densest_clique_exact_empty_graph_tie_break():
     # no edges: every singleton has density 1; lexicographically first wins
-    aff, assoc = unit_graph(4, [])
-    assert densest_clique_exact(aff, assoc) == {assoc[0]}
+    aff = unit_graph(4, [])
+    assert densest_clique_exact(aff).tolist() == [0]
 
 
 def test_densest_clique_exact_triangle_with_pendants():
     # triangle {0,1,2} plus pendant nodes 3 (attached) and 4 (isolated)
-    aff, assoc = unit_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert densest_clique_exact(aff, assoc) == {assoc[0], assoc[1], assoc[2]}
+    aff = unit_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert densest_clique_exact(aff).tolist() == [0, 1, 2]
 
 
 def test_densest_clique_exact_too_large():
-    aff, assoc = unit_graph(21, [])
+    aff = unit_graph(21, [])
     with pytest.raises(TooLargeError):
-        densest_clique_exact(aff, assoc)
+        densest_clique_exact(aff)
 
 
 def test_densest_clique_empty_input():
     aff = AffinityMatrix(0, np.zeros((0, 0)))
-    assert densest_clique(aff, []) == set()
-    assert densest_clique_exact(aff, []) == set()
+    assert densest_clique(aff).size == 0
+    assert densest_clique_exact(aff).size == 0
 
 
 def test_densest_clique_output_always_feasible():
@@ -249,15 +238,12 @@ def test_densest_clique_output_always_feasible():
         M = 0.5 * (M + M.T)
         M[M < 0.45] = 0.0
         np.fill_diagonal(M, 1.0)
-        assoc = [Association(i, 0) for i in range(n)]
-        aff = AffinityMatrix(n, M)
-        out = densest_clique(aff, assoc)
-        idx = [assoc.index(a) for a in out]
-        for i in idx:
-            for j in idx:
+        out = densest_clique(AffinityMatrix(n, M))
+        for i in out:
+            for j in out:
                 if i != j:
                     assert M[i, j] > 0.0
-        assert _pair_density(out, M, assoc) >= 1.0
+        assert _pair_density(out, M) >= 1.0
 
 
 def _reference_ascend(M, u, iterations, restart):
@@ -335,7 +321,7 @@ def test_ascend_convergent_case_is_unchanged():
     assert counted.calls < 200       # the 200-step run converged
 
 
-def _clique_and_matvecs(monkeypatch, ascend, aff, assoc):
+def _clique_and_matvecs(monkeypatch, ascend, aff):
     """densest_clique with `ascend` as its ascent loop, and its matvecs."""
     calls = []
 
@@ -346,7 +332,7 @@ def _clique_and_matvecs(monkeypatch, ascend, aff, assoc):
         return out
 
     monkeypatch.setattr(association, "_ascend", counted)
-    return densest_clique(aff, assoc), sum(calls)
+    return densest_clique(aff), sum(calls)
 
 
 @pytest.mark.parametrize("overlap", [False, True])
@@ -357,14 +343,12 @@ def test_densest_clique_cycle_exit_keeps_the_inlier_set(monkeypatch, overlap):
     if overlap:                      # 10 of 16 points shared, moved rigidly
         t = RigidTransform(rotation_z(40.0), np.array([2.0, -1.0, 0.0]))
         pb[:10] = t.apply(pa[:10])
-    assoc, aff = build_affinity(sub(pa), sub(pb), Hyperparameters())
-    want, ref_calls = _clique_and_matvecs(monkeypatch, _reference_ascend,
-                                          aff, assoc)
-    got, calls = _clique_and_matvecs(monkeypatch, _ascend, aff, assoc)
-    assert got == want
+    pairs, aff = build_affinity(sub(pa), sub(pb), Hyperparameters())
+    want, ref_calls = _clique_and_matvecs(monkeypatch, _reference_ascend, aff)
+    got, calls = _clique_and_matvecs(monkeypatch, _ascend, aff)
+    assert got.tolist() == want.tolist()
     if overlap:
-        assert {(a.index_a, a.index_b) for a in got} == {(i, i)
-                                                        for i in range(10)}
+        assert pairs[got].tolist() == [[i, i] for i in range(10)]
     else:                            # the whole homotopy schedule cycles
         assert ref_calls > 10000
         assert calls < 1000

@@ -185,16 +185,6 @@ def test_full_pipeline_evaluate(workdir):
     assert float(s4["recall"]) == 1.0
 
 
-def test_threads_env_var(workdir, monkeypatch):
-    map_path = simulate_and_build(workdir)
-    monkeypatch.setenv("VISTA_ALIGN_THREADS", "2")
-    out = str(workdir / "hyps.json")
-    assert cli.run(["match", "--map-a", map_path, "--map-b", map_path,
-                    "--out", out]) == 0
-    with open(out) as fh:
-        assert json.load(fh)
-
-
 def test_help_listing():
     with pytest.raises(SystemExit) as exc:
         cli.run(["--help"])
@@ -254,67 +244,61 @@ BASE_ARGS = {
 
 NAN = float("nan")
 
-# case: (argv, environment, {input file: patch of its JSON}, expected name)
+# case: (argv, {input file: patch of its JSON}, expected name)
 MALFORMED = {
-    "threads_env_not_int": (["match"], {"VISTA_ALIGN_THREADS": "abc"}, {},
-                            "VISTA_ALIGN_THREADS"),
-    "threads_env_below_1": (["match"], {"VISTA_ALIGN_THREADS": "0"}, {},
-                            "VISTA_ALIGN_THREADS"),
-    "threads_flag_below_1": (["match", "--threads", "-2"], {}, {}, "--threads"),
-    "repeats_below_3": (["evaluate", "--repeats", "1"], {}, {}, "--repeats"),
-    "negative_voxel": (["evaluate", "--voxel", "-1"], {}, {}, "--voxel"),
-    "empty_map": (["match", "--map-b", "{empty}"], {}, {}, "landmarks"),
-    "directory_as_map": (["match", "--map-a", "{dir}"], {}, {}, "{dir}"),
-    "negative_top_k": (["match", "--top-k", "-1"], {}, {}, "--top-k"),
-    "nan_sigma": (["match", "--config", "{nan_cfg}"], {}, {}, "sigma"),
+    "threads_flag_below_1": (["match", "--threads", "-2"], {}, "--threads"),
+    "repeats_below_3": (["evaluate", "--repeats", "1"], {}, "--repeats"),
+    "negative_voxel": (["evaluate", "--voxel", "-1"], {}, "--voxel"),
+    "empty_map": (["match", "--map-b", "{empty}"], {}, "landmarks"),
+    "directory_as_map": (["match", "--map-a", "{dir}"], {}, "{dir}"),
+    "negative_top_k": (["match", "--top-k", "-1"], {}, "--top-k"),
+    "nan_sigma": (["match", "--config", "{nan_cfg}"], {}, "sigma"),
     "no_submap_pair": (["evaluate", "--map-a", "{tiny}", "--map-b", "{tiny}"],
-                       {}, {}, "s_max"),
-    "scene_fractional_n_objects": (["simulate"], {},
+                       {}, "s_max"),
+    "scene_fractional_n_objects": (["simulate"],
                                    {"scene": {"n_objects": 2.5}}, "n_objects"),
-    "scene_string_n_objects": (["simulate"], {}, {"scene": {"n_objects": "x"}},
+    "scene_string_n_objects": (["simulate"], {"scene": {"n_objects": "x"}},
                                "n_objects"),
-    "scene_scalar_extent": (["simulate"], {}, {"scene": {"extent": 5}}, "extent"),
-    "scene_nan_extent": (["simulate"], {}, {"scene": {"extent": [NAN, 1, 1]}},
+    "scene_scalar_extent": (["simulate"], {"scene": {"extent": 5}}, "extent"),
+    "scene_nan_extent": (["simulate"], {"scene": {"extent": [NAN, 1, 1]}},
                          "extent"),
-    "scene_negative_seed": (["simulate"], {}, {"scene": {"seed": -1}}, "seed"),
-    "scene_string_velocity": (["simulate"], {},
+    "scene_negative_seed": (["simulate"], {"scene": {"seed": -1}}, "seed"),
+    "scene_string_velocity": (["simulate"],
                               {"scene": {"dynamic_velocity": "x"}},
                               "dynamic_velocity"),
-    "trajectory_fractional_frames": (["simulate"], {},
+    "trajectory_fractional_frames": (["simulate"],
                                      {"trajectory": {"frames": 2.5}}, "frames"),
-    "trajectory_equal_waypoints": (["simulate"], {},
+    "trajectory_equal_waypoints": (["simulate"],
                                    {"trajectory": {"waypoints": [[1, 1, 0]] * 2}},
                                    "waypoints"),
-    "trajectory_string_altitude": (["simulate"], {},
+    "trajectory_string_altitude": (["simulate"],
                                    {"trajectory": {"altitude": "x"}}, "altitude"),
-    "trajectory_fractional_width": (["simulate"], {},
+    "trajectory_fractional_width": (["simulate"],
                                     {"trajectory": {"intrinsics": {"width": 640.5}}},
                                     "width"),
-    "trajectory_string_fx": (["simulate"], {},
+    "trajectory_string_fx": (["simulate"],
                              {"trajectory": {"intrinsics": {"fx": "a"}}}, "fx"),
-    "tracks_nan_fx": (["build-map"], {}, {"tracks": {"intrinsics": {"fx": NAN}}},
+    "tracks_nan_fx": (["build-map"], {"tracks": {"intrinsics": {"fx": NAN}}},
                       "fx"),
-    "map_file_is_a_number": (["match", "--map-a", "{five}"], {}, {}, "agent_id"),
-    "omega_percentile_above_100": (["match", "--config", "{omega_cfg}"], {}, {},
+    "map_file_is_a_number": (["match", "--map-a", "{five}"], {}, "agent_id"),
+    "omega_percentile_above_100": (["match", "--config", "{omega_cfg}"], {},
                                    "omega_percentile"),
-    "negative_noise": (["simulate", "--noise", "-1"], {}, {}, "--noise"),
-    "dropout_above_1": (["simulate", "--dropout", "2"], {}, {}, "--dropout"),
-    "nan_duplicate_rate": (["simulate", "--duplicate-rate", "nan"], {}, {},
+    "negative_noise": (["simulate", "--noise", "-1"], {}, "--noise"),
+    "dropout_above_1": (["simulate", "--dropout", "2"], {}, "--dropout"),
+    "nan_duplicate_rate": (["simulate", "--duplicate-rate", "nan"], {},
                            "--duplicate-rate"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_exits_1_naming_field(case, small_maps, monkeypatch, capsys):
-    argv, env, patches, field = MALFORMED[case]
+def test_malformed_input_exits_1_naming_field(case, small_maps, capsys):
+    argv, patches, field = MALFORMED[case]
     for name, patch in patches.items():
         with open(small_maps[name]) as fh:
             doc = patched(json.load(fh), patch)
         small_maps[name] = small_maps[name] + ".patched"
         formats.atomic_write(small_maps[name], json.dumps(doc))
     command, extra = argv[0], argv[1:]
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     base = BASE_ARGS[command]
     base = {k: v for k, v in zip(base[::2], base[1::2]) if k not in extra[::2]}
     args = [command] + [x for kv in base.items() for x in kv] + extra

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -187,6 +188,20 @@ def test_atomic_write_replaces_and_cleans_up(tmp_path):
     with open(path) as fh:
         assert fh.read() == "two"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        formats.atomic_write(str(tmp_path / "atomic.txt"), "x")
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in ("atomic.txt", "plain.txt")]
+    assert modes == [0o666 & ~umask] * 2
 
 
 def config_text(doc):
