@@ -61,17 +61,17 @@ def build_affinity(submap_a, submap_b, params):
     Returns (pairs, AffinityMatrix): row p of the (n, 2) int array `pairs`
     is (index_a, index_b), with p = index_a * nb + index_b.
 
-    Entries are zeroed for association pairs that share an endpoint (one-to-one
-    matching) or whose endpoints within either map are closer than gamma
-    (duplicate-object suppression).
+    Entries are zeroed for association pairs whose endpoints within either
+    map are closer than gamma > 0 (duplicate-object suppression). That rule
+    also enforces one-to-one matching: a shared endpoint is at distance 0.
     """
     na, nb = len(submap_a), len(submap_b)
     if na == 0 or nb == 0:
         raise ValueError("submaps must be non-empty")
     n = na * nb
     if n > MAX_CANDIDATES:
-        raise SizeLimitError("candidate count %d exceeds cap %d; check submap "
-                             "parameters" % (n, MAX_CANDIDATES))
+        raise SizeLimitError("%d x %d = %d candidates exceed the cap of %d; "
+                             "lower field 'n_max'" % (na, nb, n, MAX_CANDIDATES))
     pa, pb = submap_a.points, submap_b.points
     DA = np.linalg.norm(pa[:, None, :] - pa[None, :, :], axis=2)
     DB = np.linalg.norm(pb[:, None, :] - pb[None, :, :], axis=2)
@@ -82,10 +82,6 @@ def build_affinity(submap_a, submap_b, params):
     valid = (X <= params.epsilon) & (X >= -params.epsilon)
     valid &= (DA >= params.gamma)[:, None, :, None]   # gamma within map A
     valid &= (DB >= params.gamma)[None, :, None, :]   # gamma within map B
-    ia = np.arange(na)
-    valid[ia, :, ia, :] = False                       # shared source endpoint
-    ib = np.arange(nb)
-    valid[:, ib, :, ib] = False                       # shared target endpoint
     kernel = X[valid]
     X.fill(0.0)
     X[valid] = np.exp(-0.5 * (kernel / params.sigma) ** 2)

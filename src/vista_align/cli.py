@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import alignment, evaluation, formats, simulation, submap, triangulation
-from .core import Hyperparameters, InputError, transform_angles
+from .core import Hyperparameters, InputError, SizeLimitError
 
 
 def _log_json(enabled, stage, **fields):
@@ -46,12 +46,7 @@ def cmd_simulate(args):
     os.makedirs(args.out, exist_ok=True)
     formats.save_track_file(os.path.join(args.out, "tracks.json"),
                             intrinsics, poses, tracks)
-    truth = [{"id": i,
-              "position": [float(v) for v in obj.position],
-              "velocity": [float(v) for v in obj.velocity],
-              "dynamic": bool(obj.dynamic)} for i, obj in enumerate(scene)]
-    formats.atomic_write(os.path.join(args.out, "ground_truth.json"),
-                         json.dumps({"objects": truth}, separators=(",", ":")))
+    formats.save_ground_truth(os.path.join(args.out, "ground_truth.json"), scene)
     _log_json(args.log_json, "simulate", n_objects=len(scene),
               n_tracks=len(tracks), n_frames=trajectory.frames,
               seconds=time.perf_counter() - t0)
@@ -84,31 +79,11 @@ def cmd_submaps(args):
     t0 = time.perf_counter()
     filtered = submap.inlier_map(obj_map, params)
     submaps = submap.generate_submaps(filtered, params)
-    os.makedirs(args.out, exist_ok=True)
-    names = []
-    for i, sm in enumerate(submaps):
-        name = "submap_%04d.json" % i
-        formats.atomic_write(os.path.join(args.out, name),
-                             submap.submap_to_json(sm))
-        names.append(name)
-    formats.atomic_write(os.path.join(args.out, "index.json"),
-                         json.dumps({"agent_id": obj_map.agent_id,
-                                     "n_submaps": len(names),
-                                     "submaps": names}, separators=(",", ":")))
+    formats.save_submaps(args.out, obj_map.agent_id, submaps)
     _log_json(args.log_json, "submaps", n_submaps=len(submaps),
               n_inliers=len(filtered), n_landmarks=len(obj_map),
               seconds=time.perf_counter() - t0)
     return 0
-
-
-def _hypothesis_record(h):
-    roll, pitch, yaw = transform_angles(h.transform)
-    return {"rotation": [float(v) for v in h.transform.rotation.ravel()],
-            "translation": [float(v) for v in h.transform.translation],
-            "cardinality": h.cardinality,
-            "source_submap": h.source_submap,
-            "target_submap": h.target_submap,
-            "roll": roll, "pitch": pitch, "yaw": yaw}
 
 
 def _load_map_pair(args):
@@ -134,8 +109,7 @@ def cmd_match(args):
                                       params, threads=args.threads)
     if args.top_k is not None:
         hypotheses = hypotheses[:args.top_k]
-    formats.atomic_write(args.out, json.dumps(
-        [_hypothesis_record(h) for h in hypotheses], separators=(",", ":")))
+    formats.save_hypotheses(args.out, hypotheses)
     _log_json(args.log_json, "match", n_hypotheses=len(hypotheses),
               seconds=time.perf_counter() - t0)
     return 0 if hypotheses else 2
@@ -171,13 +145,7 @@ def cmd_evaluate(args):
                          "hold more than s_max = %d inliers" % params.s_max)
     rows = evaluation.precision_recall(outcomes, params, sweep)
     mean_rt, std_rt = evaluation.timing(map_a, map_b, params, args.repeats)
-    lines = ["s_max,precision,recall,hypothesized,overlapping_pairs,"
-             "mean_runtime_s,std_runtime_s"]
-    for r in rows:
-        lines.append("%d,%.6f,%.6f,%d,%d,%.6f,%.6f"
-                     % (r.s_max, r.precision, r.recall, r.n_hypothesized,
-                        r.n_overlapping, mean_rt, std_rt))
-    formats.atomic_write(args.out, "\n".join(lines) + "\n")
+    formats.save_pr_table(args.out, rows, mean_rt, std_rt)
     _log_json(args.log_json, "evaluate", n_pairs=len(outcomes),
               sweep=[sweep[0], sweep[-1]], seconds=time.perf_counter() - t0)
     return 0
@@ -254,7 +222,7 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OSError) as exc:
+    except (InputError, SizeLimitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

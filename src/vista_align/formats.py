@@ -1,4 +1,4 @@
-"""File formats: every file the CLI reads is parsed here, and only here.
+"""File formats: every file the CLI reads or writes is parsed or encoded here.
 
 Map serialization is canonical (fixed key order, %.9g floats, compact
 separators) so that parse -> serialize round trips are byte-identical.
@@ -14,7 +14,7 @@ import tempfile
 import numpy as np
 
 from .core import (CameraIntrinsics, Detection, Hyperparameters, InputError,
-                   Landmark, ObjectMap, Pose, RigidTransform, Track)
+                   Landmark, ObjectMap, Pose, RigidTransform, Track, transform_angles)
 from .simulation import SceneSpec, TrajectorySpec
 
 
@@ -39,6 +39,7 @@ def map_to_json(obj_map):
 
 
 _NUMBER = (int, float)
+_compact = json.JSONEncoder(separators=(",", ":")).encode   # full-precision floats
 
 
 def _int(digits):
@@ -218,12 +219,24 @@ def load_config(path):
         return parse_config(fh.read())
 
 
+def _transform_fields(transform):
+    return {"rotation": transform.rotation.ravel().tolist(),
+            "translation": transform.translation.tolist()}
+
+
 def transform_to_json(transform):
     """Full precision: 9 digits would fail the loader's 1e-9 orthonormality
     check on most rotations."""
-    return json.dumps({"rotation": transform.rotation.ravel().tolist(),
-                       "translation": transform.translation.tolist()},
-                      separators=(",", ":"))
+    return _compact(_transform_fields(transform))
+
+
+def save_hypotheses(path, hypotheses):
+    """A record begins with transform_to_json's fields; parse_transform reads it."""
+    atomic_write(path, _compact([
+        {**_transform_fields(h.transform), "cardinality": h.cardinality,
+         "source_submap": h.source_submap, "target_submap": h.target_submap,
+         **dict(zip(("roll", "pitch", "yaw"), transform_angles(h.transform)))}
+        for h in hypotheses]))
 
 
 def parse_transform(text):
@@ -236,6 +249,13 @@ def parse_transform(text):
 def load_transform(path):
     with open(path) as fh:
         return parse_transform(fh.read())
+
+
+def save_ground_truth(path, scene):
+    atomic_write(path, _compact({"objects": [
+        {"id": i, "position": obj.position.tolist(),
+         "velocity": obj.velocity.tolist(), "dynamic": bool(obj.dynamic)}
+        for i, obj in enumerate(scene)]}))
 
 
 def parse_scene_spec(text):
@@ -275,6 +295,30 @@ def parse_trajectory_spec(text):
 def load_trajectory_spec(path):
     with open(path) as fh:
         return parse_trajectory_spec(fh.read())
+
+
+def submap_to_json(sm):
+    return _compact({"center": sm.center.tolist(),
+                     "landmark_ids": list(sm.landmark_ids),
+                     "points": sm.points.tolist()})
+
+
+def save_submaps(directory, agent_id, submaps):
+    os.makedirs(directory, exist_ok=True)
+    names = ["submap_%04d.json" % i for i in range(len(submaps))]
+    for name, sm in zip(names, submaps):
+        atomic_write(os.path.join(directory, name), submap_to_json(sm))
+    atomic_write(os.path.join(directory, "index.json"), _compact(
+        {"agent_id": agent_id, "n_submaps": len(names), "submaps": names}))
+
+
+def save_pr_table(path, rows, mean_runtime_s, std_runtime_s):
+    lines = ["s_max,precision,recall,hypothesized,overlapping_pairs,"
+             "mean_runtime_s,std_runtime_s"]
+    lines += ["%d,%.6f,%.6f,%d,%d,%.6f,%.6f"
+              % (r.s_max, r.precision, r.recall, r.n_hypothesized,
+                 r.n_overlapping, mean_runtime_s, std_runtime_s) for r in rows]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def atomic_write(path, text):

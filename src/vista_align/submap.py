@@ -9,7 +9,6 @@ IoU voxel (window / 4) and the upper bound on the grid step (overlap <= window).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -100,10 +99,3 @@ def generate_submaps(obj_map, params):
             order = order[np.argsort(ids[order])]
             submaps.append(Submap(center, ids[order], pos[order]))
     return submaps
-
-
-def submap_to_json(sm):
-    return json.dumps({"center": [float(sm.center[0]), float(sm.center[1])],
-                       "landmark_ids": list(sm.landmark_ids),
-                       "points": [[float(v) for v in row] for row in sm.points]},
-                      separators=(",", ":"))

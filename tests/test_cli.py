@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from vista_align import cli, evaluation, formats, submap
+from vista_align import alignment, cli, evaluation, formats, submap
 from vista_align.core import (Hyperparameters, Landmark, ObjectMap,
                               RigidTransform, rotation_z)
 
@@ -117,6 +117,12 @@ def test_match_identical_maps_identity(workdir):
     assert np.allclose(R, np.eye(3), atol=1e-6)
     assert np.allclose(top["translation"], 0.0, atol=1e-6)
     assert top["cardinality"] > 4
+    inliers = submap.inlier_map(formats.load_map(map_path), Hyperparameters())
+    expected = alignment.align_maps(inliers, inliers, Hyperparameters())
+    for record, h in zip(hyps, expected, strict=True):
+        t = formats.parse_transform(json.dumps(record))
+        assert t.rotation.tobytes() == h.transform.rotation.tobytes()
+        assert t.translation.tobytes() == h.transform.translation.tobytes()
 
 
 def test_match_no_overlap_exits_2(workdir, tmp_path):
@@ -200,16 +206,19 @@ TRACKS = {"intrinsics": TRAJECTORY["intrinsics"],
 @pytest.fixture
 def small_maps(tmp_path):
     """Two copies of a 20-landmark map, an empty map, a 4-landmark map, a
-    map file holding a bare number, a truth file, configs with a NaN sigma
-    and an out-of-range omega_percentile, and valid scene, trajectory and
-    track files."""
+    120-landmark map, a map file holding a bare number, a truth file, configs
+    with a NaN sigma, an out-of-range omega_percentile and n_max = 101, and
+    valid scene, trajectory and track files."""
     rng = np.random.default_rng(12)
     pts = rng.uniform(0.0, 5.0, size=(20, 3)) * np.array([1.0, 1.0, 0.3])
     m = ObjectMap("a", [Landmark(i, p, 1e-4 * np.eye(3)) for i, p in enumerate(pts)])
     paths = {k: str(tmp_path / (k + ".json"))
-             for k in ("a", "b", "empty", "tiny", "five", "truth", "scene",
-                       "trajectory", "tracks")}
+             for k in ("a", "b", "empty", "tiny", "big", "five", "truth",
+                       "scene", "trajectory", "tracks")}
     formats.save_map(m, paths["a"])
+    big = rng.uniform(0.0, 5.0, size=(120, 3)) * np.array([1.0, 1.0, 0.3])
+    formats.save_map(ObjectMap("big", [Landmark(i, p, 1e-4 * np.eye(3))
+                                       for i, p in enumerate(big)]), paths["big"])
     formats.save_map(m, paths["b"])
     formats.save_map(ObjectMap("e", []), paths["empty"])
     formats.save_map(ObjectMap("t", m.landmarks[:4]), paths["tiny"])
@@ -223,6 +232,8 @@ def small_maps(tmp_path):
     formats.atomic_write(paths["nan_cfg"], "sigma = nan\n")
     paths["omega_cfg"] = str(tmp_path / "omega.cfg")
     formats.atomic_write(paths["omega_cfg"], "omega_percentile = 150\n")
+    paths["n_max_cfg"] = str(tmp_path / "cap.cfg")
+    formats.atomic_write(paths["n_max_cfg"], "n_max = 101\n")
     paths["dir"], paths["out"] = str(tmp_path), str(tmp_path / "out")
     return paths
 
@@ -255,6 +266,12 @@ MALFORMED = {
     "nan_sigma": (["match", "--config", "{nan_cfg}"], {}, "sigma"),
     "no_submap_pair": (["evaluate", "--map-a", "{tiny}", "--map-b", "{tiny}"],
                        {}, "s_max"),
+    # 114 inliers each: 101 x 101 candidates per submap pair, over the cap
+    "match_over_candidate_cap": (["match", "--map-a", "{big}", "--map-b", "{big}",
+                                  "--config", "{n_max_cfg}"], {}, "n_max"),
+    "evaluate_over_candidate_cap": (["evaluate", "--map-a", "{big}", "--map-b",
+                                     "{big}", "--config", "{n_max_cfg}"], {},
+                                    "n_max"),
     "scene_fractional_n_objects": (["simulate"],
                                    {"scene": {"n_objects": 2.5}}, "n_objects"),
     "scene_string_n_objects": (["simulate"], {"scene": {"n_objects": "x"}},

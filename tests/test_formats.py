@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vista_align import formats
+from vista_align.alignment import AlignmentHypothesis
+from vista_align.association import Association
 from vista_align.core import (CameraIntrinsics, Detection, Hyperparameters,
                               InputError, Landmark, ObjectMap, Pose,
                               RigidTransform, Track, rotation_z)
+from vista_align.evaluation import PrPoint
+from vista_align.simulation import SceneObject
+from vista_align.submap import Submap
 
 from conftest import random_rotation
 
@@ -179,6 +184,91 @@ def test_parse_transform_rejects_non_rotation():
     with pytest.raises(InputError):
         formats.parse_transform('{"rotation":[2,0,0,0,1,0,0,0,1],'
                                 '"translation":[0,0,0]}')
+
+
+def read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def hypothesis(rotation, translation, cardinality, source, target):
+    return AlignmentHypothesis(
+        RigidTransform(np.array(rotation), np.array(translation)),
+        {Association(i, i) for i in range(cardinality)}, cardinality,
+        source, target)
+
+
+# A 3-4-5 yaw times a 3-4-5 pitch, written out; and the identity with a -0.0.
+HYPOTHESES = [
+    hypothesis([[0.48, -0.8, 0.36], [0.64, 0.6, 0.48], [-0.6, 0.0, 0.8]],
+               [1.5, -2.0, 0.25], 5, 2, 7),
+    hypothesis(np.eye(3), [-0.0, 0.0, 3.0], 3, 0, 0),
+]
+
+
+def test_save_hypotheses_writes_exact_bytes(tmp_path):
+    path = str(tmp_path / "hyps.json")
+    formats.save_hypotheses(path, HYPOTHESES)
+    assert read(path) == (
+        '[{"rotation":[0.48,-0.8,0.36,0.64,0.6,0.48,-0.6,0.0,0.8],'
+        '"translation":[1.5,-2.0,0.25],"cardinality":5,"source_submap":2,'
+        '"target_submap":7,"roll":0.0,"pitch":36.86989764584402,'
+        '"yaw":53.13010235415599},'
+        '{"rotation":[1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0],'
+        '"translation":[-0.0,0.0,3.0],"cardinality":3,"source_submap":0,'
+        '"target_submap":0,"roll":0.0,"pitch":-0.0,"yaw":0.0}]')
+
+
+def test_saved_hypotheses_parse_as_their_exact_transforms(tmp_path):
+    path = str(tmp_path / "hyps.json")
+    formats.save_hypotheses(path, HYPOTHESES)
+    for record, h in zip(json.loads(read(path)), HYPOTHESES, strict=True):
+        t = formats.parse_transform(json.dumps(record))
+        assert t.rotation.tobytes() == h.transform.rotation.tobytes()
+        assert t.translation.tobytes() == h.transform.translation.tobytes()
+
+
+def test_save_pr_table_writes_exact_bytes(tmp_path):
+    path = str(tmp_path / "pr.csv")
+    rows = [PrPoint(3, 1.0, 0.5, 4, 2, True), PrPoint(4, 2 / 3, 0.0, 0, 2, False)]
+    formats.save_pr_table(path, rows, 0.0123456789, 1e-7)
+    assert read(path) == (
+        "s_max,precision,recall,hypothesized,overlapping_pairs,"
+        "mean_runtime_s,std_runtime_s\n"
+        "3,1.000000,0.500000,4,2,0.012346,0.000000\n"
+        "4,0.666667,0.000000,0,2,0.012346,0.000000\n")
+
+
+def test_save_ground_truth_writes_exact_bytes(tmp_path):
+    path = str(tmp_path / "ground_truth.json")
+    scene = [SceneObject(np.array([1.0, 2.5, 2 / 3]), np.zeros(3), False),
+             SceneObject(np.array([-0.0, 1e-20, 1.25]),
+                         np.array([0.6, -0.8, 0.0]), True)]
+    formats.save_ground_truth(path, scene)
+    assert read(path) == (
+        '{"objects":[{"id":0,"position":[1.0,2.5,0.6666666666666666],'
+        '"velocity":[0.0,0.0,0.0],"dynamic":false},{"id":1,"position":[-0.0,1e-20,1.25],'
+        '"velocity":[0.6,-0.8,0.0],"dynamic":true}]}')
+
+
+def test_submap_to_json():
+    s = Submap([1.0, 2.0], [3, 5], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    data = json.loads(formats.submap_to_json(s))
+    assert data["center"] == [1.0, 2.0]
+    assert data["landmark_ids"] == [3, 5]
+    assert len(data["points"]) == 2
+
+
+def test_save_submaps_writes_exact_bytes(tmp_path):
+    out = tmp_path / "submaps"
+    sm = Submap([0.5, -0.0], [3, 11], [[0.1, 0.2, 1 / 3], [1.0, -0.0, 2e-9]])
+    formats.save_submaps(str(out), "a", [sm])
+    assert sorted(os.listdir(out)) == ["index.json", "submap_0000.json"]
+    assert read(out / "submap_0000.json") == (
+        '{"center":[0.5,-0.0],"landmark_ids":[3,11],'
+        '"points":[[0.1,0.2,0.3333333333333333],[1.0,-0.0,2e-09]]}')
+    assert read(out / "index.json") == (
+        '{"agent_id":"a","n_submaps":1,"submaps":["submap_0000.json"]}')
 
 
 def test_atomic_write_replaces_and_cleans_up(tmp_path):

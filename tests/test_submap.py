@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from vista_align.core import Hyperparameters, Landmark, ObjectMap
-from vista_align.submap import (Submap, generate_submaps, mahalanobis_filter,
-                                submap_to_json)
+from vista_align.submap import generate_submaps, mahalanobis_filter
 
 
 def map_from_points(points, cov_scale=1e-4):
@@ -142,11 +139,3 @@ def test_submap_members_sorted_by_id():
         assert list(s.landmark_ids) == sorted(s.landmark_ids)
         for lid, p in zip(s.landmark_ids, s.points):
             assert np.allclose(p, pts[lid])
-
-
-def test_submap_to_json():
-    s = Submap([1.0, 2.0], [3, 5], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    data = json.loads(submap_to_json(s))
-    assert data["center"] == [1.0, 2.0]
-    assert data["landmark_ids"] == [3, 5]
-    assert len(data["points"]) == 2
