@@ -217,11 +217,6 @@ def test_save_hypotheses_writes_exact_bytes(tmp_path):
         '{"rotation":[1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0],'
         '"translation":[-0.0,0.0,3.0],"cardinality":3,"source_submap":0,'
         '"target_submap":0,"roll":0.0,"pitch":-0.0,"yaw":0.0}]')
-
-
-def test_saved_hypotheses_parse_as_their_exact_transforms(tmp_path):
-    path = str(tmp_path / "hyps.json")
-    formats.save_hypotheses(path, HYPOTHESES)
     for record, h in zip(json.loads(read(path)), HYPOTHESES, strict=True):
         t = formats.parse_transform(json.dumps(record))
         assert t.rotation.tobytes() == h.transform.rotation.tobytes()
