@@ -2,8 +2,8 @@
 evaluation for monocular multi-agent localization."""
 
 from .core import (BehindCameraError, CameraIntrinsics, DegenerateGeometryError,
-                   Detection, DivergedError, Hyperparameters, InputError,
-                   Landmark, ObjectMap, Pose, RigidTransform, SizeLimitError,
+                   DivergedError, Hyperparameters, InputError, Landmark,
+                   ObjectMap, Pose, RigidTransform, SizeLimitError,
                    TooLargeError, Track, project, transform_angles, unproject)
 from .triangulation import build_map, filter_tracks, initial_guess, refine
 from .submap import Submap, generate_submaps, mahalanobis_filter

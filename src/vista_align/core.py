@@ -70,7 +70,9 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "rotation", _as_readonly(self.rotation, (3, 3), "rotation"))
         object.__setattr__(self, "translation", _as_readonly(self.translation, (3,), "translation"))
-        _check_rotation(self.rotation)
+        # track files store rotations at %.9g: each entry moves by <= 5e-10,
+        # ||R'R - I|| and |det R - 1| by <= 3e-9; a saved pose must load again.
+        _check_rotation(self.rotation, tol=1e-8)
         if self.frame_index < 0:
             raise ValueError("frame_index must be >= 0")
 
@@ -95,31 +97,23 @@ class CameraIntrinsics:
 
 
 @dataclass(frozen=True)
-class Detection:
-    """2D object centroid in one image frame."""
-
-    frame_index: int
-    centroid: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "centroid", _as_readonly(self.centroid, (2,), "centroid"))
-
-
-@dataclass(frozen=True)
 class Track:
-    """One object's centroid detections across frames."""
+    """One object's centroid detections: pixel centroids[k] = (u, v) seen at
+    frames[k]."""
 
     track_id: int
-    detections: tuple
+    frames: tuple
+    centroids: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "detections", tuple(self.detections))
-        frames = [d.frame_index for d in self.detections]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValueError("detections must be strictly increasing in frame_index")
+        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "centroids", _as_readonly(
+            self.centroids, (len(self.frames), 2), "centroids"))
+        if any(b <= a for a, b in zip(self.frames, self.frames[1:])):
+            raise ValueError("frames must be strictly increasing")
 
     def __len__(self):
-        return len(self.detections)
+        return len(self.frames)
 
 
 @dataclass(frozen=True)

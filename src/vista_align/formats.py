@@ -13,8 +13,8 @@ import tempfile
 
 import numpy as np
 
-from .core import (CameraIntrinsics, Detection, Hyperparameters, InputError,
-                   Landmark, ObjectMap, Pose, RigidTransform, Track, transform_angles)
+from .core import (CameraIntrinsics, Hyperparameters, InputError, Landmark,
+                   ObjectMap, Pose, RigidTransform, Track, transform_angles)
 from .simulation import SceneSpec, TrajectorySpec
 
 
@@ -137,9 +137,8 @@ def track_file_to_json(intrinsics, poses, tracks):
                              _floats(pose.translation)))
     track_parts = []
     for tr in tracks:
-        dets = ",".join('{"frame":%d,"u":%s,"v":%s}'
-                        % (d.frame_index, _f(d.centroid[0]), _f(d.centroid[1]))
-                        for d in tr.detections)
+        dets = ",".join('{"frame":%d,"u":%s,"v":%s}' % (f, _f(u), _f(v))
+                        for f, (u, v) in zip(tr.frames, tr.centroids.tolist()))
         track_parts.append('{"id":%d,"detections":[%s]}' % (tr.track_id, dets))
     return ('{"intrinsics":%s,"poses":[%s],"tracks":[%s]}'
             % (intr, ",".join(pose_parts), ",".join(track_parts)))
@@ -161,7 +160,7 @@ def parse_track_file(text):
     tracks = []
     for rec in _require(data, "tracks", list):
         tid = _require(rec, "id", int, " in track record")
-        dets = []
+        frames, uv = [], []
         for drec in _require(rec, "detections", list, " in track record"):
             frame = _require(drec, "frame", int, " in detection record")
             u = _require(drec, "u", _NUMBER, " in detection record")
@@ -172,9 +171,10 @@ def parse_track_file(text):
             if frame not in poses:
                 raise InputError("track %d references frame %d with no pose"
                                  % (tid, frame))
-            dets.append(Detection(frame, np.array([u, v], dtype=float)))
+            frames.append(frame)
+            uv += u, v
         with _invalid("track %d" % tid):
-            tracks.append(Track(tid, dets))
+            tracks.append(Track(tid, frames, np.reshape(uv, (-1, 2))))
     if len({t.track_id for t in tracks}) != len(tracks):
         raise InputError("duplicate values in field 'id' of tracks")
     return intrinsics, poses, tracks
@@ -219,24 +219,28 @@ def load_config(path):
         return parse_config(fh.read())
 
 
-def _transform_fields(transform):
-    return {"rotation": transform.rotation.ravel().tolist(),
-            "translation": transform.translation.tolist()}
-
-
 def transform_to_json(transform):
     """Full precision: 9 digits would fail the loader's 1e-9 orthonormality
     check on most rotations."""
-    return _compact(_transform_fields(transform))
+    return _compact({"rotation": transform.rotation.ravel().tolist(),
+                     "translation": transform.translation.tolist()})
 
 
 def save_hypotheses(path, hypotheses):
-    """A record begins with transform_to_json's fields; parse_transform reads it."""
-    atomic_write(path, _compact([
-        {**_transform_fields(h.transform), "cardinality": h.cardinality,
-         "source_submap": h.source_submap, "target_submap": h.target_submap,
-         **dict(zip(("roll", "pitch", "yaw"), transform_angles(h.transform)))}
-        for h in hypotheses]))
+    """A record begins with transform_to_json's fields; parse_transform reads it.
+
+    Grid pairs that share a solve share its transform object, so each
+    distinct transform is encoded once, keyed by id() while the list holds it."""
+    encoded, records = {}, []
+    for h in hypotheses:
+        t = h.transform
+        if id(t) not in encoded:
+            angles = dict(zip(("roll", "pitch", "yaw"), transform_angles(t)))
+            encoded[id(t)] = transform_to_json(t)[:-1], _compact(angles)[1:]
+        head, tail = encoded[id(t)]
+        records.append('%s,"cardinality":%d,"source_submap":%d,"target_submap":%d,%s'
+                       % (head, h.cardinality, h.source_submap, h.target_submap, tail))
+    atomic_write(path, "[" + ",".join(records) + "]")
 
 
 def parse_transform(text):

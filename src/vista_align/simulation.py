@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BehindCameraError, Detection, Landmark, ObjectMap, Pose,
-                   RigidTransform, Track, project, rotation_y, rotation_z)
+from .core import (BehindCameraError, Landmark, ObjectMap, Pose, RigidTransform,
+                   Track, project, rotation_y, rotation_z)
 
 # camera-to-world for a nadir view: optical axis straight down, image x = +x
 _R_NADIR = np.array([[1.0, 0.0, 0.0],
@@ -118,7 +118,7 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
                   duplicate_rate=0.0, seed=0):
     """Project the scene along the trajectory into detection tracks.
 
-    Detections falling outside the image (before or after noise) are dropped;
+    Centroids falling outside the image (before or after noise) are dropped;
     dropout removes detections at random; duplicate_rate splits an object's
     track into two disjoint ids, emulating redundant objects from tracker
     handoffs. Returns (tracks, {frame: Pose}).
@@ -129,7 +129,8 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
     split_flags = rng.uniform(size=n) < duplicate_rate if duplicate_rate > 0 \
         else np.zeros(n, dtype=bool)
 
-    per_object = [[] for _ in range(n)]
+    frames = [[] for _ in range(n)]
+    pixels = [[] for _ in range(n)]
     for f in sorted(poses):
         pose = poses[f]
         for i, obj in enumerate(scene):
@@ -146,20 +147,20 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
                     continue
             if dropout > 0 and rng.uniform() < dropout:
                 continue
-            per_object[i].append(Detection(f, px))
+            frames[i].append(f)
+            pixels[i].append(px)
 
     tracks = []
     next_id = n
-    for i, dets in enumerate(per_object):
-        if not dets:
+    for i in range(n):
+        m = len(frames[i])
+        if not m:
             continue
-        if split_flags[i] and len(dets) >= 2:
-            cut = int(rng.integers(1, len(dets)))
-            tracks.append(Track(i, dets[:cut]))
-            tracks.append(Track(next_id, dets[cut:]))
+        cut = int(rng.integers(1, m)) if split_flags[i] and m >= 2 else m
+        tracks.append(Track(i, frames[i][:cut], pixels[i][:cut]))
+        if cut < m:
+            tracks.append(Track(next_id, frames[i][cut:], pixels[i][cut:]))
             next_id += 1
-        else:
-            tracks.append(Track(i, dets))
     return tracks, poses
 
 

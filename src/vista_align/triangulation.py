@@ -32,14 +32,13 @@ def filter_tracks(tracks, n_min):
     """Keep tracks with strictly more than n_min detections, order preserved."""
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
-    return [t for t in tracks if len(t.detections) > n_min]
+    return [t for t in tracks if len(t) > n_min]
 
 
 def _rays(track, poses, intrinsics):
     origins, dirs = [], []
-    for det in track.detections:
-        pose = poses[det.frame_index]
-        u, v = det.centroid
+    for frame, (u, v) in zip(track.frames, track.centroids):
+        pose = poses[frame]
         d_cam = np.array([(u - intrinsics.cx) / intrinsics.fx,
                           (v - intrinsics.cy) / intrinsics.fy, 1.0])
         d = pose.rotation @ d_cam
@@ -66,7 +65,7 @@ def initial_guess(track, poses, intrinsics):
 def _residuals(point, observations, intrinsics):
     """Residuals, Jacobian, and cost at `point`.
 
-    Detections whose camera-frame depth is <= 1e-6 contribute a fixed penalty
+    Observations whose camera-frame depth is <= 1e-6 contribute a fixed penalty
     to the cost instead of a residual; if every detection is behind the
     camera the point is unrecoverable and the track is declared diverged.
     """
@@ -110,7 +109,7 @@ def refine(track, poses, intrinsics, guess):
     x = np.array(guess, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial guess must be finite")
-    observations = [(poses[d.frame_index], d.centroid) for d in track.detections]
+    observations = [(poses[f], c) for f, c in zip(track.frames, track.centroids)]
     m = len(observations)
 
     r, J, cost = _residuals(x, observations, intrinsics)

@@ -126,14 +126,14 @@ def _ring_poses(target, n, radius):
 
 
 def _track_from(point, poses, noise, rng, track_id=0):
-    from vista_align.core import Detection, Track
-    dets = []
+    from vista_align.core import Track
+    pixels = []
     for f in sorted(poses):
         px = project(poses[f], INTRINSICS, point)
         if noise > 0:
             px = px + rng.normal(0.0, noise, size=2)
-        dets.append(Detection(f, px))
-    return Track(track_id, dets)
+        pixels.append(px)
+    return Track(track_id, sorted(poses), pixels)
 
 
 def test_criterion_4_triangulation():

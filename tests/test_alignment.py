@@ -13,6 +13,7 @@ from vista_align.core import (DegenerateGeometryError, Hyperparameters,
                               rotation_z)
 from vista_align.evaluation import (PairOutcome, classify, default_voxel,
                                     evaluate_map_pair, submap_iou)
+from vista_align.simulation import perturb_frame
 from vista_align.submap import Submap, generate_submaps
 
 from conftest import random_rotation
@@ -176,6 +177,32 @@ def test_align_maps_forward_backward_inverse():
     r = fwd[0].transform.compose(bwd[0].transform)
     assert np.allclose(r.rotation, np.eye(3), atol=1e-6)
     assert np.allclose(r.translation, 0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_align_maps_moving_map_b_moves_every_hypothesis(seed):
+    # 15 points and the default n_max = 50: every grid cell holds the whole
+    # map, so each grid has one distinct solve whatever its bounding box
+    rng = np.random.default_rng(seed)
+    scale = np.array([1.0, 1.0, 0.3])
+    pts_a = rng.uniform(0.0, 5.0, size=(15, 3)) * scale
+    shared = pts_a[rng.permutation(15)[:11]] + rng.normal(0.0, 0.01, size=(11, 3))
+    pts_b = np.vstack([shared, rng.uniform(0.0, 5.0, size=(4, 3)) * scale])
+    map_a, map_b = map_from_points(pts_a), map_from_points(pts_b)
+    moved, truth = perturb_frame(map_b, rng.uniform(-60.0, 60.0),
+                                 rng.uniform(-5.0, 5.0, size=3))
+
+    def solves(b):
+        return {(h.cardinality, h.inliers): h.transform
+                for h in align_maps(map_a, b, Hyperparameters())}
+
+    before, after = solves(map_b), solves(moved)
+    assert before and set(after) == set(before)
+    for key, t in before.items():
+        expected = truth.compose(t)
+        assert np.allclose(after[key].rotation, expected.rotation, rtol=0, atol=1e-9)
+        assert np.allclose(after[key].translation, expected.translation,
+                           rtol=0, atol=1e-9)
 
 
 def test_align_maps_sorted_by_cardinality():

@@ -62,6 +62,13 @@ def test_simulate_reproducible(workdir):
     assert t1 == t2
 
 
+def test_build_map_loads_tracks_simulated_at_any_pitch(workdir):
+    # at 35 deg the %.9g pose rotations sit 1.2e-9 off orthonormal
+    with open(workdir / "trajectory.json", "w") as fh:
+        json.dump({**TRAJECTORY, "camera_pitch": 35}, fh)
+    assert len(formats.load_map(simulate_and_build(workdir))) > 0
+
+
 def test_build_map_summary_line(workdir, capsys):
     map_path = simulate_and_build(workdir)
     out = capsys.readouterr().out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vista_align.core import (BehindCameraError, CameraIntrinsics, Detection,
+from vista_align.core import (BehindCameraError, CameraIntrinsics,
                               Hyperparameters, Landmark, ObjectMap, Pose,
                               RigidTransform, Track, project, rotation_x,
                               rotation_y, rotation_z, transform_angles,
@@ -138,9 +138,21 @@ def test_intrinsics_validation():
 
 
 def test_track_requires_strictly_increasing_frames():
-    d = [Detection(2, [1.0, 1.0]), Detection(2, [2.0, 2.0])]
     with pytest.raises(ValueError):
-        Track(0, d)
+        Track(0, [2, 2], [[1.0, 1.0], [2.0, 2.0]])
+
+
+def test_track_centroids_are_one_checked_array():
+    t = Track(4, [1, 3], [[1.0, 2.0], [3.0, 4.0]])
+    assert t.frames == (1, 3) and len(t) == 2
+    assert t.centroids.shape == (2, 2) and not t.centroids.flags.writeable
+    assert Track(5, [], np.zeros((0, 2))).centroids.shape == (0, 2)
+    for frames, centroids in [([1, 3], [1.0, 2.0, 3.0, 4.0]),
+                              ([1, 3], [[1.0, 2.0]]), ([], [])]:
+        with pytest.raises(ValueError, match="shape"):
+            Track(0, frames, centroids)
+    with pytest.raises(ValueError, match="non-finite"):
+        Track(0, [1], [[np.nan, 2.0]])
 
 
 def test_landmark_covariance_validation():

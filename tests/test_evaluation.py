@@ -183,6 +183,8 @@ def test_timing_small_pair_is_fast():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.0, 0.8, size=(5, 3))
     m = map_from_points(pts)
-    mean, std = timing(m, m, Hyperparameters(), 5)
-    assert mean < 0.01
-    assert std >= 0.0
+    # the best of three means: one mean of a ~6 ms solve can pass 10 ms on a
+    # busy host, which says nothing about the program
+    runs = [timing(m, m, Hyperparameters(), 5) for _ in range(3)]
+    assert min(mean for mean, _ in runs) < 0.01
+    assert all(std >= 0.0 for _, std in runs)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -9,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from vista_align import formats
 from vista_align.alignment import AlignmentHypothesis
 from vista_align.association import Association
-from vista_align.core import (CameraIntrinsics, Detection, Hyperparameters,
-                              InputError, Landmark, ObjectMap, Pose,
-                              RigidTransform, Track, rotation_z)
+from vista_align.core import (CameraIntrinsics, Hyperparameters, InputError,
+                              Landmark, ObjectMap, Pose, RigidTransform, Track,
+                              rotation_x, rotation_y, rotation_z)
 from vista_align.evaluation import PrPoint
-from vista_align.simulation import SceneObject
+from vista_align.simulation import SceneObject, TrajectorySpec, trajectory_poses
 from vista_align.submap import Submap
 
 from conftest import random_rotation
@@ -97,8 +98,8 @@ def track_fixture():
     intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
     poses = {f: Pose(rotation_z(5.0 * f), np.array([0.1 * f, 0.0, 8.0]), f)
              for f in range(4)}
-    tracks = [Track(0, [Detection(0, [10.5, 20.25]), Detection(2, [11.0, 21.0])]),
-              Track(3, [Detection(1, [300.0, 200.0])])]
+    tracks = [Track(0, [0, 2], [[10.5, 20.25], [11.0, 21.0]]),
+              Track(3, [1], [[300.0, 200.0]])]
     return intr, poses, tracks
 
 
@@ -109,6 +110,24 @@ def test_track_file_round_trip():
     assert formats.track_file_to_json(intr2, poses2, tracks2) == text
     assert intr2 == intr
     assert len(poses2) == 4 and len(tracks2) == 2
+
+
+def test_track_file_poses_load_again():
+    # %.9g rotations sit up to 3e-9 off orthonormal: every camera pitch
+    # simulate can write, and random attitudes, must load and re-encode
+    rotations = [trajectory_poses(TrajectorySpec([(0, 0, 0), (1, 0, 0)], 2,
+                                                 camera_pitch=p))[0].rotation
+                 for p in range(90)]
+    rng = np.random.default_rng(12)
+    for yaw, pitch, roll in zip(rng.uniform(-180, 180, 2000),
+                                rng.uniform(-20, 20, 2000),
+                                rng.uniform(-20, 20, 2000)):
+        rotations.append(rotation_z(yaw) @ rotation_y(pitch) @ rotation_x(roll))
+    intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
+    poses = {f: Pose(R, [0.0, 0.0, 8.0], f) for f, R in enumerate(rotations)}
+    text = formats.track_file_to_json(intr, poses, [])
+    _, loaded, _ = formats.parse_track_file(text)
+    assert formats.track_file_to_json(intr, loaded, []) == text
 
 
 def test_parse_track_file_rejects_out_of_image_detection():
@@ -198,12 +217,15 @@ def hypothesis(rotation, translation, cardinality, source, target):
         source, target)
 
 
-# A 3-4-5 yaw times a 3-4-5 pitch, written out; and the identity with a -0.0.
+# A 3-4-5 yaw times a 3-4-5 pitch, written out; the identity with a -0.0;
+# and the first transform object again, as grid pairs sharing a solve give.
 HYPOTHESES = [
     hypothesis([[0.48, -0.8, 0.36], [0.64, 0.6, 0.48], [-0.6, 0.0, 0.8]],
                [1.5, -2.0, 0.25], 5, 2, 7),
     hypothesis(np.eye(3), [-0.0, 0.0, 3.0], 3, 0, 0),
 ]
+HYPOTHESES.append(dataclasses.replace(HYPOTHESES[0], source_submap=4,
+                                      target_submap=1))
 
 
 def test_save_hypotheses_writes_exact_bytes(tmp_path):
@@ -216,7 +238,11 @@ def test_save_hypotheses_writes_exact_bytes(tmp_path):
         '"yaw":53.13010235415599},'
         '{"rotation":[1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0],'
         '"translation":[-0.0,0.0,3.0],"cardinality":3,"source_submap":0,'
-        '"target_submap":0,"roll":0.0,"pitch":-0.0,"yaw":0.0}]')
+        '"target_submap":0,"roll":0.0,"pitch":-0.0,"yaw":0.0},'
+        '{"rotation":[0.48,-0.8,0.36,0.64,0.6,0.48,-0.6,0.0,0.8],'
+        '"translation":[1.5,-2.0,0.25],"cardinality":5,"source_submap":4,'
+        '"target_submap":1,"roll":0.0,"pitch":36.86989764584402,'
+        '"yaw":53.13010235415599}]')
     for record, h in zip(json.loads(read(path)), HYPOTHESES, strict=True):
         t = formats.parse_transform(json.dumps(record))
         assert t.rotation.tobytes() == h.transform.rotation.tobytes()

@@ -104,9 +104,9 @@ def test_render_tracks_detections_in_image(intrinsics):
     tracks, _ = render_tracks(scene, nadir_trajectory(), intrinsics,
                               noise=2.0, seed=3)
     for t in tracks:
-        for d in t.detections:
-            assert 0 <= d.centroid[0] < intrinsics.width
-            assert 0 <= d.centroid[1] < intrinsics.height
+        for u, v in t.centroids:
+            assert 0 <= u < intrinsics.width
+            assert 0 <= v < intrinsics.height
 
 
 def test_render_tracks_full_dropout(intrinsics):
@@ -135,8 +135,8 @@ def test_render_tracks_deterministic(intrinsics):
     assert len(t1) == len(t2)
     for a, b in zip(t1, t2):
         assert a.track_id == b.track_id
-        assert all(np.array_equal(da.centroid, db.centroid)
-                   for da, db in zip(a.detections, b.detections))
+        assert a.frames == b.frames
+        assert np.array_equal(a.centroids, b.centroids)
 
 
 def test_perturb_frame_identity():

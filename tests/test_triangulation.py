@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vista_align import triangulation as tri
-from vista_align.core import (DegenerateGeometryError, Detection, DivergedError,
+from vista_align.core import (DegenerateGeometryError, DivergedError,
                               Hyperparameters, Pose, Track, project)
 
 from conftest import looking_at_origin_pose, random_rotation
@@ -12,14 +12,14 @@ def make_track(point, poses, intrinsics, track_id=0, noise=0.0, rng=None,
                motion=None):
     """Forward-project `point` (optionally moving by `motion` per frame)."""
     point = np.asarray(point, dtype=float)
-    dets = []
+    pixels = []
     for f in sorted(poses):
         p = point if motion is None else point + np.asarray(motion) * f
         px = project(poses[f], intrinsics, p)
         if noise > 0:
             px = px + rng.normal(0.0, noise, size=2)
-        dets.append(Detection(f, px))
-    return Track(track_id, dets)
+        pixels.append(px)
+    return Track(track_id, sorted(poses), pixels)
 
 
 def ring_poses(target, n=5, radius=6.0):
@@ -36,16 +36,14 @@ def ring_poses(target, n=5, radius=6.0):
 
 
 def test_filter_tracks_strict_inequality():
-    dets = [Detection(f, [1.0, 1.0]) for f in range(3)]
-    t3 = Track(0, dets)
-    t4 = Track(1, dets + [Detection(3, [1.0, 1.0])])
+    t3 = Track(0, range(3), np.ones((3, 2)))
+    t4 = Track(1, range(4), np.ones((4, 2)))
     assert tri.filter_tracks([t3, t4], 3) == [t4]
 
 
 def test_filter_tracks_empty_and_order():
     assert tri.filter_tracks([], 3) == []
-    dets = [Detection(f, [1.0, 1.0]) for f in range(5)]
-    tracks = [Track(i, dets) for i in range(4)]
+    tracks = [Track(i, range(5), np.ones((5, 2))) for i in range(4)]
     assert tri.filter_tracks(tracks, 3) == tracks
 
 
@@ -77,7 +75,7 @@ def test_initial_guess_five_poses(intrinsics):
 def test_initial_guess_parallel_rays_degenerate(intrinsics):
     pose = looking_at_origin_pose([5.0, 0.0, 3.0], 0)
     poses = {0: pose, 1: Pose(pose.rotation, pose.translation, 1)}
-    track = Track(0, [Detection(0, [320.0, 240.0]), Detection(1, [320.0, 240.0])])
+    track = Track(0, [0, 1], [[320.0, 240.0], [320.0, 240.0]])
     with pytest.raises(DegenerateGeometryError):
         tri.initial_guess(track, poses, intrinsics)
 
@@ -160,7 +158,7 @@ def test_build_map_counts_and_ids(intrinsics):
         target = rng.uniform(-0.5, 0.5, size=3)
         tracks.append(make_track(target, poses, intrinsics, track_id=i))
     # a too-short track and a dynamic track
-    short = Track(10, [Detection(f, [320.0, 240.0]) for f in range(3)])
+    short = Track(10, range(3), [[320.0, 240.0]] * 3)
     dynamic = make_track([0.0, 0.0, 0.0], poses, intrinsics, track_id=11,
                          motion=[1.0, 0.0, 0.0])
     obj_map, stats = tri.build_map(tracks + [short, dynamic], poses,
@@ -189,8 +187,7 @@ def test_build_map_order_invariant(intrinsics):
 
 def test_build_map_empty_warns(intrinsics):
     poses = ring_poses([0.0, 0.0, 0.0], n=4)
-    short = [Track(i, [Detection(f, [320.0, 240.0]) for f in range(2)])
-             for i in range(3)]
+    short = [Track(i, range(2), [[320.0, 240.0]] * 2) for i in range(3)]
     with pytest.warns(UserWarning):
         obj_map, stats = tri.build_map(short, poses, intrinsics,
                                        Hyperparameters(), "a")
