@@ -6,9 +6,7 @@ Hypotheses map coordinates expressed in map A's frame into map B's frame.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,36 +78,28 @@ def solve_submap_pair(submap_a, submap_b, params):
     return transform, frozenset(Association(i, k) for i, k in selected.tolist())
 
 
-def solve_pairs(subs_a, subs_b, params, threads=1):
+def solve_pairs(subs_a, subs_b, params):
     """Solve every distinct submap pair of the all-to-all grid once.
 
     Grid cells whose submaps have identical landmark content share one solve
     (results are identical by construction). Returns
     {(grid_a, grid_b): (solve_submap_pair result, seconds)}, where grid_a and
-    grid_b are the tuples of grid indices that share one content. At most
-    min(threads, os.cpu_count()) solves run at once.
+    grid_b are the tuples of grid indices that share one content.
     """
     groups_a, groups_b = {}, {}
     for subs, groups in ((subs_a, groups_a), (subs_b, groups_b)):
         for i, sm in enumerate(subs):
             groups.setdefault(sm.landmark_ids, []).append(i)
-    pairs = [(tuple(ga), tuple(gb)) for ga in groups_a.values()
-             for gb in groups_b.values()]
-
-    def solve(pair):
-        ga, gb = pair
-        t0 = time.perf_counter()
-        result = solve_submap_pair(subs_a[ga[0]], subs_b[gb[0]], params)
-        return pair, (result, time.perf_counter() - t0)
-
-    workers = min(threads, len(pairs), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return dict(pool.map(solve, pairs))
-    return dict(map(solve, pairs))
+    solved = {}
+    for ga in groups_a.values():
+        for gb in groups_b.values():
+            t0 = time.perf_counter()
+            result = solve_submap_pair(subs_a[ga[0]], subs_b[gb[0]], params)
+            solved[tuple(ga), tuple(gb)] = result, time.perf_counter() - t0
+    return solved
 
 
-def align_maps(map_a, map_b, params, threads=1):
+def align_maps(map_a, map_b, params):
     """All-to-all submap comparison between two maps.
 
     Returns all kept hypotheses sorted by cardinality descending, ties broken
@@ -122,8 +112,7 @@ def align_maps(map_a, map_b, params, threads=1):
     subs_b = generate_submaps(map_b, params)
 
     hypotheses = []
-    for (grid_a, grid_b), (res, _) in solve_pairs(subs_a, subs_b, params,
-                                                  threads).items():
+    for (grid_a, grid_b), (res, _) in solve_pairs(subs_a, subs_b, params).items():
         if res is None:
             continue
         hyp = AlignmentHypothesis(res[0], res[1], len(res[1]), grid_a[0], grid_b[0])

@@ -185,22 +185,27 @@ def _ascend(M, u, iterations, restart):
     `iterations` steps, stopping once u moves by less than 1e-9. An ascent
     that collapses (M u <= 0 everywhere) restarts from `restart`.
 
-    A step is a function of u alone, so once the new iterate equals, bit for
-    bit, the one from two steps earlier, u and v alternate for every remaining
-    step and the convergence test keeps comparing the same two vectors. The
-    loop then returns at once the vector the full schedule would end on: v
-    if the number of remaining steps is even, else u. The result is identical
-    to running every step."""
-    prev = u                  # at step 0, v == prev means v == u: converged
-    for k in range(iterations):
+    A step is a function of u alone, so once a new iterate equals, bit for
+    bit, an earlier one, the iterates repeat with that period for every
+    remaining step, and the convergence test, which has already failed on
+    each step of the cycle, never fires. The loop then returns at once the
+    iterate the full schedule would end on. Iterates are looked up by a hash
+    of their bytes, and each hit is confirmed with an exact comparison. The
+    result is identical to running every step."""
+    path, seen = [u], {hash(u.tobytes()): [0]}   # path[k]: iterate after k steps
+    for k in range(1, iterations + 1):
         v = np.maximum(M @ u, 0.0)
         norm = np.linalg.norm(v)
         v = v / norm if norm >= 1e-12 else restart
         if np.linalg.norm(v - u) < 1e-9:
             return v
-        if np.array_equal(v, prev):
-            return v if (iterations - k - 1) % 2 == 0 else u
-        prev, u = u, v
+        earlier = seen.setdefault(hash(v.tobytes()), [])
+        for first in earlier:
+            if np.array_equal(path[first], v):
+                return path[first + (iterations - first) % (k - first)]
+        earlier.append(k)
+        path.append(v)
+        u = v
     return u
 
 
@@ -212,10 +217,11 @@ def densest_clique(affinity):
     Deterministic: the ascent starts from a power-iteration estimate of the
     principal eigenvector, the homotopy penalty grows geometrically (x1.4)
     until the support is feasible, and rounding is greedy by descending u.
-    Each round's ascent ends early on an exact 2-cycle (see `_ascend`), as
-    on a pair with no overlap, where the iterate alternates between the
-    restart e_j and j's normalised feasible neighbourhood; the result is
-    the one the full 200 steps give.
+    Each round's ascent ends early on an exact cycle (see `_ascend`): a
+    2-cycle on a pair with no overlap, where the iterate alternates between
+    the restart e_j and j's normalised feasible neighbourhood, or a longer
+    one on some overlapping pairs. The result is the one the full 200 steps
+    give.
     """
     A = affinity.entries
     n = affinity.size

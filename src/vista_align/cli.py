@@ -100,13 +100,10 @@ def cmd_match(args):
     params = _load_params(args.config)
     if args.top_k is not None and args.top_k < 1:
         raise InputError("--top-k must be >= 1, got %d" % args.top_k)
-    if args.threads < 1:
-        raise InputError("--threads must be >= 1, got %d" % args.threads)
     map_a, map_b = _load_map_pair(args)
     t0 = time.perf_counter()
     hypotheses = alignment.align_maps(submap.inlier_map(map_a, params),
-                                      submap.inlier_map(map_b, params),
-                                      params, threads=args.threads)
+                                      submap.inlier_map(map_b, params), params)
     if args.top_k is not None:
         hypotheses = hypotheses[:args.top_k]
     formats.save_hypotheses(args.out, hypotheses)
@@ -151,6 +148,15 @@ def cmd_evaluate(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (unknown flag, bad value, missing flag) raise InputError,
+    so they exit 1 like any other malformed input; exit 2 stays `match`'s
+    "no hypothesis kept"."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--log-json", action="store_true",
@@ -158,7 +164,7 @@ def build_parser():
     configured = argparse.ArgumentParser(add_help=False, parents=[common])
     configured.add_argument("--config", help="flat key=value hyperparameter file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vista-align",
         description="Sparse object-map building, submap matching, and "
                     "frame-alignment evaluation.")
@@ -197,9 +203,6 @@ def build_parser():
     p.add_argument("--map-b", required=True, help="target object map JSON")
     p.add_argument("--out", required=True, help="output hypothesis list JSON")
     p.add_argument("--top-k", type=int, help="truncate to the top-k hypotheses")
-    p.add_argument("--threads", type=int, default=1,
-                   help="max parallel submap-pair solves, capped at the CPU "
-                        "count (default 1)")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("evaluate", parents=[configured],
@@ -218,9 +221,8 @@ def build_parser():
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, SizeLimitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

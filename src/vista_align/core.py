@@ -183,6 +183,8 @@ class Hyperparameters:
                 raise ValueError("%s must be finite and strictly positive" % name)
         if self.epsilon < self.sigma:
             raise ValueError("epsilon must be >= sigma")
+        if self.n_max <= self.s_max:     # every submap would be dropped
+            raise ValueError("n_max must be > s_max")
         if self.overlap > self.window:
             raise ValueError("overlap must be <= window")
         if not (0 < self.theta_overlap <= 1):

@@ -214,24 +214,6 @@ def test_align_maps_sorted_by_cardinality():
     assert cards == sorted(cards, reverse=True)
 
 
-def test_align_maps_thread_count_does_not_change_results():
-    rng = np.random.default_rng(10)
-    pts = rng.uniform(0.0, 4.0, size=(12, 3)) * np.array([1.0, 1.0, 0.2])
-    ma = map_from_points(pts)
-    mb = map_from_points(pts + np.array([0.4, 0.1, 0.0]))
-    h1 = align_maps(ma, mb, Hyperparameters(n_max=8), threads=1)
-    h4 = align_maps(ma, mb, Hyperparameters(n_max=8), threads=4)
-    assert len(h1) == len(h4)
-    for a, b in zip(h1, h4):          # bit for bit, as the README promises
-        assert a.inliers == b.inliers
-        assert a.cardinality == b.cardinality
-        assert (a.source_submap, a.target_submap) == (b.source_submap,
-                                                      b.target_submap)
-        assert a.transform.rotation.tobytes() == b.transform.rotation.tobytes()
-        assert (a.transform.translation.tobytes()
-                == b.transform.translation.tobytes())
-
-
 def test_align_maps_rejects_empty_maps():
     with pytest.raises(ValueError):
         align_maps(ObjectMap("a", []), ObjectMap("b", []), Hyperparameters())
@@ -282,40 +264,6 @@ def test_engine_solves_each_distinct_pair_once(n_points, n_max, monkeypatch):
     assert len(calls) < len(grid)
     assert ([(h.source_submap, h.target_submap, h.inliers) for h in hyps]
             == [(h.source_submap, h.target_submap, h.inliers) for h in expected])
-
-
-# (--threads, os.cpu_count(), max_workers of the pool, None for no pool)
-THREAD_CAPS = [(10 ** 6, 2, 2), (3, 64, 3), (8, None, None), (1, 64, None)]
-
-
-@pytest.mark.parametrize("threads, cpus, workers", THREAD_CAPS)
-def test_solve_pairs_starts_at_most_cpu_count_workers(threads, cpus, workers,
-                                                      monkeypatch):
-    pools = []
-
-    class RecordingExecutor:
-        """Records max_workers and solves in the calling thread."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(alignment, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(alignment.os, "cpu_count", lambda: cpus)
-    ma, mb, params, grid = engine_case(14, 6)
-    solved = alignment.solve_pairs(generate_submaps(ma, params),
-                                   generate_submaps(mb, params), params, threads)
-    assert pools == ([] if workers is None else [workers])
-    assert len(solved) == len({(sa.landmark_ids, sb.landmark_ids)
-                               for _, sa, _, sb, _ in grid}) > 3
 
 
 @pytest.mark.parametrize("n_points, n_max", ENGINE_CASES)

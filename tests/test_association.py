@@ -247,7 +247,7 @@ def test_densest_clique_output_always_feasible():
 
 
 def _reference_ascend(M, u, iterations, restart):
-    """The ascent loop with no 2-cycle exit: it runs every step until the
+    """The ascent loop with no cycle exit: it runs every step until the
     1e-9 convergence test fires."""
     for _ in range(iterations):
         v = np.maximum(M @ u, 0.0)
@@ -303,6 +303,17 @@ def test_ascend_two_cycle_returns_the_full_schedule_result(state):
         assert counted.calls <= 3
         ends.add(want.tobytes())
     assert len(ends) == 2            # odd and even schedules end apart
+
+
+def test_ascend_longer_cycle_returns_the_full_schedule_result():
+    M = np.roll(np.eye(3), 1, axis=0)        # e_0 -> e_1 -> e_2 -> e_0
+    start = np.eye(3)[0]
+    for iterations in (1, 2, 3, 4, 5, 6, 7, 199, 200):
+        counted = CountingMatrix(M)
+        got = _ascend(counted, start, iterations, start)
+        want = _reference_ascend(M, start, iterations, start)
+        assert got.tobytes() == want.tobytes()
+        assert counted.calls <= 3
 
 
 def test_ascend_convergent_case_is_unchanged():

@@ -214,8 +214,8 @@ TRACKS = {"intrinsics": TRAJECTORY["intrinsics"],
 def small_maps(tmp_path):
     """Two copies of a 20-landmark map, an empty map, a 4-landmark map, a
     120-landmark map, a map file holding a bare number, a truth file, configs
-    with a NaN sigma, an out-of-range omega_percentile and n_max = 101, and
-    valid scene, trajectory and track files."""
+    with a NaN sigma, an out-of-range omega_percentile, n_max = 101 and
+    n_max = 4, and valid scene, trajectory and track files."""
     rng = np.random.default_rng(12)
     pts = rng.uniform(0.0, 5.0, size=(20, 3)) * np.array([1.0, 1.0, 0.3])
     m = ObjectMap("a", [Landmark(i, p, 1e-4 * np.eye(3)) for i, p in enumerate(pts)])
@@ -241,6 +241,8 @@ def small_maps(tmp_path):
     formats.atomic_write(paths["omega_cfg"], "omega_percentile = 150\n")
     paths["n_max_cfg"] = str(tmp_path / "cap.cfg")
     formats.atomic_write(paths["n_max_cfg"], "n_max = 101\n")
+    paths["n_max_4_cfg"] = str(tmp_path / "n_max_4.cfg")
+    formats.atomic_write(paths["n_max_4_cfg"], "n_max = 4\n")
     paths["dir"], paths["out"] = str(tmp_path), str(tmp_path / "out")
     return paths
 
@@ -264,13 +266,18 @@ NAN = float("nan")
 
 # case: (argv, {input file: patch of its JSON}, expected name)
 MALFORMED = {
-    "threads_flag_below_1": (["match", "--threads", "-2"], {}, "--threads"),
+    # usage errors exit 1 too, not argparse's 2, which is match's "no hypothesis"
+    "removed_threads_flag": (["match", "--threads", "2"], {}, "--threads"),
+    "repeats_not_an_int": (["evaluate", "--repeats", "abc"], {}, "--repeats"),
+    "missing_out_flag": (["submaps", "--map", "{a}"], {}, "--out"),
     "repeats_below_3": (["evaluate", "--repeats", "1"], {}, "--repeats"),
     "negative_voxel": (["evaluate", "--voxel", "-1"], {}, "--voxel"),
     "empty_map": (["match", "--map-b", "{empty}"], {}, "landmarks"),
     "directory_as_map": (["match", "--map-a", "{dir}"], {}, "{dir}"),
     "negative_top_k": (["match", "--top-k", "-1"], {}, "--top-k"),
     "nan_sigma": (["match", "--config", "{nan_cfg}"], {}, "sigma"),
+    "n_max_not_above_s_max": (["match", "--config", "{n_max_4_cfg}"], {},
+                              "n_max must be > s_max"),
     "no_submap_pair": (["evaluate", "--map-a", "{tiny}", "--map-b", "{tiny}"],
                        {}, "s_max"),
     # 114 inliers each: 101 x 101 candidates per submap pair, over the cap
@@ -323,7 +330,7 @@ def test_malformed_input_exits_1_naming_field(case, small_maps, capsys):
         small_maps[name] = small_maps[name] + ".patched"
         formats.atomic_write(small_maps[name], json.dumps(doc))
     command, extra = argv[0], argv[1:]
-    base = BASE_ARGS[command]
+    base = BASE_ARGS.get(command, [])
     base = {k: v for k, v in zip(base[::2], base[1::2]) if k not in extra[::2]}
     args = [command] + [x for kv in base.items() for x in kv] + extra
     assert cli.run([a.format(**small_maps) for a in args]) == 1

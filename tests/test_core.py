@@ -210,6 +210,8 @@ def test_hyperparameters_validation():
         Hyperparameters(sigma=0.2)          # epsilon < sigma
     with pytest.raises(ValueError):
         Hyperparameters(overlap=3.0)        # overlap > window
+    with pytest.raises(ValueError, match="n_max must be > s_max"):
+        Hyperparameters(n_max=4)            # n_max <= s_max
     with pytest.raises(ValueError):
         Hyperparameters(n_min=0)
     with pytest.raises(ValueError):
