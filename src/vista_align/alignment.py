@@ -2,6 +2,11 @@
 dynamic-feasibility pruning and the all-to-all submap matching driver.
 
 Hypotheses map coordinates expressed in map A's frame into map B's frame.
+`align_maps` keeps only hypotheses with more than `s_max` inliers, so it does
+not solve a pair whose consistency graph holds no clique of `s_max + 1`
+candidates: the densest-clique result is a clique, so it could not pass.
+`evaluate_map_pair` and `timing` solve every pair: the PR table needs every
+cardinality, and the runtime columns time every solve.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .association import Association, build_affinity, densest_clique
+from .association import (Association, build_affinity, densest_clique,
+                          has_clique)
 from .core import DegenerateGeometryError, RigidTransform, transform_angles
 from .submap import generate_submaps
 
@@ -60,13 +66,18 @@ def prune(hypothesis, params):
     return None
 
 
-def solve_submap_pair(submap_a, submap_b, params):
+def solve_submap_pair(submap_a, submap_b, params, need=0):
     """One correspondence search step: affinity -> densest clique -> Arun.
 
     Returns (transform, inlier set) or None when no transform is estimable
-    (fewer than 3 inliers, or degenerate geometry).
+    (fewer than 3 inliers, or degenerate geometry), or when need > 0 and the
+    consistency graph holds no clique of need + 1 candidates. The inlier set
+    is always such a clique, so a skipped pair is one whose solve could not
+    have returned more than `need` inliers.
     """
     pairs, affinity = build_affinity(submap_a, submap_b, params)
+    if need > 0 and not has_clique(affinity, need + 1):
+        return None
     selected = pairs[densest_clique(affinity)]    # sorted by (index_a, index_b)
     if len(selected) < 3:
         return None
@@ -78,8 +89,9 @@ def solve_submap_pair(submap_a, submap_b, params):
     return transform, frozenset(Association(i, k) for i, k in selected.tolist())
 
 
-def solve_pairs(subs_a, subs_b, params):
-    """Solve every distinct submap pair of the all-to-all grid once.
+def solve_pairs(subs_a, subs_b, params, need=0):
+    """Solve every distinct submap pair of the all-to-all grid once, passing
+    `need` on to `solve_submap_pair`.
 
     Grid cells whose submaps have identical landmark content share one solve
     (results are identical by construction). Returns
@@ -94,7 +106,8 @@ def solve_pairs(subs_a, subs_b, params):
     for ga in groups_a.values():
         for gb in groups_b.values():
             t0 = time.perf_counter()
-            result = solve_submap_pair(subs_a[ga[0]], subs_b[gb[0]], params)
+            result = solve_submap_pair(subs_a[ga[0]], subs_b[gb[0]], params,
+                                       need)
             solved[tuple(ga), tuple(gb)] = result, time.perf_counter() - t0
     return solved
 
@@ -105,6 +118,9 @@ def align_maps(map_a, map_b, params):
     Returns all kept hypotheses sorted by cardinality descending, ties broken
     by (source submap id, target submap id); grid pairs with identical
     landmark content each get a hypothesis from their shared solve.
+
+    Pairs that cannot yield more than `s_max` inliers are not solved (see
+    `solve_submap_pair`); the result is the one a solve of every pair gives.
     """
     if len(map_a) == 0 or len(map_b) == 0:
         raise ValueError("maps must be non-empty")
@@ -112,7 +128,8 @@ def align_maps(map_a, map_b, params):
     subs_b = generate_submaps(map_b, params)
 
     hypotheses = []
-    for (grid_a, grid_b), (res, _) in solve_pairs(subs_a, subs_b, params).items():
+    for (grid_a, grid_b), (res, _) in solve_pairs(subs_a, subs_b, params,
+                                                   params.s_max).items():
         if res is None:
             continue
         hyp = AlignmentHypothesis(res[0], res[1], len(res[1]), grid_a[0], grid_b[0])

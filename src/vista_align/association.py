@@ -10,6 +10,12 @@ binary u maximizing u'Au / u'u subject to never selecting a zero-affinity
 pair, found by a projected power-iteration ascent with a geometric homotopy
 penalty on infeasible pairs, then rounded greedily and truncated to the
 densest prefix.
+
+Every set the heuristic returns is a clique of the graph A > 0: rounding and
+local moves only ever add a candidate that is feasible with every member. So
+its cardinality never exceeds the clique number, and `has_clique` tells
+exactly, before any solve, whether a pair can yield more than a given number
+of inliers.
 """
 
 from __future__ import annotations
@@ -209,6 +215,30 @@ def _ascend(M, u, iterations, restart):
     return u
 
 
+def has_clique(affinity, k):
+    """Whether the graph A > 0 holds a clique of k nodes. Exact.
+
+    Each row becomes a Python-int bitset. A depth-first search extends a
+    clique by candidates in index order, each branch keeping only the
+    candidates after the one it took that are adjacent to every member, and
+    cuts the branch once fewer candidates are left than members are still
+    needed.
+    """
+    rows = [int.from_bytes(r.tobytes(), "little") for r in
+            np.packbits(affinity.entries > 0.0, axis=1, bitorder="little")]
+
+    def extend(cand, need):
+        # the diagonal bit of rows[v] is harmless: v has left cand already
+        while cand.bit_count() >= need:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if need == 1 or extend(cand & rows[v], need - 1):
+                return True
+        return False
+
+    return k <= 0 or extend((1 << affinity.size) - 1, k)
+
+
 def densest_clique(affinity):
     """Approximate densest geometrically consistent clique (the inlier set),
     as a sorted array of candidate indices. `affinity` must meet the
@@ -222,6 +252,10 @@ def densest_clique(affinity):
     the restart e_j and j's normalised feasible neighbourhood, or a longer
     one on some overlapping pairs. The result is the one the full 200 steps
     give.
+
+    The result is always a clique of A > 0 (`_grow` and `_local_improve` add
+    only candidates feasible with every member), so its size is at most the
+    clique number that `has_clique` bounds.
     """
     A = affinity.entries
     n = affinity.size

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,6 +179,10 @@ class Hyperparameters:
     t_max: float = 1.5              # translation gate (evaluation), m
 
     def __post_init__(self):
+        for name in ("n_min", "n_max", "s_max"):     # slice sizes and counts
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError("%s must be an integer" % name)
         for name in self.__dataclass_fields__:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be finite and strictly positive" % name)

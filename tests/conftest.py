@@ -1,6 +1,7 @@
 import os
 import sys
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -36,3 +37,11 @@ def looking_at_origin_pose(position, frame_index=0):
     y = np.cross(z, x)
     R = np.column_stack([x, y, z])
     return Pose(R, position, frame_index)
+
+
+def clique_number(affinity):
+    """Clique number of the graph A > 0, by networkx's maximal cliques."""
+    G = nx.Graph()
+    G.add_nodes_from(range(affinity.size))
+    G.add_edges_from(zip(*np.nonzero(np.triu(affinity.entries > 0.0, k=1))))
+    return max((len(c) for c in nx.find_cliques(G)), default=0)

@@ -7,7 +7,7 @@ import pytest
 from vista_align import alignment, evaluation
 from vista_align.alignment import (AlignmentHypothesis, align_maps, arun,
                                    prune, solve_submap_pair)
-from vista_align.association import Association
+from vista_align.association import Association, build_affinity
 from vista_align.core import (DegenerateGeometryError, Hyperparameters,
                               Landmark, ObjectMap, RigidTransform, rotation_x,
                               rotation_z)
@@ -16,7 +16,7 @@ from vista_align.evaluation import (PairOutcome, classify, default_voxel,
 from vista_align.simulation import perturb_frame
 from vista_align.submap import Submap, generate_submaps
 
-from conftest import random_rotation
+from conftest import clique_number, random_rotation
 
 
 def map_from_points(points):
@@ -253,9 +253,9 @@ def test_engine_solves_each_distinct_pair_once(n_points, n_max, monkeypatch):
 
     calls = []
 
-    def counting(sa, sb, p):
+    def counting(sa, sb, p, need=0):
         calls.append((sa.landmark_ids, sb.landmark_ids))
-        return solve_submap_pair(sa, sb, p)
+        return solve_submap_pair(sa, sb, p, need)
 
     monkeypatch.setattr(alignment, "solve_submap_pair", counting)
     hyps = align_maps(ma, mb, params)
@@ -289,9 +289,14 @@ def test_evaluate_map_pair_equals_per_grid_loop(n_points, n_max):
 @pytest.mark.parametrize("n_points, n_max", ENGINE_CASES)
 def test_prune_runs_once_per_distinct_solved_pair(n_points, n_max, monkeypatch):
     ma, mb, params, grid = engine_case(n_points, n_max)
+    pruned = {(12, 50): 1, (14, 6): 30}[n_points, n_max]
     solved = [(sa.landmark_ids, sb.landmark_ids)
               for _, sa, _, sb, res in grid if res is not None]
     assert len(set(solved)) < len(solved)
+    # align_maps does not solve a pair whose graph has no (s_max + 1)-clique
+    no_clique = {(sa.landmark_ids, sb.landmark_ids) for _, sa, _, sb, _ in grid
+                 if clique_number(build_affinity(sa, sb, params)[1]) <= params.s_max}
+    assert len(set(solved) - no_clique) == pruned
     calls = []
 
     def counting(h, p):
@@ -301,7 +306,30 @@ def test_prune_runs_once_per_distinct_solved_pair(n_points, n_max, monkeypatch):
     monkeypatch.setattr(alignment, "prune", counting)
     monkeypatch.setattr(evaluation, "prune", counting)
     align_maps(ma, mb, params)
-    assert len(calls) == len(set(solved))
+    assert len(calls) == pruned
     calls.clear()
     evaluate_map_pair(ma, mb, RigidTransform(np.eye(3), SHIFT), params)
     assert len(calls) == len(set(solved))
+
+
+def test_align_maps_skip_keeps_every_byte(monkeypatch):
+    # several submap contents per map: 114 of the 144 distinct pairs hold no
+    # clique of s_max + 1 candidates, 88 of them pairs that yield a transform
+    ma, mb, params, _ = engine_case(14, 6)
+    exact = alignment.has_clique
+    verdicts = []
+
+    def recording(affinity, k):
+        verdicts.append(exact(affinity, k))
+        return verdicts[-1]
+
+    def key(hyps):
+        return [(h.source_submap, h.target_submap, h.cardinality, h.inliers,
+                 h.transform.rotation.tobytes(), h.transform.translation.tobytes())
+                for h in hyps]
+
+    monkeypatch.setattr(alignment, "has_clique", recording)
+    skipping = align_maps(ma, mb, params)
+    assert len(verdicts) == 144 and verdicts.count(False) == 114
+    monkeypatch.setattr(alignment, "has_clique", lambda affinity, k: True)
+    assert skipping and key(skipping) == key(align_maps(ma, mb, params))

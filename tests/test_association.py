@@ -8,12 +8,12 @@ from vista_align import association
 from vista_align.association import (MAX_CANDIDATES, AffinityMatrix,
                                      _ascend, build_affinity,
                                      consistency_score, densest_clique,
-                                     densest_clique_exact)
+                                     densest_clique_exact, has_clique)
 from vista_align.core import (Hyperparameters, RigidTransform, SizeLimitError,
                               TooLargeError, rotation_z)
 from vista_align.submap import Submap
 
-from conftest import random_rotation
+from conftest import clique_number, random_rotation
 
 
 def sub(points):
@@ -228,6 +228,44 @@ def test_densest_clique_empty_input():
     aff = AffinityMatrix(0, np.zeros((0, 0)))
     assert densest_clique(aff).size == 0
     assert densest_clique_exact(aff).size == 0
+    assert has_clique(aff, 0) and not has_clique(aff, 1)
+
+
+@st.composite
+def clique_cases(draw):
+    """An affinity from build_affinity on seeded point sets that share a
+    rigidly moved, noisy part, or a random symmetric matrix whose
+    off-diagonal entries are 0 or positive."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        na, nb = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        pa = rng.uniform(0.0, 2.0, size=(na, 3))
+        pb = rng.uniform(0.0, 2.0, size=(nb, 3))
+        k = draw(st.integers(0, min(na, nb)))
+        t = RigidTransform(rotation_z(rng.uniform(-180.0, 180.0)),
+                           rng.normal(size=3))
+        pb[:k] = t.apply(pa[:k]) + rng.normal(0.0, 0.02, size=(k, 3))
+        return build_affinity(sub(pa), sub(pb), Hyperparameters())[1]
+    n = draw(st.integers(0, 24))
+    M = np.triu(rng.uniform(size=(n, n)), k=1)
+    M[rng.uniform(size=(n, n)) > rng.uniform()] = 0.0
+    M = M + M.T
+    np.fill_diagonal(M, 1.0)
+    return AffinityMatrix(n, M)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(aff=clique_cases())
+def test_densest_clique_is_a_clique_and_has_clique_is_exact(aff):
+    # align_maps skips a pair with no (s_max + 1)-clique because of this:
+    # the heuristic's inlier set is a clique, so it is no larger than omega.
+    omega = clique_number(aff)
+    out = densest_clique(aff)
+    assert np.all(aff.entries[np.ix_(out, out)] > 0.0)
+    assert len(out) <= omega
+    for k in range(omega + 2):
+        assert has_clique(aff, k) == (k <= omega)
+    assert not has_clique(aff, aff.size + 1)
 
 
 def test_densest_clique_output_always_feasible():

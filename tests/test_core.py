@@ -214,5 +214,10 @@ def test_hyperparameters_validation():
         Hyperparameters(n_max=4)            # n_max <= s_max
     with pytest.raises(ValueError):
         Hyperparameters(n_min=0)
+    for name, value in (("n_max", 10.5), ("s_max", 4.5), ("n_min", 3.0),
+                        ("s_max", True)):
+        with pytest.raises(ValueError, match="%s must be an integer" % name):
+            Hyperparameters(**{name: value})
+    assert Hyperparameters(n_max=np.int64(10)).n_max == 10
     with pytest.raises(ValueError):
         Hyperparameters(theta_overlap=1.5)
