@@ -3,8 +3,8 @@ evaluation for monocular multi-agent localization."""
 
 from .core import (BehindCameraError, CameraIntrinsics, DegenerateGeometryError,
                    DivergedError, Hyperparameters, InputError, Landmark,
-                   ObjectMap, Pose, RigidTransform, SizeLimitError,
-                   TooLargeError, Track, project, transform_angles, unproject)
+                   ObjectMap, Pose, RigidTransform, SizeLimitError, Track,
+                   project, transform_angles, unproject)
 from .triangulation import build_map, filter_tracks, initial_guess, refine
 from .submap import Submap, generate_submaps, mahalanobis_filter
 from .association import (AffinityMatrix, Association, build_affinity,

@@ -5,8 +5,8 @@ Hypotheses map coordinates expressed in map A's frame into map B's frame.
 `align_maps` keeps only hypotheses with more than `s_max` inliers, so it does
 not solve a pair whose consistency graph holds no clique of `s_max + 1`
 candidates: the densest-clique result is a clique, so it could not pass.
-`evaluate_map_pair` and `timing` solve every pair: the PR table needs every
-cardinality, and the runtime columns time every solve.
+`evaluation.timing` solves every pair `repeats` times: the PR table scores
+every cardinality of the first pass, and the runtime columns time every pass.
 """
 
 from __future__ import annotations
@@ -94,22 +94,20 @@ def solve_pairs(subs_a, subs_b, params, need=0):
     `need` on to `solve_submap_pair`.
 
     Grid cells whose submaps have identical landmark content share one solve
-    (results are identical by construction). Returns
-    {(grid_a, grid_b): (solve_submap_pair result, seconds)}, where grid_a and
-    grid_b are the tuples of grid indices that share one content.
+    (results are identical by construction). Yields
+    (grid_a, grid_b, solve_submap_pair result, seconds) per solve, where grid_a
+    and grid_b are the tuples of grid indices that share one content.
     """
     groups_a, groups_b = {}, {}
     for subs, groups in ((subs_a, groups_a), (subs_b, groups_b)):
         for i, sm in enumerate(subs):
             groups.setdefault(sm.landmark_ids, []).append(i)
-    solved = {}
     for ga in groups_a.values():
         for gb in groups_b.values():
             t0 = time.perf_counter()
             result = solve_submap_pair(subs_a[ga[0]], subs_b[gb[0]], params,
                                        need)
-            solved[tuple(ga), tuple(gb)] = result, time.perf_counter() - t0
-    return solved
+            yield tuple(ga), tuple(gb), result, time.perf_counter() - t0
 
 
 def align_maps(map_a, map_b, params):
@@ -128,8 +126,8 @@ def align_maps(map_a, map_b, params):
     subs_b = generate_submaps(map_b, params)
 
     hypotheses = []
-    for (grid_a, grid_b), (res, _) in solve_pairs(subs_a, subs_b, params,
-                                                   params.s_max).items():
+    for grid_a, grid_b, res, _ in solve_pairs(subs_a, subs_b, params,
+                                              params.s_max):
         if res is None:
             continue
         hyp = AlignmentHypothesis(res[0], res[1], len(res[1]), grid_a[0], grid_b[0])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SizeLimitError, TooLargeError
+from .core import SizeLimitError
 
 MAX_CANDIDATES = 10000
 _SUPPORT_TOL = 1e-8
@@ -293,7 +293,7 @@ def densest_clique_exact(affinity):
     A = affinity.entries
     n = affinity.size
     if n > 20:
-        raise TooLargeError("exhaustive enumeration is capped at 20 associations")
+        raise SizeLimitError("exhaustive enumeration is capped at 20 candidates")
     Z = np.asarray(np.logical_not(A > 0.0), dtype=float)
     np.fill_diagonal(Z, 0.0)
 

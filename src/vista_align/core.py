@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,10 +32,6 @@ class DivergedError(Exception):
 
 class SizeLimitError(Exception):
     """Candidate-association count exceeds the configured cap."""
-
-
-class TooLargeError(Exception):
-    """Problem size exceeds what the exhaustive oracle can enumerate."""
 
 
 class InputError(Exception):
@@ -179,7 +175,7 @@ class Hyperparameters:
     t_max: float = 1.5              # translation gate (evaluation), m
 
     def __post_init__(self):
-        for name in ("n_min", "n_max", "s_max"):     # slice sizes and counts
+        for name in self.int_fields():     # slice sizes and counts
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError("%s must be an integer" % name)
@@ -196,6 +192,10 @@ class Hyperparameters:
             raise ValueError("theta_overlap must lie in (0, 1]")
         if self.omega_percentile > 100:
             raise ValueError("omega_percentile must lie in (0, 100]")
+
+    @classmethod
+    def int_fields(cls):     # names of the fields annotated int
+        return [f.name for f in fields(cls) if f.type in (int, "int")]
 
 
 @dataclass(frozen=True)

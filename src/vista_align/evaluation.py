@@ -84,9 +84,10 @@ def precision_recall(outcomes, params, s_max_sweep):
     return rows
 
 
-def evaluate_map_pair(map_a, map_b, truth, params, voxel=None):
-    """Run the full correspondence search over every submap pair and collect
-    per-pair outcomes for PR aggregation.
+def evaluate_map_pair(map_a, map_b, truth, params, voxel=None, repeats=3):
+    """Solve every submap pair `repeats` times (see `timing`) and return
+    (outcomes, mean_s, std_s): the first pass's per-pair outcomes for PR
+    aggregation, and seconds per solve. No submap pair gives ([], nan, nan).
 
     `truth` maps map-A-frame coordinates into map-B-frame coordinates; IoU is
     computed after pulling map B's submaps back into map A's frame.
@@ -95,14 +96,15 @@ def evaluate_map_pair(map_a, map_b, truth, params, voxel=None):
         voxel = default_voxel(params)
     subs_a = generate_submaps(map_a, params)
     subs_b = generate_submaps(map_b, params)
+    solved, mean_s, std_s = (timing(subs_a, subs_b, params, repeats)
+                             if subs_a and subs_b else ([], np.nan, np.nan))
     truth_inv = truth.inverse()
 
     outcomes = []
-    for (grid_a, grid_b), (res, _) in solve_pairs(subs_a, subs_b, params).items():
+    for grid_a, grid_b, res, _ in solved:
         sa, sb = subs_a[grid_a[0]], subs_b[grid_b[0]]
-        if res is None:
-            cardinality, attitude_ok, correct = 0, False, False
-        else:
+        cardinality, attitude_ok, correct = 0, False, False
+        if res is not None:
             hyp = AlignmentHypothesis(res[0], res[1], len(res[1]), grid_a[0], grid_b[0])
             cardinality = hyp.cardinality
             attitude_ok = prune(hyp, params) != "attitude"
@@ -110,19 +112,19 @@ def evaluate_map_pair(map_a, map_b, truth, params, voxel=None):
         iou = submap_iou(sa, replace(sb, points=truth_inv.apply(sb.points)), voxel)
         outcomes += [PairOutcome(iou, cardinality, attitude_ok, correct)] \
             * (len(grid_a) * len(grid_b))
-    return outcomes
+    return outcomes, mean_s, std_s
 
 
-def timing(map_a, map_b, params, repeats):
-    """Wall-clock (mean, std) seconds per correspondence search step, i.e.
-    one affinity + densest-clique + Arun call on a submap pair. Duplicate
-    submap contents are timed once per repeat; no pair is a ValueError."""
+def timing(subs_a, subs_b, params, repeats):
+    """Solve every distinct pair of two submap grids `repeats` (>= 3) times.
+    Returns the first pass's `solve_pairs` items and the wall-clock (mean, std)
+    seconds per solve over all passes; later passes keep only their seconds.
+    No pair is a ValueError."""
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
-    subs_a = generate_submaps(map_a, params)
-    subs_b = generate_submaps(map_b, params)
-    durations = np.array([seconds for _ in range(repeats) for _, seconds
-                          in solve_pairs(subs_a, subs_b, params).values()])
-    if not durations.size:
+    first = list(solve_pairs(subs_a, subs_b, params))
+    if not first:
         raise ValueError("no submap pair to time")
-    return float(durations.mean()), float(durations.std())
+    seconds = [s for *_, s in first] + [s for _ in range(repeats - 1)
+                                        for *_, s in solve_pairs(subs_a, subs_b, params)]
+    return first, float(np.mean(seconds)), float(np.std(seconds))

@@ -189,13 +189,11 @@ def load_track_file(path):
         return parse_track_file(fh.read())
 
 
-_INT_KEYS = {"n_min", "n_max", "s_max"}
-
-
 def parse_config(text):
-    """Parse a flat `key = value` config; unknown keys are rejected."""
+    """Parse a flat `key = value` config; unknown or repeated keys are rejected."""
     values = {}
     known = set(Hyperparameters.__dataclass_fields__)
+    int_keys = Hyperparameters.int_fields()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -206,10 +204,13 @@ def parse_config(text):
         key = key.strip()
         if key not in known:
             raise InputError("unknown config key '%s'" % key)
+        if key in values:
+            raise InputError("config key '%s' is set twice" % key)
         try:
-            values[key] = int(val) if key in _INT_KEYS else float(val)
+            values[key] = int(val) if key in int_keys else float(val)
         except ValueError as exc:
-            raise InputError("config key '%s' has a non-numeric value" % key) from exc
+            raise InputError("config key '%s' must be %s" % (
+                key, "an integer" if key in int_keys else "a number")) from exc
     with _invalid("config"):
         return Hyperparameters(**values)
 

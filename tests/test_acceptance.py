@@ -21,7 +21,7 @@ from vista_align.evaluation import (PairOutcome, classify, evaluate_map_pair,
                                     precision_recall, timing)
 from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
                                     perturb_frame, render_tracks)
-from vista_align.submap import inlier_map
+from vista_align.submap import generate_submaps, inlier_map
 
 from conftest import random_rotation
 
@@ -213,7 +213,7 @@ def end_to_end():
                                       float(rng.uniform(-5.0, 5.0)), 0.0])
         outcomes.extend(evaluate_map_pair(inlier_map(map_a, params),
                                           inlier_map(map_b, params),
-                                          truth, params))
+                                          truth, params)[0])
         if seed < 3:
             hyps = align_maps(map_a, map_b, params)
             top_correct.append(bool(hyps)
@@ -285,7 +285,9 @@ def test_criterion_8_comparison_timing():
     map_a = ObjectMap("a", [Landmark(i, p, 1e-4 * np.eye(3))
                             for i, p in enumerate(pts)])
     map_b, _ = perturb_frame(map_a, 30.0, [2.0, -1.0, 0.0])
-    mean, std = timing(map_a, map_b, Hyperparameters(), 3)
+    params = Hyperparameters()
+    _, mean, std = timing(generate_submaps(map_a, params),
+                          generate_submaps(map_b, params), params, 3)
     print("50x50 comparison: %.3f s +- %.3f s" % (mean, std))
     _report(8, mean < 1.5)
 

@@ -10,7 +10,7 @@ from vista_align.association import (MAX_CANDIDATES, AffinityMatrix,
                                      consistency_score, densest_clique,
                                      densest_clique_exact, has_clique)
 from vista_align.core import (Hyperparameters, RigidTransform, SizeLimitError,
-                              TooLargeError, rotation_z)
+                              rotation_z)
 from vista_align.submap import Submap
 
 from conftest import clique_number, random_rotation
@@ -220,7 +220,7 @@ def test_densest_clique_exact_triangle_with_pendants():
 
 def test_densest_clique_exact_too_large():
     aff = unit_graph(21, [])
-    with pytest.raises(TooLargeError):
+    with pytest.raises(SizeLimitError, match="capped at 20"):
         densest_clique_exact(aff)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -214,8 +215,9 @@ TRACKS = {"intrinsics": TRAJECTORY["intrinsics"],
 def small_maps(tmp_path):
     """Two copies of a 20-landmark map, an empty map, a 4-landmark map, a
     120-landmark map, a map file holding a bare number, a truth file, configs
-    with a NaN sigma, an out-of-range omega_percentile, n_max = 101 and
-    n_max = 4, and valid scene, trajectory and track files."""
+    with a NaN sigma, an out-of-range omega_percentile, n_max = 101,
+    n_max = 4, n_max set twice and n_max = 1e2, and valid scene, trajectory
+    and track files."""
     rng = np.random.default_rng(12)
     pts = rng.uniform(0.0, 5.0, size=(20, 3)) * np.array([1.0, 1.0, 0.3])
     m = ObjectMap("a", [Landmark(i, p, 1e-4 * np.eye(3)) for i, p in enumerate(pts)])
@@ -243,6 +245,10 @@ def small_maps(tmp_path):
     formats.atomic_write(paths["n_max_cfg"], "n_max = 101\n")
     paths["n_max_4_cfg"] = str(tmp_path / "n_max_4.cfg")
     formats.atomic_write(paths["n_max_4_cfg"], "n_max = 4\n")
+    paths["dup_cfg"] = str(tmp_path / "dup.cfg")
+    formats.atomic_write(paths["dup_cfg"], "n_max = 10\nn_max = 20\n")
+    paths["exp_cfg"] = str(tmp_path / "exp.cfg")
+    formats.atomic_write(paths["exp_cfg"], "n_max = 1e2\n")
     paths["dir"], paths["out"] = str(tmp_path), str(tmp_path / "out")
     return paths
 
@@ -278,6 +284,10 @@ MALFORMED = {
     "nan_sigma": (["match", "--config", "{nan_cfg}"], {}, "sigma"),
     "n_max_not_above_s_max": (["match", "--config", "{n_max_4_cfg}"], {},
                               "n_max must be > s_max"),
+    "config_key_set_twice": (["match", "--config", "{dup_cfg}"], {},
+                             "'n_max' is set twice"),
+    "config_int_in_float_notation": (["match", "--config", "{exp_cfg}"], {},
+                                     "'n_max' must be an integer"),
     "no_submap_pair": (["evaluate", "--map-a", "{tiny}", "--map-b", "{tiny}"],
                        {}, "s_max"),
     # 114 inliers each: 101 x 101 candidates per submap pair, over the cap
@@ -343,9 +353,9 @@ def test_evaluate_times_the_filtered_maps_it_scores(small_maps, monkeypatch):
     seen = {}
 
     def record(name, fn):
-        def wrapper(map_a, map_b, *args, **kwargs):
-            seen[name] = (map_a, map_b)
-            return fn(map_a, map_b, *args, **kwargs)
+        def wrapper(*args, **kwargs):
+            seen[name] = args, fn(*args, **kwargs)
+            return seen[name][1]
         return wrapper
 
     monkeypatch.setattr(evaluation, "evaluate_map_pair",
@@ -355,10 +365,43 @@ def test_evaluate_times_the_filtered_maps_it_scores(small_maps, monkeypatch):
                     "--map-b", small_maps["b"], "--truth", small_maps["truth"],
                     "--out", small_maps["out"]]) == 0
     raw = formats.load_map(small_maps["a"])
-    inliers = submap.mahalanobis_filter(raw, Hyperparameters().omega_percentile)
+    params = Hyperparameters()
+    inliers = submap.mahalanobis_filter(raw, params.omega_percentile)
     assert len(inliers) < len(raw)
+    (map_a, map_b, *_), (outcomes, mean_s, std_s) = seen["outcomes"]
+    (subs_a, subs_b, *_), (first, *seconds) = seen["timing"]
+    assert ([[lm.landmark_id for lm in m.landmarks] for m in (map_a, map_b)]
+            == [[lm.landmark_id for lm in inliers.landmarks]] * 2)
+    expected = [s.landmark_ids for s in submap.generate_submaps(inliers, params)]
+    assert ([s.landmark_ids for s in subs_a] == [s.landmark_ids for s in subs_b]
+            == expected)
+    # the scored cardinalities are those of the timed first pass
+    timed = Counter()
+    for grid_a, grid_b, res, _ in first:
+        timed[0 if res is None else len(res[1])] += len(grid_a) * len(grid_b)
+    assert Counter(o.cardinality for o in outcomes) == timed
+    assert seconds == [mean_s, std_s]
 
-    def ids(maps):
-        return [[lm.landmark_id for lm in m.landmarks] for m in maps]
 
-    assert ids(seen["timing"]) == ids(seen["outcomes"]) == ids([inliers] * 2)
+def test_evaluate_solves_each_distinct_pair_repeats_times(small_maps,
+                                                          monkeypatch):
+    solve = alignment.solve_submap_pair
+    calls = []
+
+    def counting(sa, sb, *args):
+        calls.append((sa.landmark_ids, sb.landmark_ids))
+        return solve(sa, sb, *args)
+
+    monkeypatch.setattr(alignment, "solve_submap_pair", counting)
+    cfg = os.path.join(small_maps["dir"], "n_max_18.cfg")
+    formats.atomic_write(cfg, "n_max = 18\n")     # 4 distinct submaps of 25
+    assert cli.run(["evaluate", "--map-a", small_maps["a"],
+                    "--map-b", small_maps["b"], "--truth", small_maps["truth"],
+                    "--out", small_maps["out"], "--repeats", "3",
+                    "--config", cfg]) == 0
+    params = Hyperparameters(n_max=18)
+    subs = submap.generate_submaps(
+        submap.inlier_map(formats.load_map(small_maps["a"]), params), params)
+    distinct = {(sa.landmark_ids, sb.landmark_ids) for sa in subs for sb in subs}
+    assert 1 < len(distinct) < len(subs) ** 2
+    assert Counter(calls) == {pair: 3 for pair in distinct}

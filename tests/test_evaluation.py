@@ -6,7 +6,7 @@ from vista_align.core import (Hyperparameters, Landmark, ObjectMap,
 from vista_align.evaluation import (PairOutcome, classify, default_voxel,
                                     evaluate_map_pair, precision_recall,
                                     submap_iou, timing)
-from vista_align.submap import Submap
+from vista_align.submap import Submap, generate_submaps
 
 
 def sub(points):
@@ -146,8 +146,9 @@ def test_evaluate_map_pair_perfect_alignment():
     ma = map_from_points(pts)
     mb = map_from_points(truth.apply(pts))
     params = Hyperparameters()
-    outcomes = evaluate_map_pair(ma, mb, truth, params)
+    outcomes, mean_s, std_s = evaluate_map_pair(ma, mb, truth, params)
     assert outcomes
+    assert mean_s > 0.0 and std_s >= 0.0
     rows = precision_recall(outcomes, params, [4])
     assert rows[0].precision == 1.0
     assert rows[0].recall == 1.0
@@ -161,30 +162,37 @@ def test_evaluate_map_pair_wrong_truth_gives_zero_recall():
     wrong = RigidTransform(rotation_z(-60.0), np.array([-20.0, 10.0, 0.0]))
     ma = map_from_points(pts)
     mb = map_from_points(truth.apply(pts))
-    outcomes = evaluate_map_pair(ma, mb, wrong, Hyperparameters())
+    outcomes, _, _ = evaluate_map_pair(ma, mb, wrong, Hyperparameters())
     rows = precision_recall(outcomes, Hyperparameters(), [4])
     assert rows[0].precision == 0.0
 
 
 def test_timing_enforces_min_repeats():
     m = map_from_points(np.random.default_rng(6).uniform(size=(8, 3)))
+    subs = generate_submaps(m, Hyperparameters())
     with pytest.raises(ValueError):
-        timing(m, m, Hyperparameters(), 2)
+        timing(subs, subs, Hyperparameters(), 2)
 
 
 def test_timing_rejects_maps_without_submaps():
     # 4 landmarks cannot fill a submap that passes |S| > s_max = 4
     m = map_from_points(np.random.default_rng(6).uniform(size=(4, 3)))
+    subs = generate_submaps(m, Hyperparameters())
+    assert subs == []
     with pytest.raises(ValueError, match="no submap pair"):
-        timing(m, m, Hyperparameters(), 3)
+        timing(subs, subs, Hyperparameters(), 3)
+    outcomes, mean_s, std_s = evaluate_map_pair(m, m, RigidTransform.identity(),
+                                                Hyperparameters())
+    assert outcomes == [] and np.isnan(mean_s) and np.isnan(std_s)
 
 
 def test_timing_small_pair_is_fast():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.0, 0.8, size=(5, 3))
     m = map_from_points(pts)
+    subs = generate_submaps(m, Hyperparameters())
     # the best of three means: one mean of a ~6 ms solve can pass 10 ms on a
     # busy host, which says nothing about the program
-    runs = [timing(m, m, Hyperparameters(), 5) for _ in range(3)]
+    runs = [timing(subs, subs, Hyperparameters(), 5)[1:] for _ in range(3)]
     assert min(mean for mean, _ in runs) < 0.01
     assert all(std >= 0.0 for _, std in runs)

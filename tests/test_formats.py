@@ -177,8 +177,10 @@ def test_parse_config_unknown_key_named():
 
 
 def test_parse_config_non_numeric_value():
-    with pytest.raises(InputError, match="sigma"):
+    with pytest.raises(InputError, match="'sigma' must be a number"):
         formats.parse_config("sigma = fast\n")
+    with pytest.raises(InputError, match="'s_max' must be an integer"):
+        formats.parse_config("s_max = 4.0\n")
 
 
 def test_parse_config_invalid_combination_reported():
