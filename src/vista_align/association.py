@@ -90,7 +90,7 @@ def build_affinity(submap_a, submap_b, params):
     valid &= (DB >= params.gamma)[None, :, None, :]   # gamma within map B
     kernel = X[valid]
     X.fill(0.0)
-    X[valid] = np.exp(-0.5 * (kernel / params.sigma) ** 2)
+    X[valid] = consistency_score(kernel, params.sigma, params.epsilon)
     M = X.reshape(n, n)
     np.fill_diagonal(M, 1.0)
 

@@ -240,17 +240,6 @@ def project(pose, intrinsics, point):
                      intrinsics.fy * p_cam[1] / z + intrinsics.cy])
 
 
-def unproject(pose, intrinsics, pixel, depth):
-    """Back-project a pixel at a given camera-frame depth into the odometry frame."""
-    if depth <= 0:
-        raise ValueError("depth must be positive")
-    u, v = float(pixel[0]), float(pixel[1])
-    p_cam = np.array([(u - intrinsics.cx) / intrinsics.fx * depth,
-                      (v - intrinsics.cy) / intrinsics.fy * depth,
-                      depth])
-    return pose.rotation @ p_cam + pose.translation
-
-
 def transform_angles(t):
     """Z-Y-X Euler decomposition of a transform's rotation, in degrees.
 

@@ -61,26 +61,24 @@ class PrPoint:
     recall: float
     n_hypothesized: int
     n_overlapping: int
-    precision_defined: bool
 
 
 def precision_recall(outcomes, params, s_max_sweep):
     """PR table over the cardinality-gate sweep.
 
     Hypothesized = attitude-surviving outcomes with |S| > s_max. Precision is
-    reported as 1.0 (flagged undefined) when nothing is hypothesized.
+    undefined when nothing is hypothesized (n_hypothesized == 0) and is then
+    reported as 1.0.
     """
     overlapping = [o for o in outcomes if o.iou > params.theta_overlap]
     rows = []
     for s_max in s_max_sweep:
         hyp = [o for o in outcomes if o.attitude_ok and o.cardinality > s_max]
         n_correct = sum(o.correct for o in hyp)
-        defined = len(hyp) > 0
-        precision = n_correct / len(hyp) if defined else 1.0
+        precision = n_correct / len(hyp) if hyp else 1.0
         n_recalled = sum(o.correct for o in hyp if o.iou > params.theta_overlap)
         recall = n_recalled / len(overlapping) if overlapping else 0.0
-        rows.append(PrPoint(s_max, precision, recall, len(hyp),
-                            len(overlapping), defined))
+        rows.append(PrPoint(s_max, precision, recall, len(hyp), len(overlapping)))
     return rows
 
 

@@ -56,6 +56,15 @@ def _json(text, what):
         raise InputError("%s is not valid JSON: %s" % (what, exc)) from exc
 
 
+def _read(path):
+    """The text of an input file, which must be UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError("%s is not UTF-8 text: %s" % (path, exc)) from exc
+
+
 def _require(record, field, kind=None, context="", default=None, length=None):
     """record[field] as a `kind` (a JSON boolean never is one), or as a float
     array of `length` numbers; if absent, `default` or an error."""
@@ -122,8 +131,7 @@ def save_map(obj_map, path):
 
 
 def load_map(path):
-    with open(path) as fh:
-        return parse_map(fh.read())
+    return parse_map(_read(path))
 
 
 def track_file_to_json(intrinsics, poses, tracks):
@@ -185,8 +193,7 @@ def save_track_file(path, intrinsics, poses, tracks):
 
 
 def load_track_file(path):
-    with open(path) as fh:
-        return parse_track_file(fh.read())
+    return parse_track_file(_read(path))
 
 
 def parse_config(text):
@@ -216,8 +223,7 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path) as fh:
-        return parse_config(fh.read())
+    return parse_config(_read(path))
 
 
 def transform_to_json(transform):
@@ -252,8 +258,7 @@ def parse_transform(text):
 
 
 def load_transform(path):
-    with open(path) as fh:
-        return parse_transform(fh.read())
+    return parse_transform(_read(path))
 
 
 def save_ground_truth(path, scene):
@@ -277,8 +282,7 @@ def parse_scene_spec(text):
 
 
 def load_scene_spec(path):
-    with open(path) as fh:
-        return parse_scene_spec(fh.read())
+    return parse_scene_spec(_read(path))
 
 
 def parse_trajectory_spec(text):
@@ -298,8 +302,7 @@ def parse_trajectory_spec(text):
 
 
 def load_trajectory_spec(path):
-    with open(path) as fh:
-        return parse_trajectory_spec(fh.read())
+    return parse_trajectory_spec(_read(path))
 
 
 def submap_to_json(sm):

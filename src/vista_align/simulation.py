@@ -176,9 +176,3 @@ def perturb_frame(obj_map, yaw_deg, translation):
         landmarks.append(Landmark(lm.landmark_id, truth.apply(lm.position), cov))
     return ObjectMap(obj_map.agent_id, landmarks, obj_map.frame_label), truth
 
-
-def scene_truth_map(scene, agent_id="truth", frame_label="world"):
-    """Ground-truth ObjectMap of the static objects (zero covariance)."""
-    landmarks = [Landmark(i, obj.position, np.zeros((3, 3)))
-                 for i, obj in enumerate(scene) if not obj.dynamic]
-    return ObjectMap(agent_id, landmarks, frame_label)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -199,6 +201,23 @@ def test_full_pipeline_evaluate(workdir):
     assert float(s4["recall"]) == 1.0
 
 
+def test_runtime_imports_only_numpy():
+    """numpy is the one dependency: importing the CLI loads no other
+    third-party package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    report = "import sys; print(' '.join({m.split('.')[0] for m in sys.modules}))"
+
+    def top_level(prelude):
+        out = subprocess.run([sys.executable, "-c", prelude + report], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return set(out.split()) - sys.stdlib_module_names
+
+    assert top_level("import vista_align.cli; ") - top_level("") == {
+        "numpy", "vista_align"}
+
+
 def test_help_listing():
     with pytest.raises(SystemExit) as exc:
         cli.run(["--help"])
@@ -216,8 +235,8 @@ def small_maps(tmp_path):
     """Two copies of a 20-landmark map, an empty map, a 4-landmark map, a
     120-landmark map, a map file holding a bare number, a truth file, configs
     with a NaN sigma, an out-of-range omega_percentile, n_max = 101,
-    n_max = 4, n_max set twice and n_max = 1e2, and valid scene, trajectory
-    and track files."""
+    n_max = 4, n_max set twice and n_max = 1e2, a file that is not UTF-8, and
+    valid scene, trajectory and track files."""
     rng = np.random.default_rng(12)
     pts = rng.uniform(0.0, 5.0, size=(20, 3)) * np.array([1.0, 1.0, 0.3])
     m = ObjectMap("a", [Landmark(i, p, 1e-4 * np.eye(3)) for i, p in enumerate(pts)])
@@ -249,6 +268,9 @@ def small_maps(tmp_path):
     formats.atomic_write(paths["dup_cfg"], "n_max = 10\nn_max = 20\n")
     paths["exp_cfg"] = str(tmp_path / "exp.cfg")
     formats.atomic_write(paths["exp_cfg"], "n_max = 1e2\n")
+    paths["not_utf8"] = str(tmp_path / "not_utf8.json")
+    with open(paths["not_utf8"], "wb") as fh:
+        fh.write(b"\xff\xfe\xfd")
     paths["dir"], paths["out"] = str(tmp_path), str(tmp_path / "out")
     return paths
 
@@ -322,6 +344,8 @@ MALFORMED = {
     "tracks_nan_fx": (["build-map"], {"tracks": {"intrinsics": {"fx": NAN}}},
                       "fx"),
     "map_file_is_a_number": (["match", "--map-a", "{five}"], {}, "agent_id"),
+    "map_not_utf8": (["match", "--map-a", "{not_utf8}"], {}, "{not_utf8}"),
+    "config_not_utf8": (["match", "--config", "{not_utf8}"], {}, "{not_utf8}"),
     "omega_percentile_above_100": (["match", "--config", "{omega_cfg}"], {},
                                    "omega_percentile"),
     "negative_noise": (["simulate", "--noise", "-1"], {}, "--noise"),

@@ -6,8 +6,7 @@ import pytest
 from vista_align.core import (BehindCameraError, CameraIntrinsics,
                               Hyperparameters, Landmark, ObjectMap, Pose,
                               RigidTransform, Track, project, rotation_x,
-                              rotation_y, rotation_z, transform_angles,
-                              unproject)
+                              rotation_y, rotation_z, transform_angles)
 
 from conftest import random_rotation
 
@@ -46,13 +45,11 @@ def test_project_unproject_round_trip(intrinsics):
         pose = Pose(random_rotation(rng), rng.normal(size=3), 0)
         pixel = rng.uniform([0, 0], [intrinsics.width, intrinsics.height])
         depth = rng.uniform(0.5, 30.0)
-        point = unproject(pose, intrinsics, pixel, depth)
+        p_cam = np.array([(pixel[0] - intrinsics.cx) / intrinsics.fx * depth,
+                          (pixel[1] - intrinsics.cy) / intrinsics.fy * depth,
+                          depth])
+        point = pose.rotation @ p_cam + pose.translation
         assert np.allclose(project(pose, intrinsics, point), pixel, atol=1e-9)
-
-
-def test_unproject_rejects_nonpositive_depth(intrinsics):
-    with pytest.raises(ValueError):
-        unproject(identity_pose(), intrinsics, [10.0, 10.0], 0.0)
 
 
 def test_transform_angles_identity():

@@ -117,7 +117,7 @@ def test_precision_recall_cardinality_gate_strict():
 def test_precision_recall_undefined_precision_flagged():
     outcomes = [PairOutcome(0.9, 2, True, True)]
     row = precision_recall(outcomes, Hyperparameters(), [10])[0]
-    assert row.precision == 1.0 and not row.precision_defined
+    assert row.precision == 1.0 and row.n_hypothesized == 0
     assert row.recall == 0.0
 
 

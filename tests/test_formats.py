@@ -253,7 +253,7 @@ def test_save_hypotheses_writes_exact_bytes(tmp_path):
 
 def test_save_pr_table_writes_exact_bytes(tmp_path):
     path = str(tmp_path / "pr.csv")
-    rows = [PrPoint(3, 1.0, 0.5, 4, 2, True), PrPoint(4, 2 / 3, 0.0, 0, 2, False)]
+    rows = [PrPoint(3, 1.0, 0.5, 4, 2), PrPoint(4, 2 / 3, 0.0, 0, 2)]
     formats.save_pr_table(path, rows, 0.0123456789, 1e-7)
     assert read(path) == (
         "s_max,precision,recall,hypothesized,overlapping_pairs,"

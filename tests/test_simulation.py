@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from vista_align.core import Hyperparameters, project
+from vista_align.core import Hyperparameters, Landmark, ObjectMap, project
 from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
                                     perturb_frame, render_tracks,
-                                    scene_truth_map, trajectory_poses)
+                                    trajectory_poses)
 from vista_align import triangulation as tri
 
 
@@ -141,7 +141,8 @@ def test_render_tracks_deterministic(intrinsics):
 
 def test_perturb_frame_identity():
     scene = generate_scene(SceneSpec(10, (5.0, 5.0, 1.0), seed=7))
-    m = scene_truth_map(scene)
+    m = ObjectMap("truth", [Landmark(i, obj.position, np.zeros((3, 3)))
+                            for i, obj in enumerate(scene)])
     m2, truth = perturb_frame(m, 0.0, [0.0, 0.0, 0.0])
     assert np.allclose(truth.rotation, np.eye(3))
     assert np.allclose(truth.translation, 0.0)
@@ -150,7 +151,6 @@ def test_perturb_frame_identity():
 
 def test_perturb_frame_transforms_positions_and_covariances():
     rng = np.random.default_rng(8)
-    from vista_align.core import Landmark, ObjectMap
     landmarks = []
     for i in range(6):
         A = rng.normal(size=(3, 3)) * 0.1
@@ -162,10 +162,3 @@ def test_perturb_frame_transforms_positions_and_covariances():
         wa = np.linalg.eigvalsh(a.covariance)
         wb = np.linalg.eigvalsh(b.covariance)
         assert np.allclose(wa, wb, atol=1e-12)
-
-
-def test_scene_truth_map_excludes_dynamic():
-    scene = generate_scene(SceneSpec(20, (5.0, 5.0, 1.0), n_dynamic=5,
-                                     dynamic_velocity=0.5, seed=9))
-    m = scene_truth_map(scene)
-    assert len(m) == 15
