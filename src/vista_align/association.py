@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SizeLimitError
+from .core import InputError
 
 MAX_CANDIDATES = 10000
 _SUPPORT_TOL = 1e-8
@@ -76,8 +76,8 @@ def build_affinity(submap_a, submap_b, params):
         raise ValueError("submaps must be non-empty")
     n = na * nb
     if n > MAX_CANDIDATES:
-        raise SizeLimitError("%d x %d = %d candidates exceed the cap of %d; "
-                             "lower field 'n_max'" % (na, nb, n, MAX_CANDIDATES))
+        raise InputError("%d x %d = %d candidates exceed the cap of %d; "
+                         "lower field 'n_max'" % (na, nb, n, MAX_CANDIDATES))
     pa, pb = submap_a.points, submap_b.points
     DA = np.linalg.norm(pa[:, None, :] - pa[None, :, :], axis=2)
     DB = np.linalg.norm(pb[:, None, :] - pb[None, :, :], axis=2)
@@ -293,7 +293,7 @@ def densest_clique_exact(affinity):
     A = affinity.entries
     n = affinity.size
     if n > 20:
-        raise SizeLimitError("exhaustive enumeration is capped at 20 candidates")
+        raise ValueError("exhaustive enumeration is capped at 20 candidates")
     Z = np.asarray(np.logical_not(A > 0.0), dtype=float)
     np.fill_diagonal(Z, 0.0)
 

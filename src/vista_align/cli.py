@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import alignment, evaluation, formats, simulation, submap, triangulation
-from .core import Hyperparameters, InputError, SizeLimitError
+from .core import Hyperparameters, InputError
 
 
 def _log_json(enabled, stage, **fields):
@@ -222,7 +222,7 @@ def run(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, SizeLimitError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

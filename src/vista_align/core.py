@@ -2,7 +2,8 @@
 
 Conventions used throughout the package:
 
-* Poses are body-to-odometry; projecting a world point applies the inverse.
+* A pose is the body-to-odometry `RigidTransform` of one frame; projecting a
+  world point applies its inverse.
 * The camera is an ideal pinhole (zero distortion). Camera frame = body frame;
   any camera/IMU extrinsic must be folded into the poses upstream.
 * Euler angles are Z-Y-X (yaw about gravity-aligned +z, then pitch, then roll),
@@ -30,10 +31,6 @@ class DivergedError(Exception):
     """Nonlinear refinement failed to converge; caller should discard the track."""
 
 
-class SizeLimitError(Exception):
-    """Candidate-association count exceeds the configured cap."""
-
-
 class InputError(Exception):
     """Malformed input file or config; the message names the offending field."""
 
@@ -48,30 +45,12 @@ def _as_readonly(a, shape, name):
     return arr
 
 
-def _check_rotation(R, tol=1e-9):
+def check_rotation(R, tol):
     err = np.linalg.norm(R.T @ R - np.eye(3))
     if err >= tol:
         raise ValueError("rotation is not orthonormal (||R'R - I|| = %g)" % err)
     if abs(np.linalg.det(R) - 1.0) >= tol:
         raise ValueError("rotation determinant is not +1")
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Body-to-odometry rigid pose at one frame."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-    frame_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", _as_readonly(self.rotation, (3, 3), "rotation"))
-        object.__setattr__(self, "translation", _as_readonly(self.translation, (3,), "translation"))
-        # track files store rotations at %.9g: each entry moves by <= 5e-10,
-        # ||R'R - I|| and |det R - 1| by <= 3e-9; a saved pose must load again.
-        _check_rotation(self.rotation, tol=1e-8)
-        if self.frame_index < 0:
-            raise ValueError("frame_index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -114,46 +93,42 @@ class Track:
 
 
 @dataclass(frozen=True)
-class Landmark:
-    """Estimated 3D object position with its 3x3 covariance."""
-
-    landmark_id: int
-    position: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _as_readonly(self.position, (3,), "position"))
-        object.__setattr__(self, "covariance", _as_readonly(self.covariance, (3, 3), "covariance"))
-        C = self.covariance
-        if np.linalg.norm(C - C.T) >= 1e-12:
-            raise ValueError("covariance must be symmetric")
-        # %.9g map rounding moves an eigenvalue by at most 1.5e-8 of the
-        # largest entry; a saved rank-deficient covariance must load again.
-        if np.linalg.eigvalsh(C).min() < -max(1e-12, 2e-8 * np.abs(C).max()):
-            raise ValueError("covariance must be positive semi-definite")
-
-
-@dataclass(frozen=True)
 class ObjectMap:
-    """All landmarks estimated by one agent, in its odometry frame."""
+    """All landmarks estimated by one agent, in its odometry frame: landmark
+    ids[k] sits at positions[k], an (m, 3) array, with the 3x3 covariance
+    covariances[k], an (m, 3, 3) array."""
 
     agent_id: str
-    landmarks: tuple
+    ids: tuple
+    positions: np.ndarray
+    covariances: np.ndarray
     frame_label: str = "odom"
 
     def __post_init__(self):
-        object.__setattr__(self, "landmarks", tuple(self.landmarks))
-        ids = [lm.landmark_id for lm in self.landmarks]
-        if len(ids) != len(set(ids)):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        m = len(self.ids)
+        object.__setattr__(self, "positions", _as_readonly(
+            self.positions, (m, 3), "positions"))
+        object.__setattr__(self, "covariances", _as_readonly(
+            self.covariances, (m, 3, 3), "covariances"))
+        if len(set(self.ids)) != m:
             raise ValueError("landmark ids must be unique within a map")
-
-    def positions(self):
-        if not self.landmarks:
-            return np.zeros((0, 3))
-        return np.array([lm.position for lm in self.landmarks])
+        C = self.covariances
+        # %.9g map rounding moves an eigenvalue by at most 1.5e-8 of the
+        # largest entry; a saved rank-deficient covariance must load again.
+        psd = (np.linalg.eigvalsh(C).min(axis=1)
+               >= -np.maximum(1e-12, 2e-8 * np.abs(C).max(axis=(1, 2))))
+        asym = (C != C.transpose(0, 2, 1)).any(axis=(1, 2))
+        for k in np.flatnonzero(asym | ~psd):       # in landmark order
+            if np.linalg.norm(C[k] - C[k].T) >= 1e-12:
+                raise ValueError("covariance of landmark %d must be symmetric"
+                                 % self.ids[k])
+            if not psd[k]:
+                raise ValueError("covariance of landmark %d must be positive "
+                                 "semi-definite" % self.ids[k])
 
     def __len__(self):
-        return len(self.landmarks)
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -200,7 +175,11 @@ class Hyperparameters:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """SE(3) transform; apply() maps source-frame coordinates to target-frame."""
+    """SE(3) transform; apply() maps source-frame coordinates to target-frame.
+
+    The rotation must be orthonormal to 1e-8: track files store rotations at
+    %.9g, which moves each entry by <= 5e-10 and ||R'R - I|| and |det R - 1|
+    by <= 3e-9, and a saved pose must load again."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -208,7 +187,7 @@ class RigidTransform:
     def __post_init__(self):
         object.__setattr__(self, "rotation", _as_readonly(self.rotation, (3, 3), "rotation"))
         object.__setattr__(self, "translation", _as_readonly(self.translation, (3,), "translation"))
-        _check_rotation(self.rotation)
+        check_rotation(self.rotation, 1e-8)
 
     @classmethod
     def identity(cls):
@@ -246,7 +225,7 @@ def transform_angles(t):
     Returns (roll, pitch, yaw). At gimbal lock (|pitch| = 90 deg) the roll is
     set to 0 by convention and the yaw absorbs the remaining rotation.
     """
-    R = t.rotation if isinstance(t, RigidTransform) else np.asarray(t, dtype=float)
+    R = t.rotation
     sp = -R[2, 0]
     sp = min(1.0, max(-1.0, sp))
     pitch = math.asin(sp)

@@ -13,8 +13,8 @@ import tempfile
 
 import numpy as np
 
-from .core import (CameraIntrinsics, Hyperparameters, InputError, Landmark,
-                   ObjectMap, Pose, RigidTransform, Track, transform_angles)
+from .core import (CameraIntrinsics, Hyperparameters, InputError, ObjectMap,
+                   RigidTransform, Track, check_rotation, transform_angles)
 from .simulation import SceneSpec, TrajectorySpec
 
 
@@ -29,10 +29,10 @@ def _floats(values):
 def map_to_json(obj_map):
     """Canonical JSON serialization of an ObjectMap (bytes-stable)."""
     parts = []
-    for lm in obj_map.landmarks:
+    for lid, position, covariance in zip(obj_map.ids, obj_map.positions,
+                                         obj_map.covariances):
         parts.append('{"id":%d,"position":%s,"covariance":%s}'
-                     % (lm.landmark_id, _floats(lm.position),
-                        _floats(lm.covariance.ravel())))
+                     % (lid, _floats(position), _floats(covariance.ravel())))
     return ('{"agent_id":%s,"frame_label":%s,"landmarks":[%s]}'
             % (json.dumps(obj_map.agent_id), json.dumps(obj_map.frame_label),
                ",".join(parts)))
@@ -115,15 +115,16 @@ def parse_map(text):
     data = _json(text, "map file")
     agent_id = _require(data, "agent_id", str)
     frame_label = _require(data, "frame_label", str)
-    landmarks = []
+    ids, positions, covariances = [], [], []
     for rec in _require(data, "landmarks", list):
-        lid = _require(rec, "id", int, " in landmark record")
-        pos = _require(rec, "position", context=" in landmark record", length=3)
-        cov = _require(rec, "covariance", context=" in landmark record", length=9)
-        with _invalid("landmark %d" % lid):
-            landmarks.append(Landmark(lid, pos, cov.reshape(3, 3)))
+        ids.append(_require(rec, "id", int, " in landmark record"))
+        positions.append(_require(rec, "position", context=" in landmark record",
+                                  length=3))
+        covariances.append(_require(rec, "covariance",
+                                    context=" in landmark record", length=9))
     with _invalid("map"):
-        return ObjectMap(agent_id, landmarks, frame_label)
+        return ObjectMap(agent_id, ids, np.reshape(positions, (-1, 3)),
+                         np.reshape(covariances, (-1, 3, 3)), frame_label)
 
 
 def save_map(obj_map, path):
@@ -139,9 +140,9 @@ def track_file_to_json(intrinsics, poses, tracks):
             % (_f(intrinsics.fx), _f(intrinsics.fy), _f(intrinsics.cx),
                _f(intrinsics.cy), intrinsics.width, intrinsics.height))
     pose_parts = []
-    for pose in sorted(poses.values(), key=lambda p: p.frame_index):
+    for frame, pose in sorted(poses.items()):
         pose_parts.append('{"frame":%d,"rotation":%s,"translation":%s}'
-                          % (pose.frame_index, _floats(pose.rotation.ravel()),
+                          % (frame, _floats(pose.rotation.ravel()),
                              _floats(pose.translation)))
     track_parts = []
     for tr in tracks:
@@ -153,7 +154,7 @@ def track_file_to_json(intrinsics, poses, tracks):
 
 
 def parse_track_file(text):
-    """Parse a track file into (intrinsics, {frame: Pose}, [Track])."""
+    """Parse a track file into (intrinsics, {frame: RigidTransform}, [Track])."""
     data = _json(text, "track file")
     intrinsics = _intrinsics(data)
     poses = {}
@@ -161,10 +162,13 @@ def parse_track_file(text):
         frame = _require(rec, "frame", int, " in pose record")
         rot = _require(rec, "rotation", context=" in pose record", length=9)
         tra = _require(rec, "translation", context=" in pose record", length=3)
+        if frame < 0:
+            raise InputError("field 'frame' must be >= 0 in pose record, got %d"
+                             % frame)
         if frame in poses:
             raise InputError("duplicate pose for field 'frame' = %d" % frame)
         with _invalid("pose at frame %d" % frame):
-            poses[frame] = Pose(rot.reshape(3, 3), tra, frame)
+            poses[frame] = RigidTransform(rot.reshape(3, 3), tra)
     tracks = []
     for rec in _require(data, "tracks", list):
         tid = _require(rec, "id", int, " in track record")
@@ -251,10 +255,14 @@ def save_hypotheses(path, hypotheses):
 
 
 def parse_transform(text):
+    """A transform file. Its rotation is held to 1e-9, not RigidTransform's
+    1e-8, because transform files are written at full precision."""
     data = _json(text, "transform file")
     with _invalid("transform"):
-        return RigidTransform(_require(data, "rotation", length=9).reshape(3, 3),
-                              _require(data, "translation", length=3))
+        transform = RigidTransform(_require(data, "rotation", length=9).reshape(3, 3),
+                                   _require(data, "translation", length=3))
+        check_rotation(transform.rotation, 1e-9)
+    return transform
 
 
 def load_transform(path):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BehindCameraError, Landmark, ObjectMap, Pose, RigidTransform,
-                   Track, project, rotation_y, rotation_z)
+from .core import (BehindCameraError, ObjectMap, RigidTransform, Track,
+                   project, rotation_y, rotation_z)
 
 # camera-to-world for a nadir view: optical axis straight down, image x = +x
 _R_NADIR = np.array([[1.0, 0.0, 0.0],
@@ -110,7 +110,7 @@ def trajectory_poses(trajectory):
         k = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg) - 1)
         frac = (s - cum[k]) / seg[k] if seg[k] > 0 else 0.0
         xy = wps[k, :2] + frac * (wps[k + 1, :2] - wps[k, :2])
-        poses[f] = Pose(R, np.array([xy[0], xy[1], trajectory.altitude]), f)
+        poses[f] = RigidTransform(R, np.array([xy[0], xy[1], trajectory.altitude]))
     return poses
 
 
@@ -121,7 +121,7 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
     Centroids falling outside the image (before or after noise) are dropped;
     dropout removes detections at random; duplicate_rate splits an object's
     track into two disjoint ids, emulating redundant objects from tracker
-    handoffs. Returns (tracks, {frame: Pose}).
+    handoffs. Returns (tracks, {frame: RigidTransform}).
     """
     rng = np.random.default_rng(seed)
     poses = trajectory_poses(trajectory)
@@ -169,10 +169,11 @@ def perturb_frame(obj_map, yaw_deg, translation):
     covariances accordingly. Returns (perturbed map, exact truth transform
     mapping original coordinates into perturbed coordinates)."""
     truth = RigidTransform(rotation_z(yaw_deg), np.array(translation, dtype=float))
-    landmarks = []
-    for lm in obj_map.landmarks:
-        cov = truth.rotation @ lm.covariance @ truth.rotation.T
-        cov = 0.5 * (cov + cov.T)
-        landmarks.append(Landmark(lm.landmark_id, truth.apply(lm.position), cov))
-    return ObjectMap(obj_map.agent_id, landmarks, obj_map.frame_label), truth
+    positions, covariances = [], []
+    for p, C in zip(obj_map.positions, obj_map.covariances):
+        cov = truth.rotation @ C @ truth.rotation.T
+        positions.append(truth.apply(p))
+        covariances.append(0.5 * (cov + cov.T))
+    return ObjectMap(obj_map.agent_id, obj_map.ids, np.reshape(positions, (-1, 3)),
+                     np.reshape(covariances, (-1, 3, 3)), obj_map.frame_label), truth
 

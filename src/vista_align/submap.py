@@ -46,7 +46,7 @@ def mahalanobis_filter(obj_map, omega_percentile):
         raise ValueError("map must contain at least 2 landmarks")
     if not (0 < omega_percentile <= 100):
         raise ValueError("omega_percentile must lie in (0, 100]")
-    pos = obj_map.positions()
+    pos = obj_map.positions
     mean = pos.mean(axis=0)
     centered = pos - mean
     cov = centered.T @ centered / (len(pos) - 1)
@@ -59,8 +59,10 @@ def mahalanobis_filter(obj_map, omega_percentile):
                       "Euclidean distance for the inlier filter")
         dist = np.linalg.norm(centered, axis=1)
     thresh = np.percentile(dist, omega_percentile)
-    kept = [lm for lm, d in zip(obj_map.landmarks, dist) if d <= thresh]
-    return ObjectMap(obj_map.agent_id, kept, obj_map.frame_label)
+    keep = dist <= thresh
+    return ObjectMap(obj_map.agent_id,
+                     [i for i, k in zip(obj_map.ids, keep) if k], pos[keep],
+                     obj_map.covariances[keep], obj_map.frame_label)
 
 
 def inlier_map(obj_map, params):
@@ -78,8 +80,8 @@ def generate_submaps(obj_map, params):
     the |S| > s_max success gate are dropped."""
     if len(obj_map) == 0:
         return []
-    pos = obj_map.positions()
-    ids = np.array([lm.landmark_id for lm in obj_map.landmarks])
+    pos = obj_map.positions
+    ids = np.array(obj_map.ids)
     step = params.overlap
     mins = pos[:, :2].min(axis=0)
     maxs = pos[:, :2].max(axis=0)

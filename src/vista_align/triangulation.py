@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DegenerateGeometryError, DivergedError, Landmark,
-                   ObjectMap)
+from .core import DegenerateGeometryError, DivergedError, ObjectMap
 
 MAX_ITERS = 50
 STEP_TOL = 1e-8
@@ -101,7 +100,7 @@ def reprojection_jacobian(pose, intrinsics, point):
 def refine(track, poses, intrinsics, guess):
     """Gauss-Newton refinement of a track's 3D position.
 
-    Returns a Landmark with covariance s^2 (J'J)^-1 where
+    Returns (position, covariance), the covariance s^2 (J'J)^-1 where
     s^2 = cost / max(1, 2m - 3). Raises DivergedError when the iteration cap
     is hit, the cost refuses to decrease for 5 consecutive damped steps, or
     the converged residual stays above the pixel-scale floor.
@@ -158,7 +157,7 @@ def refine(track, poses, intrinsics, guess):
     w, V = np.linalg.eigh(cov)
     cov = (V * np.maximum(w, 0.0)) @ V.T
     cov = 0.5 * (cov + cov.T)
-    return Landmark(track.track_id, x, cov)
+    return x, cov
 
 
 @dataclass
@@ -177,14 +176,16 @@ def build_map(tracks, poses, intrinsics, params, agent_id):
     stats = BuildStats()
     kept = filter_tracks(tracks, params.n_min)
     stats.n_discarded_short = len(tracks) - len(kept)
-    landmarks = []
+    ids, fits = [], []
     for track in kept:
         try:
             guess = initial_guess(track, poses, intrinsics)
-            landmarks.append(refine(track, poses, intrinsics, guess))
+            fits.append(refine(track, poses, intrinsics, guess))
+            ids.append(track.track_id)
         except (DegenerateGeometryError, DivergedError):
             stats.n_discarded_diverged += 1
-    stats.n_landmarks = len(landmarks)
-    if not landmarks:
+    stats.n_landmarks = len(ids)
+    if not ids:
         warnings.warn("build_map produced an empty map for agent %r" % agent_id)
-    return ObjectMap(agent_id, landmarks), stats
+    return ObjectMap(agent_id, ids, np.reshape([x for x, _ in fits], (-1, 3)),
+                     np.reshape([cov for _, cov in fits], (-1, 3, 3))), stats

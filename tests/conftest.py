@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from vista_align.core import CameraIntrinsics, Pose
+from vista_align.core import CameraIntrinsics, ObjectMap, RigidTransform
 
 
 @pytest.fixture
@@ -25,7 +25,14 @@ def random_rotation(rng):
     return Q
 
 
-def looking_at_origin_pose(position, frame_index=0):
+def map_from_points(points, cov_scale=1e-4, agent_id="a"):
+    """A map of `points` with ids 0..m-1, each with covariance cov_scale * I."""
+    points = np.reshape(points, (-1, 3))
+    return ObjectMap(agent_id, range(len(points)), points,
+                     np.broadcast_to(cov_scale * np.eye(3), (len(points), 3, 3)))
+
+
+def looking_at_origin_pose(position):
     """Pose whose camera optical axis points from `position` at the origin."""
     position = np.asarray(position, dtype=float)
     z = -position / np.linalg.norm(position)
@@ -36,7 +43,7 @@ def looking_at_origin_pose(position, frame_index=0):
     x /= np.linalg.norm(x)
     y = np.cross(z, x)
     R = np.column_stack([x, y, z])
-    return Pose(R, position, frame_index)
+    return RigidTransform(R, position)
 
 
 def clique_number(affinity):

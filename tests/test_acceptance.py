@@ -14,16 +14,15 @@ from vista_align import triangulation as tri
 from vista_align.alignment import align_maps, arun
 from vista_align.association import (AffinityMatrix, consistency_score,
                                      densest_clique, densest_clique_exact)
-from vista_align.core import (CameraIntrinsics, Hyperparameters, Landmark,
-                              ObjectMap, Pose, RigidTransform, project,
-                              rotation_z)
+from vista_align.core import (CameraIntrinsics, Hyperparameters, ObjectMap,
+                              RigidTransform, project)
 from vista_align.evaluation import (PairOutcome, classify, evaluate_map_pair,
                                     precision_recall, timing)
 from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
                                     perturb_frame, render_tracks)
 from vista_align.submap import generate_submaps, inlier_map
 
-from conftest import random_rotation
+from conftest import map_from_points, random_rotation
 
 INTRINSICS = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
 
@@ -121,7 +120,7 @@ def _ring_poses(target, n, radius):
         x = np.cross([0.0, 0.0, 1.0], z)
         x /= np.linalg.norm(x)
         y = np.cross(z, x)
-        poses[f] = Pose(np.column_stack([x, y, z]), position, f)
+        poses[f] = RigidTransform(np.column_stack([x, y, z]), position)
     return poses
 
 
@@ -143,15 +142,15 @@ def test_criterion_4_triangulation():
     target = np.array([3.0, -1.0, 8.0])
     poses = _ring_poses(target, 8, 6.0)
     track = _track_from(target, poses, 0.0, rng)
-    lm = tri.refine(track, poses, INTRINSICS,
-                    tri.initial_guess(track, poses, INTRINSICS))
-    zero_noise_ok = np.linalg.norm(lm.position - target) < 1e-6
+    position, _ = tri.refine(track, poses, INTRINSICS,
+                             tri.initial_guess(track, poses, INTRINSICS))
+    zero_noise_ok = np.linalg.norm(position - target) < 1e-6
 
     # analytic Jacobian vs central finite differences
     h = 1e-6
     jac_ok = True
     for _ in range(100):
-        pose = Pose(random_rotation(rng), rng.normal(scale=3.0, size=3), 0)
+        pose = RigidTransform(random_rotation(rng), rng.normal(scale=3.0, size=3))
         point = pose.rotation @ np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
                                           rng.uniform(2.0, 10.0)]) \
             + pose.translation
@@ -172,12 +171,12 @@ def test_criterion_4_triangulation():
     for _ in range(1000):
         track = _track_from(target, poses, 1.0, rng)
         try:
-            lm = tri.refine(track, poses, INTRINSICS,
-                            tri.initial_guess(track, poses, INTRINSICS))
+            position, covariance = tri.refine(
+                track, poses, INTRINSICS, tri.initial_guess(track, poses, INTRINSICS))
         except Exception:
             continue
-        err = np.linalg.norm(lm.position - target)
-        if err <= 3.0 * math.sqrt(np.trace(lm.covariance)):
+        err = np.linalg.norm(position - target)
+        if err <= 3.0 * math.sqrt(np.trace(covariance)):
             hits += 1
     mc_ok = hits >= 990
     _report(4, zero_noise_ok and jac_ok and mc_ok)
@@ -246,7 +245,7 @@ def test_criterion_6_dynamic_object_rejection():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             obj_map, _ = tri.build_map(tracks, poses, INTRINSICS, params, "a")
-        built = {lm.landmark_id for lm in obj_map.landmarks}
+        built = set(obj_map.ids)
         for track in tracks:
             if len(track) <= params.n_min:
                 continue        # never reached refinement
@@ -269,11 +268,12 @@ def test_criterion_6_dynamic_object_rejection():
 
 def test_criterion_7_map_compactness():
     rng = np.random.default_rng(7)
-    landmarks = []
-    for i in range(1000):
+    positions, covariances = [], []
+    for _ in range(1000):
         A = rng.normal(size=(3, 3)) * 0.01
-        landmarks.append(Landmark(i, rng.uniform(0.0, 100.0, size=3), A @ A.T))
-    text = formats.map_to_json(ObjectMap("a", landmarks))
+        positions.append(rng.uniform(0.0, 100.0, size=3))
+        covariances.append(A @ A.T)
+    text = formats.map_to_json(ObjectMap("a", range(1000), positions, covariances))
     size = len(text.encode())
     print("1000-landmark map: %d bytes" % size)
     _report(7, size < 0.25e6)
@@ -282,8 +282,7 @@ def test_criterion_7_map_compactness():
 def test_criterion_8_comparison_timing():
     rng = np.random.default_rng(8)
     pts = rng.uniform(0.0, 10.0, size=(50, 3)) * np.array([1.0, 1.0, 0.15])
-    map_a = ObjectMap("a", [Landmark(i, p, 1e-4 * np.eye(3))
-                            for i, p in enumerate(pts)])
+    map_a = map_from_points(pts)
     map_b, _ = perturb_frame(map_a, 30.0, [2.0, -1.0, 0.0])
     params = Hyperparameters()
     _, mean, std = timing(generate_submaps(map_a, params),

@@ -9,19 +9,13 @@ from vista_align.alignment import (AlignmentHypothesis, align_maps, arun,
                                    prune, solve_submap_pair)
 from vista_align.association import Association, build_affinity
 from vista_align.core import (DegenerateGeometryError, Hyperparameters,
-                              Landmark, ObjectMap, RigidTransform, rotation_x,
-                              rotation_z)
+                              RigidTransform, rotation_x, rotation_z)
 from vista_align.evaluation import (PairOutcome, classify, default_voxel,
                                     evaluate_map_pair, submap_iou)
 from vista_align.simulation import perturb_frame
 from vista_align.submap import Submap, generate_submaps
 
-from conftest import clique_number, random_rotation
-
-
-def map_from_points(points):
-    return ObjectMap("a", [Landmark(i, p, 1e-4 * np.eye(3))
-                           for i, p in enumerate(points)])
+from conftest import clique_number, map_from_points, random_rotation
 
 
 def hyp(transform, n_inliers, src=0, tgt=0):
@@ -216,7 +210,8 @@ def test_align_maps_sorted_by_cardinality():
 
 def test_align_maps_rejects_empty_maps():
     with pytest.raises(ValueError):
-        align_maps(ObjectMap("a", []), ObjectMap("b", []), Hyperparameters())
+        align_maps(map_from_points([]), map_from_points([], agent_id="b"),
+                   Hyperparameters())
 
 
 SHIFT = np.array([0.3, -0.2, 0.0])      # map B is map A moved by SHIFT

@@ -9,7 +9,7 @@ from vista_align.association import (MAX_CANDIDATES, AffinityMatrix,
                                      _ascend, build_affinity,
                                      consistency_score, densest_clique,
                                      densest_clique_exact, has_clique)
-from vista_align.core import (Hyperparameters, RigidTransform, SizeLimitError,
+from vista_align.core import (Hyperparameters, InputError, RigidTransform,
                               rotation_z)
 from vista_align.submap import Submap
 
@@ -102,7 +102,7 @@ def test_build_affinity_gamma_rule():
 def test_build_affinity_size_limit():
     pts = np.random.default_rng(0).uniform(size=(101, 3))
     assert 101 * 100 > MAX_CANDIDATES
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(InputError, match="n_max"):
         build_affinity(sub(pts), sub(pts[:100]), Hyperparameters())
 
 
@@ -220,7 +220,7 @@ def test_densest_clique_exact_triangle_with_pendants():
 
 def test_densest_clique_exact_too_large():
     aff = unit_graph(21, [])
-    with pytest.raises(SizeLimitError, match="capped at 20"):
+    with pytest.raises(ValueError, match="capped at 20"):
         densest_clique_exact(aff)
 
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from vista_align import alignment, cli, evaluation, formats, submap
-from vista_align.core import (Hyperparameters, Landmark, ObjectMap,
-                              RigidTransform, rotation_z)
+from vista_align.core import (Hyperparameters, ObjectMap, RigidTransform,
+                              rotation_z)
+
+from conftest import map_from_points
 
 
 SCENE = {"n_objects": 36, "extent": [10.0, 10.0, 1.5], "seed": 3}
@@ -138,11 +140,9 @@ def test_match_identical_maps_identity(workdir):
 def test_match_no_overlap_exits_2(workdir, tmp_path):
     rng = np.random.default_rng(0)
     pa = rng.uniform(0.0, 4.0, size=(8, 3))
-    ma = ObjectMap("a", [Landmark(i, p, 1e-4 * np.eye(3))
-                         for i, p in enumerate(pa)])
+    ma = map_from_points(pa)
     pb = rng.uniform(100.0, 104.0, size=(8, 3)) * np.array([1.0, 1.0, 0.01])
-    mb = ObjectMap("b", [Landmark(i, p, 1e-4 * np.eye(3))
-                         for i, p in enumerate(pb)])
+    mb = map_from_points(pb, agent_id="b")
     formats.save_map(ma, str(tmp_path / "a.json"))
     formats.save_map(mb, str(tmp_path / "b.json"))
     code = cli.run(["match", "--map-a", str(tmp_path / "a.json"),
@@ -179,10 +179,8 @@ def test_full_pipeline_evaluate(workdir):
     # same scene viewed again, then expressed in an offset frame
     obj_map = formats.load_map(map_a)
     truth = RigidTransform(rotation_z(45.0), np.array([4.0, -2.0, 0.0]))
-    moved = ObjectMap("b", [Landmark(lm.landmark_id, truth.apply(lm.position),
-                                     truth.rotation @ lm.covariance
-                                     @ truth.rotation.T)
-                            for lm in obj_map.landmarks])
+    moved = ObjectMap("b", obj_map.ids, truth.apply(obj_map.positions),
+                      truth.rotation @ obj_map.covariances @ truth.rotation.T)
     map_b = str(workdir / "map_b.json")
     formats.save_map(moved, map_b)
     formats.atomic_write(str(workdir / "truth.json"),
@@ -239,17 +237,16 @@ def small_maps(tmp_path):
     valid scene, trajectory and track files."""
     rng = np.random.default_rng(12)
     pts = rng.uniform(0.0, 5.0, size=(20, 3)) * np.array([1.0, 1.0, 0.3])
-    m = ObjectMap("a", [Landmark(i, p, 1e-4 * np.eye(3)) for i, p in enumerate(pts)])
+    m = map_from_points(pts)
     paths = {k: str(tmp_path / (k + ".json"))
              for k in ("a", "b", "empty", "tiny", "big", "five", "truth",
                        "scene", "trajectory", "tracks")}
     formats.save_map(m, paths["a"])
     big = rng.uniform(0.0, 5.0, size=(120, 3)) * np.array([1.0, 1.0, 0.3])
-    formats.save_map(ObjectMap("big", [Landmark(i, p, 1e-4 * np.eye(3))
-                                       for i, p in enumerate(big)]), paths["big"])
+    formats.save_map(map_from_points(big, agent_id="big"), paths["big"])
     formats.save_map(m, paths["b"])
-    formats.save_map(ObjectMap("e", []), paths["empty"])
-    formats.save_map(ObjectMap("t", m.landmarks[:4]), paths["tiny"])
+    formats.save_map(map_from_points([], agent_id="e"), paths["empty"])
+    formats.save_map(map_from_points(pts[:4], agent_id="t"), paths["tiny"])
     formats.atomic_write(paths["five"], "5")
     formats.atomic_write(paths["truth"],
                          formats.transform_to_json(RigidTransform.identity()))
@@ -344,6 +341,15 @@ MALFORMED = {
     "tracks_nan_fx": (["build-map"], {"tracks": {"intrinsics": {"fx": NAN}}},
                       "fx"),
     "map_file_is_a_number": (["match", "--map-a", "{five}"], {}, "agent_id"),
+    "map_asymmetric_covariance": (["match"], {"a": {"landmarks": [
+        {"id": 3, "position": [0, 0, 0],
+         "covariance": [1, 0.5, 0, 0, 1, 0, 0, 0, 1]}]}}, "landmark 3"),
+    "tracks_negative_pose_frame": (["build-map"], {"tracks": {"poses": [
+        {"frame": -1, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+         "translation": [5.0, 5.0, 8.0]}]}}, "frame"),
+    # ||R'R - I|| = 6e-9: within a track-file pose's 1e-8, not --truth's 1e-9
+    "truth_rotation_6e-9_off_orthonormal": (["evaluate"], {"truth": {"rotation": [
+        1 + 3e-9, 0, 0, 0, 1, 0, 0, 0, 1]}}, "rotation"),
     "map_not_utf8": (["match", "--map-a", "{not_utf8}"], {}, "{not_utf8}"),
     "config_not_utf8": (["match", "--config", "{not_utf8}"], {}, "{not_utf8}"),
     "omega_percentile_above_100": (["match", "--config", "{omega_cfg}"], {},
@@ -394,8 +400,7 @@ def test_evaluate_times_the_filtered_maps_it_scores(small_maps, monkeypatch):
     assert len(inliers) < len(raw)
     (map_a, map_b, *_), (outcomes, mean_s, std_s) = seen["outcomes"]
     (subs_a, subs_b, *_), (first, *seconds) = seen["timing"]
-    assert ([[lm.landmark_id for lm in m.landmarks] for m in (map_a, map_b)]
-            == [[lm.landmark_id for lm in inliers.landmarks]] * 2)
+    assert [m.ids for m in (map_a, map_b)] == [inliers.ids] * 2
     expected = [s.landmark_ids for s in submap.generate_submaps(inliers, params)]
     assert ([s.landmark_ids for s in subs_a] == [s.landmark_ids for s in subs_b]
             == expected)

@@ -4,37 +4,37 @@ import numpy as np
 import pytest
 
 from vista_align.core import (BehindCameraError, CameraIntrinsics,
-                              Hyperparameters, Landmark, ObjectMap, Pose,
-                              RigidTransform, Track, project, rotation_x,
-                              rotation_y, rotation_z, transform_angles)
+                              Hyperparameters, ObjectMap, RigidTransform, Track,
+                              project, rotation_x, rotation_y, rotation_z,
+                              transform_angles)
 
 from conftest import random_rotation
 
 
-def identity_pose(frame=0):
-    return Pose(np.eye(3), np.zeros(3), frame)
+def one_landmark_map(covariance):
+    return ObjectMap("a", [0], np.zeros((1, 3)), [covariance])
 
 
 def test_project_optical_axis_hits_principal_point():
     intr = CameraIntrinsics(100.0, 100.0, 0.0, 0.0, 200, 200)
-    px = project(identity_pose(), intr, [0.0, 0.0, 1.0])
+    px = project(RigidTransform.identity(), intr, [0.0, 0.0, 1.0])
     assert np.allclose(px, [0.0, 0.0])
 
 
 def test_project_hand_evaluated_pinhole():
     intr = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 200, 200)
-    px = project(identity_pose(), intr, [0.5, 0.0, 1.0])
+    px = project(RigidTransform.identity(), intr, [0.5, 0.0, 1.0])
     assert np.allclose(px, [100.0, 50.0])
 
 
 def test_project_behind_camera_raises(intrinsics):
     with pytest.raises(BehindCameraError):
-        project(identity_pose(), intrinsics, [0.0, 0.0, -1.0])
+        project(RigidTransform.identity(), intrinsics, [0.0, 0.0, -1.0])
 
 
 def test_project_applies_pose_inverse(intrinsics):
     # camera sitting at (0, 0, 5) looking along +z still sees (0, 0, 8)
-    pose = Pose(np.eye(3), np.array([0.0, 0.0, 5.0]), 0)
+    pose = RigidTransform(np.eye(3), np.array([0.0, 0.0, 5.0]))
     px = project(pose, intrinsics, [0.0, 0.0, 8.0])
     assert np.allclose(px, [intrinsics.cx, intrinsics.cy])
 
@@ -42,7 +42,7 @@ def test_project_applies_pose_inverse(intrinsics):
 def test_project_unproject_round_trip(intrinsics):
     rng = np.random.default_rng(11)
     for _ in range(50):
-        pose = Pose(random_rotation(rng), rng.normal(size=3), 0)
+        pose = RigidTransform(random_rotation(rng), rng.normal(size=3))
         pixel = rng.uniform([0, 0], [intrinsics.width, intrinsics.height])
         depth = rng.uniform(0.5, 30.0)
         p_cam = np.array([(pixel[0] - intrinsics.cx) / intrinsics.fx * depth,
@@ -113,18 +113,17 @@ def test_rigid_transform_apply_batched():
 
 def test_pose_rejects_non_orthonormal_rotation():
     with pytest.raises(ValueError):
-        Pose(np.eye(3) * 1.001, np.zeros(3), 0)
+        RigidTransform(np.eye(3) * 1.001, np.zeros(3))
+    # the 1e-8 bound: ||R'R - I|| = 6e-9 passes, 2e-8 does not
+    RigidTransform(np.diag([1.0 + 3e-9, 1.0, 1.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="orthonormal"):
+        RigidTransform(np.diag([1.0 + 1e-8, 1.0, 1.0]), np.zeros(3))
 
 
 def test_pose_rejects_reflection():
     R = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
-        Pose(R, np.zeros(3), 0)
-
-
-def test_pose_rejects_negative_frame_index():
-    with pytest.raises(ValueError):
-        Pose(np.eye(3), np.zeros(3), -1)
+        RigidTransform(R, np.zeros(3))
 
 
 def test_intrinsics_validation():
@@ -155,10 +154,15 @@ def test_track_centroids_are_one_checked_array():
 def test_landmark_covariance_validation():
     C = np.eye(3)
     C[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        Landmark(0, np.zeros(3), C)
-    with pytest.raises(ValueError):
-        Landmark(0, np.zeros(3), -np.eye(3))
+    with pytest.raises(ValueError, match="landmark 0 must be symmetric"):
+        one_landmark_map(C)
+    with pytest.raises(ValueError, match="landmark 0 must be positive"):
+        one_landmark_map(-np.eye(3))
+    # the first bad landmark is named; an asymmetry under 1e-12 passes
+    with pytest.raises(ValueError, match="landmark 5 must be symmetric"):
+        ObjectMap("a", [2, 5, 9], np.zeros((3, 3)), [np.eye(3), C, -np.eye(3)])
+    C[0, 1] = 1e-13
+    one_landmark_map(C)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
@@ -170,24 +174,39 @@ def test_landmark_psd_tolerance_is_relative(scale):
     null = np.outer(R[:, 2], R[:, 2])
     null = (null + null.T) / 2
     peak = np.abs(C).max()
-    Landmark(0, np.zeros(3), C - 5e-9 * peak * null)       # 9-digit rounding
+    one_landmark_map(C - 5e-9 * peak * null)       # 9-digit rounding
     with pytest.raises(ValueError, match="positive semi-definite"):
-        Landmark(0, np.zeros(3), C - 1e-6 * peak * null)
+        one_landmark_map(C - 1e-6 * peak * null)
 
 
 def test_object_map_unique_ids():
-    lm = Landmark(1, np.zeros(3), np.eye(3))
-    with pytest.raises(ValueError):
-        ObjectMap("a", [lm, lm])
+    with pytest.raises(ValueError, match="unique"):
+        ObjectMap("a", [1, 1], np.zeros((2, 3)), [np.eye(3)] * 2)
+
+
+def test_object_map_arrays_are_checked():
+    m = ObjectMap("a", [4, 2], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [np.eye(3)] * 2)
+    assert m.ids == (4, 2) and len(m) == 2 and m.frame_label == "odom"
+    assert m.positions.shape == (2, 3) and m.covariances.shape == (2, 3, 3)
+    empty = ObjectMap("e", [], np.zeros((0, 3)), np.zeros((0, 3, 3)))
+    assert len(empty) == 0 and empty.positions.shape == (0, 3)
+    for positions, covariances in [([1.0, 2.0, 3.0], [np.eye(3)]),
+                                   ([[1.0, 2.0, 3.0]], np.eye(3)), ([], [])]:
+        with pytest.raises(ValueError, match="shape"):
+            ObjectMap("a", [0], positions, covariances)
+    with pytest.raises(ValueError, match="non-finite"):
+        ObjectMap("a", [0], [[np.nan, 0.0, 0.0]], [np.eye(3)])
 
 
 def test_core_types_are_immutable():
-    pose = Pose(np.eye(3), np.zeros(3), 0)
+    pose = RigidTransform(np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):
         pose.rotation[0, 0] = 2.0
-    lm = Landmark(0, np.zeros(3), np.eye(3))
+    m = one_landmark_map(np.eye(3))
     with pytest.raises(ValueError):
-        lm.position[0] = 1.0
+        m.positions[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        m.covariances[0, 0, 0] = 2.0
 
 
 def test_hyperparameters_defaults():

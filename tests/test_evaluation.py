@@ -1,22 +1,19 @@
 import numpy as np
 import pytest
 
-from vista_align.core import (Hyperparameters, Landmark, ObjectMap,
-                              RigidTransform, rotation_x, rotation_z)
+from vista_align.core import (Hyperparameters, RigidTransform, rotation_x,
+                              rotation_z)
 from vista_align.evaluation import (PairOutcome, classify, default_voxel,
                                     evaluate_map_pair, precision_recall,
                                     submap_iou, timing)
 from vista_align.submap import Submap, generate_submaps
 
+from conftest import map_from_points
+
 
 def sub(points):
     pts = np.asarray(points, dtype=float)
     return Submap([0.0, 0.0], list(range(len(pts))), pts)
-
-
-def map_from_points(points):
-    return ObjectMap("a", [Landmark(i, p, 1e-4 * np.eye(3))
-                           for i, p in enumerate(points)])
 
 
 def test_default_voxel_is_quarter_window():

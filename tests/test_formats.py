@@ -11,8 +11,8 @@ from vista_align import formats
 from vista_align.alignment import AlignmentHypothesis
 from vista_align.association import Association
 from vista_align.core import (CameraIntrinsics, Hyperparameters, InputError,
-                              Landmark, ObjectMap, Pose, RigidTransform, Track,
-                              rotation_x, rotation_y, rotation_z)
+                              ObjectMap, RigidTransform, Track, rotation_x,
+                              rotation_y, rotation_z)
 from vista_align.evaluation import PrPoint
 from vista_align.simulation import SceneObject, TrajectorySpec, trajectory_poses
 from vista_align.submap import Submap
@@ -22,11 +22,12 @@ from conftest import random_rotation
 
 def small_map():
     rng = np.random.default_rng(5)
-    landmarks = []
+    positions, covariances = [], []
     for i in range(7):
         A = rng.normal(size=(3, 3)) * 0.01
-        landmarks.append(Landmark(i, rng.normal(size=3), A @ A.T))
-    return ObjectMap("agent-7", landmarks, "odom")
+        positions.append(rng.normal(size=3))
+        covariances.append(A @ A.T)
+    return ObjectMap("agent-7", range(7), positions, covariances, "odom")
 
 
 def test_map_round_trip_is_byte_identical():
@@ -48,12 +49,15 @@ LANDMARKS = st.tuples(
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(landmarks=st.lists(LANDMARKS, max_size=4))
 def test_map_round_trip_is_byte_identical_for_any_valid_map(landmarks):
-    lms = []
-    for i, (position, factor, exponent) in enumerate(landmarks):
+    covariances = []
+    for _, factor, exponent in landmarks:
         A = np.array(factor)
         C = 10.0 ** exponent * (A @ A.T)
-        lms.append(Landmark(i, position, (C + C.T) / 2))
-    text = formats.map_to_json(ObjectMap("agent", lms))
+        covariances.append((C + C.T) / 2)
+    text = formats.map_to_json(ObjectMap(
+        "agent", range(len(landmarks)),
+        np.reshape([position for position, _, _ in landmarks], (-1, 3)),
+        np.reshape(covariances, (-1, 3, 3))))
     assert formats.map_to_json(formats.parse_map(text)) == text
 
 
@@ -61,10 +65,9 @@ def test_map_round_trip_preserves_values():
     m = small_map()
     m2 = formats.parse_map(formats.map_to_json(m))
     assert m2.agent_id == m.agent_id and m2.frame_label == m.frame_label
-    for a, b in zip(m.landmarks, m2.landmarks):
-        assert a.landmark_id == b.landmark_id
-        assert np.allclose(a.position, b.position, atol=1e-8)
-        assert np.allclose(a.covariance, b.covariance, atol=1e-8)
+    assert m2.ids == m.ids
+    assert np.allclose(m2.positions, m.positions, atol=1e-8)
+    assert np.allclose(m2.covariances, m.covariances, atol=1e-8)
 
 
 def test_parse_map_rejects_bad_json():
@@ -86,6 +89,17 @@ def test_parse_map_rejects_wrong_lengths():
                           '"landmarks":[{"id":0,"position":[0,0,0],"covariance":[1]}]}')
 
 
+def test_parse_map_names_the_landmark_with_an_invalid_covariance():
+    record = '{"id":%d,"position":[0,0,0],"covariance":%s}'
+    ok = record % (4, "[1,0,0,0,1,0,0,0,1]")
+    for covariance, error in (("[1,0.5,0,0,1,0,0,0,1]", "symmetric"),
+                              ("[-1,0,0,0,1,0,0,0,1]", "semi-definite")):
+        text = ('{"agent_id":"a","frame_label":"odom","landmarks":[%s,%s]}'
+                % (ok, record % (7, covariance)))
+        with pytest.raises(InputError, match=r"landmark 7\b.*" + error):
+            formats.parse_map(text)
+
+
 def test_save_load_map(tmp_path):
     path = str(tmp_path / "map.json")
     m = small_map()
@@ -96,7 +110,7 @@ def test_save_load_map(tmp_path):
 
 def track_fixture():
     intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
-    poses = {f: Pose(rotation_z(5.0 * f), np.array([0.1 * f, 0.0, 8.0]), f)
+    poses = {f: RigidTransform(rotation_z(5.0 * f), np.array([0.1 * f, 0.0, 8.0]))
              for f in range(4)}
     tracks = [Track(0, [0, 2], [[10.5, 20.25], [11.0, 21.0]]),
               Track(3, [1], [[300.0, 200.0]])]
@@ -124,7 +138,7 @@ def test_track_file_poses_load_again():
                                 rng.uniform(-20, 20, 2000)):
         rotations.append(rotation_z(yaw) @ rotation_y(pitch) @ rotation_x(roll))
     intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
-    poses = {f: Pose(R, [0.0, 0.0, 8.0], f) for f, R in enumerate(rotations)}
+    poses = {f: RigidTransform(R, [0.0, 0.0, 8.0]) for f, R in enumerate(rotations)}
     text = formats.track_file_to_json(intr, poses, [])
     _, loaded, _ = formats.parse_track_file(text)
     assert formats.track_file_to_json(intr, loaded, []) == text
@@ -157,6 +171,14 @@ def test_parse_track_file_rejects_duplicate_ids():
     data = json.loads(formats.track_file_to_json(intr, poses, tracks))
     data["poses"].append(data["poses"][0])
     with pytest.raises(InputError, match="frame"):
+        formats.parse_track_file(json.dumps(data))
+
+
+def test_parse_track_file_rejects_negative_pose_frame():
+    intr, poses, tracks = track_fixture()
+    data = json.loads(formats.track_file_to_json(intr, poses, []))
+    data["poses"][0]["frame"] = -1
+    with pytest.raises(InputError, match="frame.* must be >= 0"):
         formats.parse_track_file(json.dumps(data))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vista_align.core import Hyperparameters, Landmark, ObjectMap, project
+from vista_align.core import Hyperparameters, ObjectMap, project
 from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
                                     perturb_frame, render_tracks,
                                     trajectory_poses)
@@ -95,8 +95,8 @@ def test_render_tracks_zero_noise_triangulates_exactly(intrinsics):
     obj_map, stats = tri.build_map(tracks, poses, intrinsics, params, "a")
     assert stats.n_discarded_diverged == 0
     assert len(obj_map) >= 30
-    for lm in obj_map.landmarks:
-        assert np.linalg.norm(lm.position - scene[lm.landmark_id].position) < 1e-6
+    for lid, position in zip(obj_map.ids, obj_map.positions):
+        assert np.linalg.norm(position - scene[lid].position) < 1e-6
 
 
 def test_render_tracks_detections_in_image(intrinsics):
@@ -141,24 +141,25 @@ def test_render_tracks_deterministic(intrinsics):
 
 def test_perturb_frame_identity():
     scene = generate_scene(SceneSpec(10, (5.0, 5.0, 1.0), seed=7))
-    m = ObjectMap("truth", [Landmark(i, obj.position, np.zeros((3, 3)))
-                            for i, obj in enumerate(scene)])
+    m = ObjectMap("truth", range(len(scene)), [obj.position for obj in scene],
+                  np.zeros((len(scene), 3, 3)))
     m2, truth = perturb_frame(m, 0.0, [0.0, 0.0, 0.0])
     assert np.allclose(truth.rotation, np.eye(3))
     assert np.allclose(truth.translation, 0.0)
-    assert np.allclose(m2.positions(), m.positions())
+    assert np.allclose(m2.positions, m.positions)
 
 
 def test_perturb_frame_transforms_positions_and_covariances():
     rng = np.random.default_rng(8)
-    landmarks = []
-    for i in range(6):
+    positions, covariances = [], []
+    for _ in range(6):
         A = rng.normal(size=(3, 3)) * 0.1
-        landmarks.append(Landmark(i, rng.uniform(size=3), A @ A.T))
-    m = ObjectMap("a", landmarks)
+        positions.append(rng.uniform(size=3))
+        covariances.append(A @ A.T)
+    m = ObjectMap("a", range(6), positions, covariances)
     m2, truth = perturb_frame(m, 90.0, [5.0, 0.0, 0.0])
-    assert np.allclose(m2.positions(), truth.apply(m.positions()), atol=1e-12)
-    for a, b in zip(m.landmarks, m2.landmarks):
-        wa = np.linalg.eigvalsh(a.covariance)
-        wb = np.linalg.eigvalsh(b.covariance)
+    assert np.allclose(m2.positions, truth.apply(m.positions), atol=1e-12)
+    for a, b in zip(m.covariances, m2.covariances):
+        wa = np.linalg.eigvalsh(a)
+        wb = np.linalg.eigvalsh(b)
         assert np.allclose(wa, wb, atol=1e-12)

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from vista_align.core import Hyperparameters, Landmark, ObjectMap
+from vista_align.core import Hyperparameters, ObjectMap
 from vista_align.submap import generate_submaps, mahalanobis_filter
 
-
-def map_from_points(points, cov_scale=1e-4):
-    return ObjectMap("a", [Landmark(i, p, cov_scale * np.eye(3))
-                           for i, p in enumerate(points)])
+from conftest import map_from_points
 
 
 def test_mahalanobis_omega_100_keeps_all():
@@ -21,8 +18,7 @@ def test_mahalanobis_removes_gross_outlier():
     pts = list(rng.normal(scale=1.0, size=(100, 3)))
     pts.append(np.array([50.0, 50.0, 50.0]))
     filtered = mahalanobis_filter(map_from_points(pts), 95.0)
-    kept_ids = {lm.landmark_id for lm in filtered.landmarks}
-    assert 100 not in kept_ids
+    assert 100 not in filtered.ids
 
 
 def test_mahalanobis_95th_percentile_keeps_95_of_100():
@@ -40,7 +36,7 @@ def test_mahalanobis_accounts_for_anisotropy():
     # a point far in y but close in x: Euclidean-small, Mahalanobis-large
     pts[0] = [0.0, 8.0, 0.0]
     filtered = mahalanobis_filter(map_from_points(pts), 95.0)
-    assert 0 not in {lm.landmark_id for lm in filtered.landmarks}
+    assert 0 not in filtered.ids
 
 
 def test_mahalanobis_singular_covariance_falls_back():
@@ -96,7 +92,7 @@ def test_small_submaps_dropped():
 
 
 def test_empty_map_gives_no_submaps():
-    assert generate_submaps(ObjectMap("a", []), Hyperparameters()) == []
+    assert generate_submaps(map_from_points([]), Hyperparameters()) == []
 
 
 def test_coverage_every_landmark_in_some_submap():
@@ -126,7 +122,7 @@ def test_deterministic_across_input_order():
     pts = rng.uniform(0.0, 4.0, size=(25, 3))
     params = Hyperparameters(n_max=12)
     m1 = map_from_points(pts)
-    m2 = ObjectMap("a", list(m1.landmarks)[::-1])
+    m2 = ObjectMap("a", m1.ids[::-1], m1.positions[::-1], m1.covariances[::-1])
     s1 = generate_submaps(m1, params)
     s2 = generate_submaps(m2, params)
     assert [s.landmark_ids for s in s1] == [s.landmark_ids for s in s2]

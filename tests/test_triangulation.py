@@ -3,7 +3,7 @@ import pytest
 
 from vista_align import triangulation as tri
 from vista_align.core import (DegenerateGeometryError, DivergedError,
-                              Hyperparameters, Pose, Track, project)
+                              Hyperparameters, RigidTransform, Track, project)
 
 from conftest import looking_at_origin_pose, random_rotation
 
@@ -29,9 +29,9 @@ def ring_poses(target, n=5, radius=6.0):
     for f in range(n):
         ang = 2.0 * np.pi * f / n
         offset = radius * np.array([np.cos(ang), np.sin(ang), 0.8])
-        poses[f] = looking_at_origin_pose(offset, f)
         # shift the look-at ring from the origin to the target
-        poses[f] = Pose(poses[f].rotation, target + offset, f)
+        poses[f] = RigidTransform(looking_at_origin_pose(offset).rotation,
+                                  target + offset)
     return poses
 
 
@@ -54,10 +54,10 @@ def test_filter_tracks_rejects_bad_n_min():
 
 def test_initial_guess_two_orthogonal_rays(intrinsics):
     target = np.array([1.0, 2.0, 5.0])
-    poses = {0: looking_at_origin_pose([8.0, 2.0, 5.0], 0),
-             1: looking_at_origin_pose([1.0, -7.0, 5.0], 1)}
+    poses = {0: looking_at_origin_pose([8.0, 2.0, 5.0]),
+             1: looking_at_origin_pose([1.0, -7.0, 5.0])}
     # re-center both cameras so their optical axes cross at the target
-    poses = {f: Pose(p.rotation, p.translation + target, f)
+    poses = {f: RigidTransform(p.rotation, p.translation + target)
              for f, p in poses.items()}
     track = make_track(target, poses, intrinsics)
     assert np.allclose(tri.initial_guess(track, poses, intrinsics), target,
@@ -73,8 +73,8 @@ def test_initial_guess_five_poses(intrinsics):
 
 
 def test_initial_guess_parallel_rays_degenerate(intrinsics):
-    pose = looking_at_origin_pose([5.0, 0.0, 3.0], 0)
-    poses = {0: pose, 1: Pose(pose.rotation, pose.translation, 1)}
+    pose = looking_at_origin_pose([5.0, 0.0, 3.0])
+    poses = {0: pose, 1: pose}
     track = Track(0, [0, 1], [[320.0, 240.0], [320.0, 240.0]])
     with pytest.raises(DegenerateGeometryError):
         tri.initial_guess(track, poses, intrinsics)
@@ -85,17 +85,17 @@ def test_refine_zero_noise_recovers_point(intrinsics):
     poses = ring_poses(target)
     track = make_track(target, poses, intrinsics)
     guess = tri.initial_guess(track, poses, intrinsics)
-    lm = tri.refine(track, poses, intrinsics, guess)
-    assert np.linalg.norm(lm.position - target) < 1e-6
-    assert np.trace(lm.covariance) < 1e-10
+    position, covariance = tri.refine(track, poses, intrinsics, guess)
+    assert np.linalg.norm(position - target) < 1e-6
+    assert np.trace(covariance) < 1e-10
 
 
 def test_refine_converges_from_offset_guess(intrinsics):
     target = np.array([0.5, 0.25, 2.0])
     poses = ring_poses(target, n=8, radius=4.0)
     track = make_track(target, poses, intrinsics)
-    lm = tri.refine(track, poses, intrinsics, target + [0.8, -0.5, 0.6])
-    assert np.linalg.norm(lm.position - target) < 1e-6
+    position, _ = tri.refine(track, poses, intrinsics, target + [0.8, -0.5, 0.6])
+    assert np.linalg.norm(position - target) < 1e-6
 
 
 def test_refine_dynamic_object_diverges(intrinsics):
@@ -121,17 +121,17 @@ def test_refine_covariance_is_psd_and_scales_with_noise(intrinsics):
     rng = np.random.default_rng(42)
     track = make_track(target, poses, intrinsics, noise=1.0, rng=rng)
     guess = tri.initial_guess(track, poses, intrinsics)
-    lm = tri.refine(track, poses, intrinsics, guess)
-    w = np.linalg.eigvalsh(lm.covariance)
+    _, covariance = tri.refine(track, poses, intrinsics, guess)
+    w = np.linalg.eigvalsh(covariance)
     assert w.min() >= 0.0
-    assert 1e-8 < np.trace(lm.covariance) < 1.0
+    assert 1e-8 < np.trace(covariance) < 1.0
 
 
 def test_jacobian_matches_finite_differences(intrinsics):
     rng = np.random.default_rng(17)
     h = 1e-6
     for _ in range(100):
-        pose = Pose(random_rotation(rng), rng.normal(scale=3.0, size=3), 0)
+        pose = RigidTransform(random_rotation(rng), rng.normal(scale=3.0, size=3))
         # choose a point safely in front of this camera
         depth = rng.uniform(2.0, 10.0)
         point = pose.rotation @ np.array([rng.uniform(-1, 1),
@@ -166,7 +166,7 @@ def test_build_map_counts_and_ids(intrinsics):
     assert stats.n_landmarks == 10
     assert stats.n_discarded_short == 1
     assert stats.n_discarded_diverged == 1
-    assert sorted(lm.landmark_id for lm in obj_map.landmarks) == list(range(10))
+    assert sorted(obj_map.ids) == list(range(10))
     assert obj_map.agent_id == "agent"
 
 
@@ -178,8 +178,8 @@ def test_build_map_order_invariant(intrinsics):
                          track_id=i) for i in range(8)]
     m1, _ = tri.build_map(tracks, poses, intrinsics, params, "a")
     m2, _ = tri.build_map(tracks[::-1], poses, intrinsics, params, "a")
-    by_id_1 = {lm.landmark_id: lm.position for lm in m1.landmarks}
-    by_id_2 = {lm.landmark_id: lm.position for lm in m2.landmarks}
+    by_id_1 = dict(zip(m1.ids, m1.positions))
+    by_id_2 = dict(zip(m2.ids, m2.positions))
     assert set(by_id_1) == set(by_id_2)
     for i in by_id_1:
         assert np.allclose(by_id_1[i], by_id_2[i], atol=1e-12)
