@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 from . import alignment, evaluation, formats, simulation, submap, triangulation
 from .core import Hyperparameters, InputError
@@ -57,9 +58,8 @@ def cmd_build_map(args):
     params = _load_params(args.config)
     intrinsics, poses, tracks = formats.load_track_file(args.tracks)
     t0 = time.perf_counter()
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings():     # the summary line reports landmarks=0
+        warnings.filterwarnings("ignore", "build_map produced an empty map")
         obj_map, stats = triangulation.build_map(tracks, poses, intrinsics,
                                                  params, args.agent_id)
     formats.save_map(obj_map, args.out)
@@ -127,8 +127,8 @@ def cmd_evaluate(args):
     params = _load_params(args.config)
     if args.repeats < 3:
         raise InputError("--repeats must be >= 3, got %d" % args.repeats)
-    if args.voxel is not None and not args.voxel > 0:
-        raise InputError("--voxel must be positive, got %g" % args.voxel)
+    if args.voxel is not None and not 0 < args.voxel < math.inf:
+        raise InputError("--voxel must be finite and positive, got %g" % args.voxel)
     map_a, map_b = _load_map_pair(args)
     truth = formats.load_transform(args.truth)
     sweep = _parse_sweep(args.sweep)

@@ -19,10 +19,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
-class BehindCameraError(Exception):
-    """Point has non-positive depth in the camera frame."""
-
-
 class DegenerateGeometryError(Exception):
     """Input geometry is rank-deficient (parallel rays, collinear points, ...)."""
 
@@ -206,17 +202,16 @@ class RigidTransform:
         return pts @ self.rotation.T + self.translation
 
 
-def project(pose, intrinsics, point):
-    """Project an odometry-frame point into pixel coordinates.
+def project(pose, intrinsics, points):
+    """Project odometry-frame points, one (3,) point or an (m, 3) array, into
+    pixel coordinates of shape (2,) or (m, 2).
 
-    Raises BehindCameraError if the camera-frame depth is <= 1e-6.
+    A point at camera-frame depth <= 1e-6 projects to NaN.
     """
-    p_cam = pose.rotation.T @ (np.asarray(point, dtype=float) - pose.translation)
-    z = p_cam[2]
-    if z <= 1e-6:
-        raise BehindCameraError("point depth %g is behind the camera" % z)
-    return np.array([intrinsics.fx * p_cam[0] / z + intrinsics.cx,
-                     intrinsics.fy * p_cam[1] / z + intrinsics.cy])
+    p_cam = (np.asarray(points, dtype=float) - pose.translation) @ pose.rotation
+    z = np.where(p_cam[..., 2] > 1e-6, p_cam[..., 2], np.nan)
+    return np.stack([intrinsics.fx * p_cam[..., 0] / z + intrinsics.cx,
+                     intrinsics.fy * p_cam[..., 1] / z + intrinsics.cy], axis=-1)
 
 
 def transform_angles(t):

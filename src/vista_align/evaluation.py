@@ -4,6 +4,7 @@ gate, and per-comparison runtime measurement."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,8 +25,8 @@ def _voxel_cells(points, voxel):
 
 def submap_iou(submap_a, submap_b, voxel):
     """Voxel-occupancy IoU of two submaps expressed in a common frame."""
-    if voxel <= 0:
-        raise ValueError("voxel must be positive")
+    if not 0 < voxel < math.inf:
+        raise ValueError("voxel must be finite and positive")
     if len(submap_a) == 0 or len(submap_b) == 0:
         return 0.0
     cells_a = _voxel_cells(submap_a.points, voxel)

@@ -271,9 +271,10 @@ def load_transform(path):
 
 def save_ground_truth(path, scene):
     atomic_write(path, _compact({"objects": [
-        {"id": i, "position": obj.position.tolist(),
-         "velocity": obj.velocity.tolist(), "dynamic": bool(obj.dynamic)}
-        for i, obj in enumerate(scene)]}))
+        {"id": i, "position": p, "velocity": v, "dynamic": d}
+        for i, (p, v, d) in enumerate(zip(scene.positions.tolist(),
+                                          scene.velocities.tolist(),
+                                          scene.dynamic.tolist()))]}))
 
 
 def parse_scene_spec(text):

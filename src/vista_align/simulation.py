@@ -5,6 +5,10 @@ in a box, a camera flies a waypoint polyline at fixed altitude with a fixed
 mounting pitch (0 = nadir), and visible objects produce per-frame centroid
 detections with optional pixel noise, dropout, and track fragmentation.
 Occlusion is modeled only through random dropout.
+
+A scene is a `Scene` of per-object arrays. Each frame projects every object
+in one `project` call; noise and dropout are then drawn per detection in
+(frame, object) order, so a seed reproduces the same tracks.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BehindCameraError, ObjectMap, RigidTransform, Track,
-                   project, rotation_y, rotation_z)
+from .core import ObjectMap, RigidTransform, Track, project, rotation_y, rotation_z
 
 # camera-to-world for a nadir view: optical axis straight down, image x = +x
 _R_NADIR = np.array([[1.0, 0.0, 0.0],
@@ -69,13 +72,17 @@ class TrajectorySpec:
 
 
 @dataclass(frozen=True)
-class SceneObject:
-    position: np.ndarray
-    velocity: np.ndarray
-    dynamic: bool
+class Scene:
+    """Ground-truth objects: object i sits at positions[i] + f * velocities[i]
+    in frame f, both (n, 3) arrays, and dynamic[i], an (n,) bool array, marks
+    the objects that move."""
 
-    def position_at(self, frame):
-        return self.position + self.velocity * frame
+    positions: np.ndarray
+    velocities: np.ndarray
+    dynamic: np.ndarray
+
+    def __len__(self):
+        return len(self.positions)
 
 
 def generate_scene(spec):
@@ -83,18 +90,15 @@ def generate_scene(spec):
     objects move at constant horizontal velocity."""
     rng = np.random.default_rng(spec.seed)
     positions = rng.uniform(0.0, np.array(spec.extent), size=(spec.n_objects, 3))
-    dynamic_idx = set(rng.choice(spec.n_objects, size=spec.n_dynamic,
-                                 replace=False).tolist()) if spec.n_dynamic else set()
-    objects = []
-    for i in range(spec.n_objects):
-        if i in dynamic_idx:
-            heading = rng.uniform(0.0, 2.0 * math.pi)
-            vel = spec.dynamic_velocity * np.array([math.cos(heading),
-                                                    math.sin(heading), 0.0])
-        else:
-            vel = np.zeros(3)
-        objects.append(SceneObject(positions[i].copy(), vel, i in dynamic_idx))
-    return objects
+    dynamic = np.zeros(spec.n_objects, dtype=bool)
+    if spec.n_dynamic:
+        dynamic[rng.choice(spec.n_objects, size=spec.n_dynamic, replace=False)] = True
+    velocities = np.zeros((spec.n_objects, 3))
+    for i in np.flatnonzero(dynamic):      # headings drawn in ascending index
+        heading = rng.uniform(0.0, 2.0 * math.pi)
+        velocities[i] = spec.dynamic_velocity * np.array([math.cos(heading),
+                                                          math.sin(heading), 0.0])
+    return Scene(positions, velocities, dynamic)
 
 
 def trajectory_poses(trajectory):
@@ -112,6 +116,12 @@ def trajectory_poses(trajectory):
         xy = wps[k, :2] + frac * (wps[k + 1, :2] - wps[k, :2])
         poses[f] = RigidTransform(R, np.array([xy[0], xy[1], trajectory.altitude]))
     return poses
+
+
+def _in_image(px, intrinsics):
+    """Whether pixel coordinates (..., 2) fall inside the image; NaN does not."""
+    return ((0 <= px[..., 0]) & (px[..., 0] < intrinsics.width)
+            & (0 <= px[..., 1]) & (px[..., 1] < intrinsics.height))
 
 
 def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
@@ -132,18 +142,13 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
     frames = [[] for _ in range(n)]
     pixels = [[] for _ in range(n)]
     for f in sorted(poses):
-        pose = poses[f]
-        for i, obj in enumerate(scene):
-            try:
-                px = project(pose, intrinsics, obj.position_at(f))
-            except BehindCameraError:
-                continue
-            if not (0 <= px[0] < intrinsics.width and 0 <= px[1] < intrinsics.height):
-                continue
+        projected = project(poses[f], intrinsics,
+                            scene.positions + scene.velocities * f)
+        for i in np.flatnonzero(_in_image(projected, intrinsics)):
+            px = projected[i]
             if noise > 0:
                 px = px + rng.normal(0.0, noise, size=2)
-                if not (0 <= px[0] < intrinsics.width
-                        and 0 <= px[1] < intrinsics.height):
+                if not _in_image(px, intrinsics):
                     continue
             if dropout > 0 and rng.uniform() < dropout:
                 continue

@@ -34,66 +34,60 @@ def filter_tracks(tracks, n_min):
     return [t for t in tracks if len(t) > n_min]
 
 
-def _rays(track, poses, intrinsics):
-    origins, dirs = [], []
-    for frame, (u, v) in zip(track.frames, track.centroids):
-        pose = poses[frame]
-        d_cam = np.array([(u - intrinsics.cx) / intrinsics.fx,
-                          (v - intrinsics.cy) / intrinsics.fy, 1.0])
-        d = pose.rotation @ d_cam
-        dirs.append(d / np.linalg.norm(d))
-        origins.append(pose.translation)
-    return np.array(origins), np.array(dirs)
+def _stack(track, poses):
+    """The rotations (m, 3, 3) and translations (m, 3) of a track's frames."""
+    return (np.array([poses[f].rotation for f in track.frames]),
+            np.array([poses[f].translation for f in track.frames]))
 
 
 def initial_guess(track, poses, intrinsics):
     """Linear midpoint triangulation: least-squares point closest to all rays."""
-    origins, dirs = _rays(track, poses, intrinsics)
-    A = np.zeros((3, 3))
-    b = np.zeros(3)
-    for o, d in zip(origins, dirs):
-        P = np.eye(3) - np.outer(d, d)
-        A += P
-        b += P @ o
+    R, t = _stack(track, poses)
+    u, v = track.centroids.T
+    d_cam = np.stack([(u - intrinsics.cx) / intrinsics.fx,
+                      (v - intrinsics.cy) / intrinsics.fy, np.ones(len(u))], axis=1)
+    d = R @ d_cam[:, :, None]                       # (m, 3, 1) ray directions
+    d = d / np.sqrt(np.swapaxes(d, 1, 2) @ d)
+    P = np.eye(3) - d * np.swapaxes(d, 1, 2)        # projectors off each ray
+    A = P.sum(axis=0)
+    b = (P @ t[:, :, None]).sum(axis=0)[:, 0]
     w = np.linalg.eigvalsh(A)
     if w[0] < 1e-8 * max(w[-1], 1e-300):
         raise DegenerateGeometryError("all back-projected rays are parallel")
     return np.linalg.solve(A, b)
 
 
-def _residuals(point, observations, intrinsics):
-    """Residuals, Jacobian, and cost at `point`.
+def _residuals(point, R, t, centroids, intrinsics):
+    """Residuals, Jacobian, and cost at `point` seen from the cameras
+    (R[k], t[k]) at pixel centroids[k].
 
     Observations whose camera-frame depth is <= 1e-6 contribute a fixed penalty
     to the cost instead of a residual; if every detection is behind the
     camera the point is unrecoverable and the track is declared diverged.
     """
-    rows_r, rows_j = [], []
-    n_behind = 0
-    for pose, centroid in observations:
-        p_cam = pose.rotation.T @ (point - pose.translation)
-        z = p_cam[2]
-        if z <= 1e-6:
-            n_behind += 1
-            continue
-        x, y = p_cam[0], p_cam[1]
-        rows_r.append([intrinsics.fx * x / z + intrinsics.cx - centroid[0],
-                       intrinsics.fy * y / z + intrinsics.cy - centroid[1]])
-        d_uv_d_cam = np.array([[intrinsics.fx / z, 0.0, -intrinsics.fx * x / z ** 2],
-                               [0.0, intrinsics.fy / z, -intrinsics.fy * y / z ** 2]])
-        rows_j.append(d_uv_d_cam @ pose.rotation.T)
-    if n_behind == len(observations):
+    # @ keeps every product bit-equal to the per-observation R.T @ (point - t)
+    p_cam = ((point - t)[:, None, :] @ R)[:, 0]
+    front = p_cam[:, 2] > 1e-6
+    n_behind = len(front) - np.count_nonzero(front)
+    if n_behind == len(front):
         raise DivergedError("iterate is behind every camera")
-    r = np.array(rows_r).ravel()
-    J = np.concatenate(rows_j, axis=0)
+    (x, y, z), c = p_cam[front].T, centroids[front]
+    r = np.stack([intrinsics.fx * x / z + intrinsics.cx - c[:, 0],
+                  intrinsics.fy * y / z + intrinsics.cy - c[:, 1]], axis=1).ravel()
+    z2 = np.float_power(z, 2.0)     # pow(), as scalar z ** 2; array z ** 2 is z * z
+    zero = np.zeros_like(z)
+    d_uv_d_cam = np.stack([intrinsics.fx / z, zero, -intrinsics.fx * x / z2,
+                           zero, intrinsics.fy / z, -intrinsics.fy * y / z2],
+                          axis=1).reshape(-1, 2, 3)
+    J = (d_uv_d_cam @ np.swapaxes(R[front], 1, 2)).reshape(-1, 3)
     cost = float(r @ r) + _BEHIND_PENALTY * n_behind
     return r, J, cost
 
 
 def reprojection_jacobian(pose, intrinsics, point):
     """Analytic 2x3 Jacobian of project() w.r.t. the 3D point."""
-    _, J, _ = _residuals(np.asarray(point, dtype=float),
-                         [(pose, np.zeros(2))], intrinsics)
+    _, J, _ = _residuals(np.asarray(point, dtype=float), pose.rotation[None],
+                         pose.translation[None], np.zeros((1, 2)), intrinsics)
     return J
 
 
@@ -108,10 +102,10 @@ def refine(track, poses, intrinsics, guess):
     x = np.array(guess, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial guess must be finite")
-    observations = [(poses[f], c) for f, c in zip(track.frames, track.centroids)]
-    m = len(observations)
+    R, t = _stack(track, poses)
+    m = len(track)
 
-    r, J, cost = _residuals(x, observations, intrinsics)
+    r, J, cost = _residuals(x, R, t, track.centroids, intrinsics)
     lam = 0.0
     fails = 0
     converged = False
@@ -124,7 +118,7 @@ def refine(track, poses, intrinsics, guess):
             lam = max(lam * 10.0, 1e-6)
             continue
         x_new = x + step
-        r_new, J_new, cost_new = _residuals(x_new, observations, intrinsics)
+        r_new, J_new, cost_new = _residuals(x_new, R, t, track.centroids, intrinsics)
         rel_change = abs(cost - cost_new) / max(cost, 1e-300)
         if np.linalg.norm(step) < STEP_TOL or rel_change < COST_TOL:
             if cost_new < cost:

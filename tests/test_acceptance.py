@@ -249,8 +249,7 @@ def test_criterion_6_dynamic_object_rejection():
         for track in tracks:
             if len(track) <= params.n_min:
                 continue        # never reached refinement
-            obj = scene[track.track_id]
-            if obj.dynamic:
+            if scene.dynamic[track.track_id]:
                 dynamic_total += 1
                 if track.track_id not in built:
                     dynamic_rejected += 1

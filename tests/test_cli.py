@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from vista_align import alignment, cli, evaluation, formats, submap
+from vista_align import (alignment, cli, evaluation, formats, submap,
+                         triangulation)
 from vista_align.core import (Hyperparameters, ObjectMap, RigidTransform,
                               rotation_z)
 
@@ -297,6 +299,7 @@ MALFORMED = {
     "missing_out_flag": (["submaps", "--map", "{a}"], {}, "--out"),
     "repeats_below_3": (["evaluate", "--repeats", "1"], {}, "--repeats"),
     "negative_voxel": (["evaluate", "--voxel", "-1"], {}, "--voxel"),
+    "voxel_inf": (["evaluate", "--voxel", "inf"], {}, "--voxel"),
     "empty_map": (["match", "--map-b", "{empty}"], {}, "landmarks"),
     "directory_as_map": (["match", "--map-a", "{dir}"], {}, "{dir}"),
     "negative_top_k": (["match", "--top-k", "-1"], {}, "--top-k"),
@@ -377,6 +380,24 @@ def test_malformed_input_exits_1_naming_field(case, small_maps, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert field.format(**small_maps) in err
+
+
+def test_build_map_hides_only_the_empty_map_warning(workdir, small_maps,
+                                                     monkeypatch, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(["build-map", "--tracks", small_maps["tracks"],
+                        "--out", small_maps["out"]]) == 0
+    assert "landmarks=0" in capsys.readouterr().out
+    refine = triangulation.refine
+
+    def warning_refine(*args):
+        warnings.warn("overflow in refine", RuntimeWarning)
+        return refine(*args)
+
+    monkeypatch.setattr(triangulation, "refine", warning_refine)
+    with pytest.warns(RuntimeWarning, match="overflow in refine"):
+        simulate_and_build(workdir)
 
 
 def test_evaluate_times_the_filtered_maps_it_scores(small_maps, monkeypatch):

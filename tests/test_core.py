@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from vista_align.core import (BehindCameraError, CameraIntrinsics,
-                              Hyperparameters, ObjectMap, RigidTransform, Track,
-                              project, rotation_x, rotation_y, rotation_z,
-                              transform_angles)
+from vista_align.core import (CameraIntrinsics, Hyperparameters, ObjectMap,
+                              RigidTransform, Track, project, rotation_x,
+                              rotation_y, rotation_z, transform_angles)
 
 from conftest import random_rotation
 
@@ -27,9 +26,23 @@ def test_project_hand_evaluated_pinhole():
     assert np.allclose(px, [100.0, 50.0])
 
 
-def test_project_behind_camera_raises(intrinsics):
-    with pytest.raises(BehindCameraError):
-        project(RigidTransform.identity(), intrinsics, [0.0, 0.0, -1.0])
+def test_project_behind_camera_is_nan(intrinsics):
+    pose = RigidTransform.identity()
+    for point in ([0.0, 0.0, -1.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1e-6]):
+        assert np.isnan(project(pose, intrinsics, point)).all()
+    assert np.isfinite(project(pose, intrinsics, [0.0, 0.0, 2e-6])).all()
+
+
+def test_project_rows_equal_single_points(intrinsics):
+    rng = np.random.default_rng(12)
+    pose = RigidTransform(random_rotation(rng), rng.normal(size=3))
+    points = pose.translation + rng.normal(scale=5.0, size=(200, 3))
+    rows = project(pose, intrinsics, points)
+    assert rows.shape == (200, 2)
+    assert np.isnan(rows).any() and np.isfinite(rows).any()
+    for point, row in zip(points, rows):
+        assert np.array_equal(project(pose, intrinsics, point), row,
+                              equal_nan=True)
 
 
 def test_project_applies_pose_inverse(intrinsics):

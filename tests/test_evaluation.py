@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,8 +52,9 @@ def test_iou_empty_submap_is_zero():
 
 
 def test_iou_validates_voxel():
-    with pytest.raises(ValueError):
-        submap_iou(sub([[0.0, 0.0, 0.0]]), sub([[0.0, 0.0, 0.0]]), 0.0)
+    for voxel in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            submap_iou(sub([[0.0, 0.0, 0.0]]), sub([[0.0, 0.0, 0.0]]), voxel)
 
 
 def test_classify_truth_is_correct():

@@ -14,7 +14,7 @@ from vista_align.core import (CameraIntrinsics, Hyperparameters, InputError,
                               ObjectMap, RigidTransform, Track, rotation_x,
                               rotation_y, rotation_z)
 from vista_align.evaluation import PrPoint
-from vista_align.simulation import SceneObject, TrajectorySpec, trajectory_poses
+from vista_align.simulation import Scene, TrajectorySpec, trajectory_poses
 from vista_align.submap import Submap
 
 from conftest import random_rotation
@@ -286,9 +286,9 @@ def test_save_pr_table_writes_exact_bytes(tmp_path):
 
 def test_save_ground_truth_writes_exact_bytes(tmp_path):
     path = str(tmp_path / "ground_truth.json")
-    scene = [SceneObject(np.array([1.0, 2.5, 2 / 3]), np.zeros(3), False),
-             SceneObject(np.array([-0.0, 1e-20, 1.25]),
-                         np.array([0.6, -0.8, 0.0]), True)]
+    scene = Scene(np.array([[1.0, 2.5, 2 / 3], [-0.0, 1e-20, 1.25]]),
+                  np.array([[0.0, 0.0, 0.0], [0.6, -0.8, 0.0]]),
+                  np.array([False, True]))
     formats.save_ground_truth(path, scene)
     assert read(path) == (
         '{"objects":[{"id":0,"position":[1.0,2.5,0.6666666666666666],'

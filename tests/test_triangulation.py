@@ -4,6 +4,8 @@ import pytest
 from vista_align import triangulation as tri
 from vista_align.core import (DegenerateGeometryError, DivergedError,
                               Hyperparameters, RigidTransform, Track, project)
+from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
+                                    render_tracks)
 
 from conftest import looking_at_origin_pose, random_rotation
 
@@ -193,3 +195,83 @@ def test_build_map_empty_warns(intrinsics):
                                        Hyperparameters(), "a")
     assert len(obj_map) == 0
     assert stats.n_discarded_short == 3
+
+
+def rendered_tracks(intrinsics, pitch):
+    """Noisy tracks of static and moving objects, long enough to triangulate."""
+    scene = generate_scene(SceneSpec(40, (10.0, 10.0, 1.5), n_dynamic=8,
+                                     dynamic_velocity=0.5, seed=4))
+    trajectory = TrajectorySpec([(1.0, 1.0, 0.0), (1.0, 9.0, 0.0),
+                                 (5.0, 9.0, 0.0), (5.0, 1.0, 0.0)],
+                                frames=30, camera_pitch=pitch, altitude=8.0)
+    tracks, poses = render_tracks(scene, trajectory, intrinsics, noise=0.5,
+                                  seed=4)
+    return [t for t in tracks if len(t) > 3], poses
+
+
+def reference_initial_guess(track, poses, intrinsics):
+    """initial_guess one ray at a time."""
+    A, b = np.zeros((3, 3)), np.zeros(3)
+    for frame, (u, v) in zip(track.frames, track.centroids):
+        pose = poses[frame]
+        d = pose.rotation @ np.array([(u - intrinsics.cx) / intrinsics.fx,
+                                      (v - intrinsics.cy) / intrinsics.fy, 1.0])
+        d = d / np.linalg.norm(d)
+        P = np.eye(3) - np.outer(d, d)
+        A += P
+        b += P @ pose.translation
+    return np.linalg.solve(A, b)
+
+
+def reference_residuals(point, track, poses, intrinsics):
+    """_residuals one observation at a time."""
+    rows_r, rows_j, n_behind = [], [], 0
+    for frame, centroid in zip(track.frames, track.centroids):
+        R, t = poses[frame].rotation, poses[frame].translation
+        x, y, z = R.T @ (point - t)
+        if z <= 1e-6:
+            n_behind += 1
+            continue
+        rows_r.append([intrinsics.fx * x / z + intrinsics.cx - centroid[0],
+                       intrinsics.fy * y / z + intrinsics.cy - centroid[1]])
+        d_uv_d_cam = np.array([[intrinsics.fx / z, 0.0, -intrinsics.fx * x / z ** 2],
+                               [0.0, intrinsics.fy / z, -intrinsics.fy * y / z ** 2]])
+        rows_j.append(d_uv_d_cam @ R.T)
+    if n_behind == len(track):
+        raise DivergedError("iterate is behind every camera")
+    r = np.array(rows_r).ravel()
+    return r, np.concatenate(rows_j, axis=0), float(r @ r) + 1e6 * n_behind
+
+
+@pytest.mark.parametrize("pitch", [0.0, 45.0])
+def test_initial_guess_equals_per_ray_loop_exactly(intrinsics, pitch):
+    tracks, poses = rendered_tracks(intrinsics, pitch)
+    assert len(tracks) > 20
+    for track in tracks:
+        assert np.array_equal(tri.initial_guess(track, poses, intrinsics),
+                              reference_initial_guess(track, poses, intrinsics))
+
+
+@pytest.mark.parametrize("pitch", [0.0, 45.0])
+def test_residuals_equal_per_observation_loop_exactly(intrinsics, pitch):
+    tracks, poses = rendered_tracks(intrinsics, pitch)
+    rng = np.random.default_rng(5)
+    paths = {"front": 0, "partly behind": 0, "behind all": 0}
+    for track in tracks:
+        R, t = tri._stack(track, poses)
+        guess = reference_initial_guess(track, poses, intrinsics)
+        near_and_far = guess + rng.normal(scale=[[[0.5]], [[6.0]]], size=(2, 15, 3))
+        for point in [guess, *near_and_far.reshape(-1, 3), guess + [0.0, 0.0, 30.0]]:
+            try:
+                expected = reference_residuals(point, track, poses, intrinsics)
+            except DivergedError:
+                paths["behind all"] += 1
+                with pytest.raises(DivergedError, match="behind every camera"):
+                    tri._residuals(point, R, t, track.centroids, intrinsics)
+                continue
+            paths["front" if expected[2] < 1e6 else "partly behind"] += 1
+            r, J, cost = tri._residuals(point, R, t, track.centroids, intrinsics)
+            assert np.array_equal(r, expected[0])
+            assert np.array_equal(J, expected[1])
+            assert cost == expected[2]
+    assert min(paths.values()) > 0, paths
