@@ -5,8 +5,8 @@ Hypotheses map coordinates expressed in map A's frame into map B's frame.
 `align_maps` keeps only hypotheses with more than `s_max` inliers, so it does
 not solve a pair whose consistency graph holds no clique of `s_max + 1`
 candidates: the densest-clique result is a clique, so it could not pass.
-`evaluation.timing` solves every pair `repeats` times: the PR table scores
-every cardinality of the first pass, and the runtime columns time every pass.
+`evaluation.timing` solves every pair three times: the PR table scores every
+cardinality of the first pass, and the runtime columns time every pass.
 """
 
 from __future__ import annotations

@@ -42,13 +42,16 @@ class Association:
 class AffinityMatrix:
     """Pairwise affinity of `size` candidates as a dense float array.
 
-    Unchecked precondition of both solvers, true of every matrix
+    Unchecked precondition of `densest_clique`, true of every matrix
     `build_affinity` makes: `entries` is size x size, exactly symmetric,
     in [0, 1], with a unit diagonal; zero marks an inconsistent pair.
     """
 
-    size: int
     entries: np.ndarray
+
+    @property
+    def size(self):
+        return self.entries.shape[0]
 
 
 def consistency_score(x, sigma, epsilon):
@@ -94,7 +97,7 @@ def build_affinity(submap_a, submap_b, params):
     M = X.reshape(n, n)
     np.fill_diagonal(M, 1.0)
 
-    return np.indices((na, nb)).reshape(2, n).T, AffinityMatrix(n, M)
+    return np.indices((na, nb)).reshape(2, n).T, AffinityMatrix(M)
 
 
 def _grow(seed, A, feasible):
@@ -112,7 +115,7 @@ def _grow(seed, A, feasible):
         cand = np.flatnonzero(feas)
         if not cand.size:
             break
-        j = int(cand[np.lexsort((cand, -sig[cand]))[0]])
+        j = int(cand[np.argmax(sig[cand])])
         Q += 1.0 + 2.0 * sig[j]
         k += 1
         members.append(j)
@@ -281,41 +284,3 @@ def densest_clique(affinity):
 
     return np.array(_round(u, A, feasible), dtype=int)   # sorted
 
-
-def densest_clique_exact(affinity):
-    """Exhaustive oracle for the densest consistent clique (n <= 20), as a
-    sorted array of candidate indices, under the same precondition as
-    `densest_clique`.
-
-    Ties are broken by larger cardinality, then lexicographically earliest
-    index set.
-    """
-    A = affinity.entries
-    n = affinity.size
-    if n > 20:
-        raise ValueError("exhaustive enumeration is capped at 20 candidates")
-    Z = np.asarray(np.logical_not(A > 0.0), dtype=float)
-    np.fill_diagonal(Z, 0.0)
-
-    def indices(mask):
-        return tuple(i for i in range(n) if (mask >> i) & 1)
-
-    best_density, best_k, best_idx = -1.0, 0, ()
-    bits = np.arange(n)
-    chunk = 1 << 16
-    for start in range(1, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
-        B = ((masks[:, None] >> bits) & 1).astype(float)
-        viol = np.einsum("mi,ij,mj->m", B, Z, B)
-        q = np.einsum("mi,ij,mj->m", B, A, B)
-        k = B.sum(axis=1)
-        density = np.where(viol > 0, -1.0, q / k)
-        for idx in np.flatnonzero(density > best_density - 1e-12):
-            dens, kk = density[idx], int(k[idx])
-            if dens > best_density + 1e-12:
-                best_density, best_k, best_idx = dens, kk, indices(int(masks[idx]))
-            elif abs(dens - best_density) <= 1e-12:
-                cand = indices(int(masks[idx]))
-                if kk > best_k or (kk == best_k and cand < best_idx):
-                    best_k, best_idx = kk, cand
-    return np.array(best_idx, dtype=int)

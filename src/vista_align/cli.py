@@ -9,7 +9,6 @@ import math
 import os
 import sys
 import time
-import warnings
 
 from . import alignment, evaluation, formats, simulation, submap, triangulation
 from .core import Hyperparameters, InputError
@@ -58,10 +57,8 @@ def cmd_build_map(args):
     params = _load_params(args.config)
     intrinsics, poses, tracks = formats.load_track_file(args.tracks)
     t0 = time.perf_counter()
-    with warnings.catch_warnings():     # the summary line reports landmarks=0
-        warnings.filterwarnings("ignore", "build_map produced an empty map")
-        obj_map, stats = triangulation.build_map(tracks, poses, intrinsics,
-                                                 params, args.agent_id)
+    obj_map, stats = triangulation.build_map(tracks, poses, intrinsics, params,
+                                             args.agent_id)
     formats.save_map(obj_map, args.out)
     print("landmarks=%d discarded_diverged=%d discarded_short=%d"
           % (stats.n_landmarks, stats.n_discarded_diverged,
@@ -125,8 +122,6 @@ def _parse_sweep(text):
 
 def cmd_evaluate(args):
     params = _load_params(args.config)
-    if args.repeats < 3:
-        raise InputError("--repeats must be >= 3, got %d" % args.repeats)
     if args.voxel is not None and not 0 < args.voxel < math.inf:
         raise InputError("--voxel must be finite and positive, got %g" % args.voxel)
     map_a, map_b = _load_map_pair(args)
@@ -135,7 +130,7 @@ def cmd_evaluate(args):
     t0 = time.perf_counter()
     outcomes, mean_rt, std_rt = evaluation.evaluate_map_pair(
         submap.inlier_map(map_a, params), submap.inlier_map(map_b, params),
-        truth, params, voxel=args.voxel, repeats=args.repeats)
+        truth, params, voxel=args.voxel)
     if not outcomes:
         raise InputError("no submap pairs: field 'landmarks' of each map must "
                          "hold more than s_max = %d inliers" % params.s_max)
@@ -212,8 +207,6 @@ def build_parser():
     p.add_argument("--sweep", default="3:15", help="s_max sweep as lo:hi")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--voxel", type=float, help="IoU voxel size, m (default w/4)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="solves per submap pair (>= 3), the first scored")
     p.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -185,10 +185,6 @@ class RigidTransform:
         object.__setattr__(self, "translation", _as_readonly(self.translation, (3,), "translation"))
         check_rotation(self.rotation, 1e-8)
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
     def compose(self, other):
         """Transform equal to applying `other` first, then self."""
         return RigidTransform(self.rotation @ other.rotation,
@@ -242,8 +238,3 @@ def rotation_z(yaw_deg):
 def rotation_y(pitch_deg):
     c, s = math.cos(math.radians(pitch_deg)), math.sin(math.radians(pitch_deg))
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rotation_x(roll_deg):
-    c, s = math.cos(math.radians(roll_deg)), math.sin(math.radians(roll_deg))
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])

@@ -83,8 +83,8 @@ def precision_recall(outcomes, params, s_max_sweep):
     return rows
 
 
-def evaluate_map_pair(map_a, map_b, truth, params, voxel=None, repeats=3):
-    """Solve every submap pair `repeats` times (see `timing`) and return
+def evaluate_map_pair(map_a, map_b, truth, params, voxel=None):
+    """Solve every submap pair three times (see `timing`) and return
     (outcomes, mean_s, std_s): the first pass's per-pair outcomes for PR
     aggregation, and seconds per solve. No submap pair gives ([], nan, nan).
 
@@ -95,7 +95,7 @@ def evaluate_map_pair(map_a, map_b, truth, params, voxel=None, repeats=3):
         voxel = default_voxel(params)
     subs_a = generate_submaps(map_a, params)
     subs_b = generate_submaps(map_b, params)
-    solved, mean_s, std_s = (timing(subs_a, subs_b, params, repeats)
+    solved, mean_s, std_s = (timing(subs_a, subs_b, params)
                              if subs_a and subs_b else ([], np.nan, np.nan))
     truth_inv = truth.inverse()
 
@@ -114,16 +114,14 @@ def evaluate_map_pair(map_a, map_b, truth, params, voxel=None, repeats=3):
     return outcomes, mean_s, std_s
 
 
-def timing(subs_a, subs_b, params, repeats):
-    """Solve every distinct pair of two submap grids `repeats` (>= 3) times.
-    Returns the first pass's `solve_pairs` items and the wall-clock (mean, std)
-    seconds per solve over all passes; later passes keep only their seconds.
-    No pair is a ValueError."""
-    if repeats < 3:
-        raise ValueError("repeats must be >= 3")
+def timing(subs_a, subs_b, params):
+    """Solve every distinct pair of two submap grids three times. Returns the
+    first pass's `solve_pairs` items and the wall-clock (mean, std) seconds
+    per solve over all passes; later passes keep only their seconds. No pair
+    is a ValueError."""
     first = list(solve_pairs(subs_a, subs_b, params))
     if not first:
         raise ValueError("no submap pair to time")
-    seconds = [s for *_, s in first] + [s for _ in range(repeats - 1)
+    seconds = [s for *_, s in first] + [s for _ in range(2)
                                         for *_, s in solve_pairs(subs_a, subs_b, params)]
     return first, float(np.mean(seconds)), float(np.std(seconds))

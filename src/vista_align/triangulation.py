@@ -9,7 +9,6 @@ and discarded.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,13 +81,6 @@ def _residuals(point, R, t, centroids, intrinsics):
     J = (d_uv_d_cam @ np.swapaxes(R[front], 1, 2)).reshape(-1, 3)
     cost = float(r @ r) + _BEHIND_PENALTY * n_behind
     return r, J, cost
-
-
-def reprojection_jacobian(pose, intrinsics, point):
-    """Analytic 2x3 Jacobian of project() w.r.t. the 3D point."""
-    _, J, _ = _residuals(np.asarray(point, dtype=float), pose.rotation[None],
-                         pose.translation[None], np.zeros((1, 2)), intrinsics)
-    return J
 
 
 def refine(track, poses, intrinsics, guess):
@@ -165,7 +157,7 @@ def build_map(tracks, poses, intrinsics, params, agent_id):
     """Triangulate every track independently into an ObjectMap.
 
     Returns (ObjectMap, BuildStats). Diverged and degenerate tracks are
-    dropped and counted; an empty result triggers a warning, not an error.
+    dropped and counted; an empty result is an empty map, not an error.
     """
     stats = BuildStats()
     kept = filter_tracks(tracks, params.n_min)
@@ -179,7 +171,5 @@ def build_map(tracks, poses, intrinsics, params, agent_id):
         except (DegenerateGeometryError, DivergedError):
             stats.n_discarded_diverged += 1
     stats.n_landmarks = len(ids)
-    if not ids:
-        warnings.warn("build_map produced an empty map for agent %r" % agent_id)
     return ObjectMap(agent_id, ids, np.reshape([x for x, _ in fits], (-1, 3)),
                      np.reshape([cov for _, cov in fits], (-1, 3, 3))), stats

@@ -13,7 +13,7 @@ from vista_align import formats
 from vista_align import triangulation as tri
 from vista_align.alignment import align_maps, arun
 from vista_align.association import (AffinityMatrix, consistency_score,
-                                     densest_clique, densest_clique_exact)
+                                     densest_clique)
 from vista_align.core import (CameraIntrinsics, Hyperparameters, ObjectMap,
                               RigidTransform, project)
 from vista_align.evaluation import (PairOutcome, classify, evaluate_map_pair,
@@ -22,7 +22,8 @@ from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
                                     perturb_frame, render_tracks)
 from vista_align.submap import generate_submaps, inlier_map
 
-from conftest import map_from_points, random_rotation
+from conftest import (densest_clique_exact, map_from_points, random_rotation,
+                      reprojection_jacobian)
 
 INTRINSICS = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
 
@@ -43,7 +44,7 @@ def _random_instance(seed):
     M = 0.5 * (M + M.T)
     M[M < rng.uniform(0.2, 0.7)] = 0.0
     np.fill_diagonal(M, 1.0)
-    return AffinityMatrix(n, M)
+    return AffinityMatrix(M)
 
 
 def _density(idx, M):
@@ -154,7 +155,7 @@ def test_criterion_4_triangulation():
         point = pose.rotation @ np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
                                           rng.uniform(2.0, 10.0)]) \
             + pose.translation
-        J = tri.reprojection_jacobian(pose, INTRINSICS, point)
+        J = reprojection_jacobian(pose, INTRINSICS, point)
         J_fd = np.zeros((2, 3))
         for k in range(3):
             e = np.zeros(3)
@@ -185,11 +186,7 @@ def test_criterion_4_triangulation():
 def _build_synthetic_map(scene, trajectory, params, seed, agent):
     tracks, poses = render_tracks(scene, trajectory, INTRINSICS, noise=0.3,
                                   seed=seed)
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        obj_map, _ = tri.build_map(tracks, poses, INTRINSICS, params, agent)
-    return obj_map
+    return tri.build_map(tracks, poses, INTRINSICS, params, agent)[0]
 
 
 @pytest.fixture(scope="module")
@@ -241,10 +238,7 @@ def test_criterion_6_dynamic_object_rejection():
                                          dynamic_velocity=1.0, seed=seed))
         tracks, poses = render_tracks(scene, trajectory, INTRINSICS, noise=0.5,
                                       seed=seed + 500)
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            obj_map, _ = tri.build_map(tracks, poses, INTRINSICS, params, "a")
+        obj_map, _ = tri.build_map(tracks, poses, INTRINSICS, params, "a")
         built = set(obj_map.ids)
         for track in tracks:
             if len(track) <= params.n_min:
@@ -285,7 +279,7 @@ def test_criterion_8_comparison_timing():
     map_b, _ = perturb_frame(map_a, 30.0, [2.0, -1.0, 0.0])
     params = Hyperparameters()
     _, mean, std = timing(generate_submaps(map_a, params),
-                          generate_submaps(map_b, params), params, 3)
+                          generate_submaps(map_b, params), params)
     print("50x50 comparison: %.3f s +- %.3f s" % (mean, std))
     _report(8, mean < 1.5)
 

@@ -9,13 +9,14 @@ from vista_align.alignment import (AlignmentHypothesis, align_maps, arun,
                                    prune, solve_submap_pair)
 from vista_align.association import Association, build_affinity
 from vista_align.core import (DegenerateGeometryError, Hyperparameters,
-                              RigidTransform, rotation_x, rotation_z)
+                              RigidTransform, rotation_z)
 from vista_align.evaluation import (PairOutcome, classify, default_voxel,
                                     evaluate_map_pair, submap_iou)
 from vista_align.simulation import perturb_frame
 from vista_align.submap import Submap, generate_submaps
 
-from conftest import clique_number, map_from_points, random_rotation
+from conftest import (clique_number, identity, map_from_points,
+                      random_rotation, rotation_x)
 
 
 def hyp(transform, n_inliers, src=0, tgt=0):
@@ -83,9 +84,9 @@ def test_prune_attitude():
 
 
 def test_prune_cardinality_strict():
-    assert prune(hyp(RigidTransform.identity(), 4), Hyperparameters()) == \
+    assert prune(hyp(identity(), 4), Hyperparameters()) == \
         "cardinality"
-    assert prune(hyp(RigidTransform.identity(), 5), Hyperparameters()) is None
+    assert prune(hyp(identity(), 5), Hyperparameters()) is None
 
 
 def test_prune_yaw_not_gated():
@@ -102,7 +103,7 @@ def test_prune_monotone_in_cardinality():
 
 def test_hypothesis_cardinality_checked():
     with pytest.raises(ValueError):
-        AlignmentHypothesis(RigidTransform.identity(),
+        AlignmentHypothesis(identity(),
                             frozenset([Association(0, 0)]), 2, 0, 0)
 
 

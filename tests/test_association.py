@@ -8,12 +8,12 @@ from vista_align import association
 from vista_align.association import (MAX_CANDIDATES, AffinityMatrix,
                                      _ascend, build_affinity,
                                      consistency_score, densest_clique,
-                                     densest_clique_exact, has_clique)
+                                     has_clique)
 from vista_align.core import (Hyperparameters, InputError, RigidTransform,
                               rotation_z)
 from vista_align.submap import Submap
 
-from conftest import clique_number, random_rotation
+from conftest import clique_number, densest_clique_exact, random_rotation
 
 
 def sub(points):
@@ -159,7 +159,7 @@ def unit_graph(n, edges):
     for i, j in edges:
         M[i, j] = M[j, i] = 1.0
     np.fill_diagonal(M, 1.0)
-    return AffinityMatrix(n, M)
+    return AffinityMatrix(M)
 
 
 def test_densest_clique_complete_graph():
@@ -200,7 +200,7 @@ def test_densest_clique_true_associations_under_rigid_transform():
             x = da - db
             if abs(x) <= params.epsilon:
                 M[p, q] = math.exp(-0.5 * (x / params.sigma) ** 2)
-    aff = AffinityMatrix(12, M)
+    aff = AffinityMatrix(M)
     expected = list(range(8))
     assert densest_clique_exact(aff).tolist() == expected
     assert densest_clique(aff).tolist() == expected
@@ -225,7 +225,7 @@ def test_densest_clique_exact_too_large():
 
 
 def test_densest_clique_empty_input():
-    aff = AffinityMatrix(0, np.zeros((0, 0)))
+    aff = AffinityMatrix(np.zeros((0, 0)))
     assert densest_clique(aff).size == 0
     assert densest_clique_exact(aff).size == 0
     assert has_clique(aff, 0) and not has_clique(aff, 1)
@@ -251,7 +251,7 @@ def clique_cases(draw):
     M[rng.uniform(size=(n, n)) > rng.uniform()] = 0.0
     M = M + M.T
     np.fill_diagonal(M, 1.0)
-    return AffinityMatrix(n, M)
+    return AffinityMatrix(M)
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -276,7 +276,7 @@ def test_densest_clique_output_always_feasible():
         M = 0.5 * (M + M.T)
         M[M < 0.45] = 0.0
         np.fill_diagonal(M, 1.0)
-        out = densest_clique(AffinityMatrix(n, M))
+        out = densest_clique(AffinityMatrix(M))
         for i in out:
             for j in out:
                 if i != j:

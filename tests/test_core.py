@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from vista_align.core import (CameraIntrinsics, Hyperparameters, ObjectMap,
-                              RigidTransform, Track, project, rotation_x,
-                              rotation_y, rotation_z, transform_angles)
+                              RigidTransform, Track, project, rotation_y,
+                              rotation_z, transform_angles)
 
-from conftest import random_rotation
+from conftest import identity, random_rotation, rotation_x
 
 
 def one_landmark_map(covariance):
@@ -16,18 +16,18 @@ def one_landmark_map(covariance):
 
 def test_project_optical_axis_hits_principal_point():
     intr = CameraIntrinsics(100.0, 100.0, 0.0, 0.0, 200, 200)
-    px = project(RigidTransform.identity(), intr, [0.0, 0.0, 1.0])
+    px = project(identity(), intr, [0.0, 0.0, 1.0])
     assert np.allclose(px, [0.0, 0.0])
 
 
 def test_project_hand_evaluated_pinhole():
     intr = CameraIntrinsics(100.0, 100.0, 50.0, 50.0, 200, 200)
-    px = project(RigidTransform.identity(), intr, [0.5, 0.0, 1.0])
+    px = project(identity(), intr, [0.5, 0.0, 1.0])
     assert np.allclose(px, [100.0, 50.0])
 
 
 def test_project_behind_camera_is_nan(intrinsics):
-    pose = RigidTransform.identity()
+    pose = identity()
     for point in ([0.0, 0.0, -1.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1e-6]):
         assert np.isnan(project(pose, intrinsics, point)).all()
     assert np.isfinite(project(pose, intrinsics, [0.0, 0.0, 2e-6])).all()
@@ -66,7 +66,7 @@ def test_project_unproject_round_trip(intrinsics):
 
 
 def test_transform_angles_identity():
-    assert transform_angles(RigidTransform.identity()) == (0.0, 0.0, 0.0)
+    assert transform_angles(identity()) == (0.0, 0.0, 0.0)
 
 
 def test_transform_angles_pure_yaw():

@@ -11,13 +11,13 @@ from vista_align import formats
 from vista_align.alignment import AlignmentHypothesis
 from vista_align.association import Association
 from vista_align.core import (CameraIntrinsics, Hyperparameters, InputError,
-                              ObjectMap, RigidTransform, Track, rotation_x,
-                              rotation_y, rotation_z)
+                              ObjectMap, RigidTransform, Track, rotation_y,
+                              rotation_z)
 from vista_align.evaluation import PrPoint
 from vista_align.simulation import Scene, TrajectorySpec, trajectory_poses
 from vista_align.submap import Submap
 
-from conftest import random_rotation
+from conftest import random_rotation, rotation_x
 
 
 def small_map():

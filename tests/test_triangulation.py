@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from vista_align.core import (DegenerateGeometryError, DivergedError,
 from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
                                     render_tracks)
 
-from conftest import looking_at_origin_pose, random_rotation
+from conftest import (looking_at_origin_pose, random_rotation,
+                      reprojection_jacobian)
 
 
 def make_track(point, poses, intrinsics, track_id=0, noise=0.0, rng=None,
@@ -139,7 +142,7 @@ def test_jacobian_matches_finite_differences(intrinsics):
         point = pose.rotation @ np.array([rng.uniform(-1, 1),
                                           rng.uniform(-1, 1), depth]) \
             + pose.translation
-        J = tri.reprojection_jacobian(pose, intrinsics, point)
+        J = reprojection_jacobian(pose, intrinsics, point)
         J_fd = np.zeros((2, 3))
         for k in range(3):
             e = np.zeros(3)
@@ -188,12 +191,14 @@ def test_build_map_order_invariant(intrinsics):
 
 
 def test_build_map_empty_warns(intrinsics):
+    # an empty map is a result, not a warning: BuildStats records it
     poses = ring_poses([0.0, 0.0, 0.0], n=4)
     short = [Track(i, range(2), [[320.0, 240.0]] * 2) for i in range(3)]
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         obj_map, stats = tri.build_map(short, poses, intrinsics,
                                        Hyperparameters(), "a")
-    assert len(obj_map) == 0
+    assert len(obj_map) == 0 and stats.n_landmarks == 0
     assert stats.n_discarded_short == 3
 
 
