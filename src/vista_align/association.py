@@ -8,8 +8,10 @@ intra-map distances of their endpoints agree; agreement is scored by a
 Gaussian kernel with a hard cutoff. The inlier set is the support of a
 binary u maximizing u'Au / u'u subject to never selecting a zero-affinity
 pair, found by a projected power-iteration ascent with a geometric homotopy
-penalty on infeasible pairs, then rounded greedily and truncated to the
-densest prefix.
+penalty on zero-affinity pairs, then rounded greedily and truncated to the
+densest prefix. The ascent's penalised products run on the edge list of
+A > 0, a few percent of the n^2 entries, so the solve allocates no n x n
+float array beyond the matrix itself.
 
 Every set the heuristic returns is a clique of the graph A > 0: rounding and
 local moves only ever add a candidate that is feasible with every member. So
@@ -44,7 +46,10 @@ class AffinityMatrix:
 
     Unchecked precondition of `densest_clique`, true of every matrix
     `build_affinity` makes: `entries` is size x size, exactly symmetric,
-    in [0, 1], with a unit diagonal; zero marks an inconsistent pair.
+    in [0, 1], with a unit diagonal; zero marks an inconsistent pair. The
+    unit diagonal is load-bearing: it gives every row of the ascent's edge
+    list an edge, and without one `np.add.reduceat` silently returns a
+    neighbouring row's value for the empty row, not 0.
     """
 
     entries: np.ndarray
@@ -189,6 +194,33 @@ def _round(u, A, feasible):
     return _local_improve(best, A, feasible)
 
 
+class _Penalised:
+    """The homotopy's matrix, A with -d on every zero-affinity pair, held as
+    A's edges (i, j), A_ij > 0, row by row: row i of its product with u is
+    the sum over i's edges of (A_ij + d) u_j, minus d times the sum of u."""
+
+    def __init__(self, A, feasible):
+        self.rows, self.cols = np.nonzero(feasible)          # sorted by row
+        self.weights = A[self.rows, self.cols]
+        # each row's first edge; A_ii = 1 leaves no row empty (AffinityMatrix)
+        self.starts = np.searchsorted(self.rows, np.arange(len(A)))
+        self.penalise(0.0)
+
+    def penalise(self, d):
+        self.d, self.shifted = d, self.weights + d
+
+    def __matmul__(self, u):
+        return (np.add.reduceat(self.shifted * u[self.cols], self.starts)
+                - self.d * u.sum())
+
+    def is_clique(self, inside):
+        """Whether the nodes marked in the boolean array `inside` are
+        pairwise feasible. By symmetry, k nodes are a clique exactly when
+        k^2 edges, the diagonal included, have both ends among them."""
+        k = np.count_nonzero(inside)
+        return np.count_nonzero(inside[self.rows] & inside[self.cols]) == k * k
+
+
 def _ascend(M, u, iterations, restart):
     """Projected power iteration u <- max(M u, 0) / |max(M u, 0)| for at most
     `iterations` steps, stopping once u moves by less than 1e-9. An ascent
@@ -250,6 +282,9 @@ def densest_clique(affinity):
     Deterministic: the ascent starts from a power-iteration estimate of the
     principal eigenvector, the homotopy penalty grows geometrically (x1.4)
     until the support is feasible, and rounding is greedy by descending u.
+    Every product with the penalised matrix runs on A's edges (`_Penalised`),
+    and the support's feasibility is a count of the edges inside it, so no
+    n x n penalised copy or mask is built.
     Each round's ascent ends early on an exact cycle (see `_ascend`): a
     2-cycle on a pair with no overlap, where the iterate alternates between
     the restart e_j and j's normalised feasible neighbourhood, or a longer
@@ -265,22 +300,19 @@ def densest_clique(affinity):
     if n == 0:
         return np.zeros(0, dtype=int)
     feasible = A > 0.0
-    infeasible = ~feasible
-    np.fill_diagonal(infeasible, False)
+    penalised = _Penalised(A, feasible)
 
     restart = np.zeros(n)                         # e_j, j the heaviest row
     restart[int(np.argmax(A.sum(axis=1)))] = 1.0
-    u = _ascend(A, np.full(n, 1.0 / np.sqrt(n)), 100, restart)
+    u = _ascend(penalised, np.full(n, 1.0 / np.sqrt(n)), 100, restart)
 
     d = 0.0
-    Md = A.copy()
     for _ in range(60):
-        np.copyto(Md, -d, where=infeasible)      # A, with -d on infeasible pairs
-        u = _ascend(Md, u, 200, restart)
-        support = np.flatnonzero(u > _SUPPORT_TOL)
-        if support.size and not infeasible[np.ix_(support, support)].any():
+        penalised.penalise(d)
+        u = _ascend(penalised, u, 200, restart)
+        inside = u > _SUPPORT_TOL
+        if inside.any() and penalised.is_clique(inside):
             break
         d = 0.25 if d == 0.0 else d * 1.4
 
     return np.array(_round(u, A, feasible), dtype=int)   # sorted
-

@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from vista_align.association import _SUPPORT_TOL, _ascend, _round
 from vista_align.core import CameraIntrinsics, ObjectMap, RigidTransform
 from vista_align.triangulation import _residuals
 
@@ -111,3 +112,33 @@ def densest_clique_exact(affinity):
                 if kk > best_k or (kk == best_k and cand < best_idx):
                     best_k, best_idx = kk, cand
     return np.array(best_idx, dtype=int)
+
+
+def densest_clique_dense(affinity):
+    """`association.densest_clique` as it was with a dense penalised matrix:
+    an n x n copy Md of A, rewritten each homotopy round with -d on every
+    infeasible pair, multiplied by BLAS, and an n x n mask for the support
+    test. The reference the edge-list solver must match index for index."""
+    A = affinity.entries
+    n = affinity.size
+    if n == 0:
+        return np.zeros(0, dtype=int)
+    feasible = A > 0.0
+    infeasible = ~feasible
+    np.fill_diagonal(infeasible, False)
+
+    restart = np.zeros(n)                         # e_j, j the heaviest row
+    restart[int(np.argmax(A.sum(axis=1)))] = 1.0
+    u = _ascend(A, np.full(n, 1.0 / np.sqrt(n)), 100, restart)
+
+    d = 0.0
+    Md = A.copy()
+    for _ in range(60):
+        np.copyto(Md, -d, where=infeasible)      # A, with -d on infeasible pairs
+        u = _ascend(Md, u, 200, restart)
+        support = np.flatnonzero(u > _SUPPORT_TOL)
+        if support.size and not infeasible[np.ix_(support, support)].any():
+            break
+        d = 0.25 if d == 0.0 else d * 1.4
+
+    return np.array(_round(u, A, feasible), dtype=int)   # sorted

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,14 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from vista_align import association
 from vista_align.association import (MAX_CANDIDATES, AffinityMatrix,
-                                     _ascend, build_affinity,
+                                     _ascend, _Penalised, build_affinity,
                                      consistency_score, densest_clique,
                                      has_clique)
 from vista_align.core import (Hyperparameters, InputError, RigidTransform,
                               rotation_z)
 from vista_align.submap import Submap
 
-from conftest import clique_number, densest_clique_exact, random_rotation
+from conftest import (clique_number, densest_clique_dense,
+                      densest_clique_exact, random_rotation)
 
 
 def sub(points):
@@ -401,3 +403,73 @@ def test_densest_clique_cycle_exit_keeps_the_inlier_set(monkeypatch, overlap):
     else:                            # the whole homotopy schedule cycles
         assert ref_calls > 10000
         assert calls < 1000
+
+
+def seeded_affinity(seed, overlap):
+    """build_affinity on two seeded sets of 8-20 points; with `overlap`, at
+    least 4 points of b are a rigidly moved, noisy copy of a's."""
+    rng = np.random.default_rng(seed)
+    na, nb = rng.integers(8, 21, size=2)
+    pa = rng.uniform(0.0, 4.0, size=(na, 3))
+    pb = rng.uniform(0.0, 4.0, size=(nb, 3))
+    if overlap:
+        k = int(rng.integers(4, min(na, nb) + 1))
+        t = RigidTransform(rotation_z(rng.uniform(-180.0, 180.0)),
+                           rng.normal(size=3))
+        pb[:k] = t.apply(pa[:k]) + rng.normal(0.0, 0.02, size=(k, 3))
+    return build_affinity(sub(pa), sub(pb), Hyperparameters())[1]
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_densest_clique_matches_the_dense_reference(overlap):
+    # 16-40 points a pair; the zero-overlap pairs run the whole homotopy and
+    # leave it by the 2-cycle exit, the overlapping ones converge early.
+    for seed in range(100):
+        aff = seeded_affinity(seed, overlap)
+        assert densest_clique(aff).tolist() == \
+            densest_clique_dense(aff).tolist(), seed
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_penalised_product_and_clique_test_match_the_dense_matrix(overlap):
+    rng = np.random.default_rng(7)
+    for seed in range(10):
+        aff = seeded_affinity(seed, overlap)
+        A, n = aff.entries, aff.size
+        infeasible = ~(A > 0.0)
+        penalised = _Penalised(A, A > 0.0)
+        # an iterate of the ascent is non-negative and often sparse
+        vectors = [rng.uniform(size=n), np.maximum(rng.normal(size=n), 0.0),
+                   np.eye(n)[rng.integers(n)]]
+        for d in (0.0, 0.25, 0.35):
+            penalised.penalise(d)
+            Md = np.where(infeasible, -d, A)
+            for u in vectors:
+                np.testing.assert_allclose(penalised @ u, Md @ u,
+                                           rtol=1e-12, atol=0.0)
+
+        clique = densest_clique(aff)
+        subsets = [clique, clique[:2], clique[1:], [int(rng.integers(n))]]
+        subsets += [np.union1d(clique, [j]) for j in rng.integers(n, size=5)]
+        subsets += [rng.choice(n, size=k, replace=False) for k in (2, 3, 5, 8)]
+        for s in subsets:
+            inside = np.zeros(n, dtype=bool)
+            inside[s] = True
+            assert penalised.is_clique(inside) == \
+                (not infeasible[np.ix_(s, s)].any())
+
+
+def test_densest_clique_extra_memory_is_a_fraction_of_the_matrix():
+    # 1,024 candidates with no overlap: the solve runs the whole homotopy
+    rng = np.random.default_rng(11)
+    aff = build_affinity(sub(rng.uniform(0.0, 4.0, size=(32, 3))),
+                         sub(rng.uniform(0.0, 4.0, size=(32, 3))),
+                         Hyperparameters())[1]
+    assert aff.size == 1024
+    tracemalloc.start()
+    try:
+        densest_clique(aff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * aff.entries.nbytes
