@@ -5,8 +5,9 @@ Hypotheses map coordinates expressed in map A's frame into map B's frame.
 `align_maps` keeps only hypotheses with more than `s_max` inliers, so it does
 not solve a pair whose consistency graph holds no clique of `s_max + 1`
 candidates: the densest-clique result is a clique, so it could not pass.
-`evaluation.timing` solves every pair three times: the PR table scores every
-cardinality of the first pass, and the runtime columns time every pass.
+`evaluation.timing` solves every distinct pair three times: the PR table
+scores every cardinality of the first pass, and the runtime columns time
+every pass.
 """
 
 from __future__ import annotations
@@ -94,9 +95,11 @@ def solve_pairs(subs_a, subs_b, params, need=0):
     `need` on to `solve_submap_pair`.
 
     Grid cells whose submaps have identical landmark content share one solve
-    (results are identical by construction). Yields
-    (grid_a, grid_b, solve_submap_pair result, seconds) per solve, where grid_a
-    and grid_b are the tuples of grid indices that share one content.
+    (results are identical by construction). Yields (cells_a, cells_b,
+    hypothesis, seconds) per distinct pair: the tuples of grid indices that
+    share one content, the solve's AlignmentHypothesis with source and target
+    the first cells (None when `solve_submap_pair` returns None), and the
+    seconds of the solve alone.
     """
     groups_a, groups_b = {}, {}
     for subs, groups in ((subs_a, groups_a), (subs_b, groups_b)):
@@ -105,9 +108,11 @@ def solve_pairs(subs_a, subs_b, params, need=0):
     for ga in groups_a.values():
         for gb in groups_b.values():
             t0 = time.perf_counter()
-            result = solve_submap_pair(subs_a[ga[0]], subs_b[gb[0]], params,
-                                       need)
-            yield tuple(ga), tuple(gb), result, time.perf_counter() - t0
+            result = solve_submap_pair(subs_a[ga[0]], subs_b[gb[0]], params, need)
+            seconds = time.perf_counter() - t0
+            hyp = None if result is None else AlignmentHypothesis(
+                *result, len(result[1]), ga[0], gb[0])
+            yield tuple(ga), tuple(gb), hyp, seconds
 
 
 def align_maps(map_a, map_b, params):
@@ -126,13 +131,10 @@ def align_maps(map_a, map_b, params):
     subs_b = generate_submaps(map_b, params)
 
     hypotheses = []
-    for grid_a, grid_b, res, _ in solve_pairs(subs_a, subs_b, params,
-                                              params.s_max):
-        if res is None:
-            continue
-        hyp = AlignmentHypothesis(res[0], res[1], len(res[1]), grid_a[0], grid_b[0])
-        if prune(hyp, params) is None:
+    for cells_a, cells_b, hyp, _ in solve_pairs(subs_a, subs_b, params,
+                                                params.s_max):
+        if hyp is not None and prune(hyp, params) is None:
             hypotheses += [replace(hyp, source_submap=ia, target_submap=ib)
-                           for ia in grid_a for ib in grid_b]
+                           for ia in cells_a for ib in cells_b]
     hypotheses.sort(key=lambda h: (-h.cardinality, h.source_submap, h.target_submap))
     return hypotheses

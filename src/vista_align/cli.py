@@ -74,7 +74,7 @@ def cmd_submaps(args):
     params = _load_params(args.config)
     obj_map = formats.load_map(args.map)
     t0 = time.perf_counter()
-    filtered = submap.inlier_map(obj_map, params)
+    filtered = submap.mahalanobis_filter(obj_map, params.omega_percentile)
     submaps = submap.generate_submaps(filtered, params)
     formats.save_submaps(args.out, obj_map.agent_id, submaps)
     _log_json(args.log_json, "submaps", n_submaps=len(submaps),
@@ -99,8 +99,9 @@ def cmd_match(args):
         raise InputError("--top-k must be >= 1, got %d" % args.top_k)
     map_a, map_b = _load_map_pair(args)
     t0 = time.perf_counter()
-    hypotheses = alignment.align_maps(submap.inlier_map(map_a, params),
-                                      submap.inlier_map(map_b, params), params)
+    hypotheses = alignment.align_maps(
+        submap.mahalanobis_filter(map_a, params.omega_percentile),
+        submap.mahalanobis_filter(map_b, params.omega_percentile), params)
     if args.top_k is not None:
         hypotheses = hypotheses[:args.top_k]
     formats.save_hypotheses(args.out, hypotheses)
@@ -129,14 +130,15 @@ def cmd_evaluate(args):
     sweep = _parse_sweep(args.sweep)
     t0 = time.perf_counter()
     outcomes, mean_rt, std_rt = evaluation.evaluate_map_pair(
-        submap.inlier_map(map_a, params), submap.inlier_map(map_b, params),
+        submap.mahalanobis_filter(map_a, params.omega_percentile),
+        submap.mahalanobis_filter(map_b, params.omega_percentile),
         truth, params, voxel=args.voxel)
     if not outcomes:
         raise InputError("no submap pairs: field 'landmarks' of each map must "
                          "hold more than s_max = %d inliers" % params.s_max)
     rows = evaluation.precision_recall(outcomes, params, sweep)
     formats.save_pr_table(args.out, rows, mean_rt, std_rt)
-    _log_json(args.log_json, "evaluate", n_pairs=len(outcomes),
+    _log_json(args.log_json, "evaluate", n_pairs=sum(o.pairs for o in outcomes),
               sweep=[sweep[0], sweep[-1]], seconds=time.perf_counter() - t0)
     return 0
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .alignment import AlignmentHypothesis, prune, solve_pairs
+from .alignment import prune, solve_pairs
 from .core import transform_angles
 from .submap import generate_submaps
 
@@ -47,12 +47,14 @@ def classify(hypothesis, truth, params):
 
 @dataclass(frozen=True)
 class PairOutcome:
-    """Result of one submap-pair comparison, ready for PR aggregation."""
+    """Result of one distinct submap-pair solve, ready for PR aggregation; it
+    counts once for each of the `pairs` grid pairs that share the solve."""
 
     iou: float
     cardinality: int       # 0 when no transform was estimable
     attitude_ok: bool      # survived the roll/pitch pruning gate
     correct: bool          # classification of the transform vs ground truth
+    pairs: int = 1         # grid pairs that share this solve
 
 
 @dataclass(frozen=True)
@@ -65,28 +67,32 @@ class PrPoint:
 
 
 def precision_recall(outcomes, params, s_max_sweep):
-    """PR table over the cardinality-gate sweep.
+    """PR table over the cardinality-gate sweep. Every count is of grid
+    pairs: an outcome counts `pairs` times.
 
     Hypothesized = attitude-surviving outcomes with |S| > s_max. Precision is
     undefined when nothing is hypothesized (n_hypothesized == 0) and is then
     reported as 1.0.
     """
-    overlapping = [o for o in outcomes if o.iou > params.theta_overlap]
+    n_overlapping = sum(o.pairs for o in outcomes if o.iou > params.theta_overlap)
     rows = []
     for s_max in s_max_sweep:
         hyp = [o for o in outcomes if o.attitude_ok and o.cardinality > s_max]
-        n_correct = sum(o.correct for o in hyp)
-        precision = n_correct / len(hyp) if hyp else 1.0
-        n_recalled = sum(o.correct for o in hyp if o.iou > params.theta_overlap)
-        recall = n_recalled / len(overlapping) if overlapping else 0.0
-        rows.append(PrPoint(s_max, precision, recall, len(hyp), len(overlapping)))
+        n_hyp = sum(o.pairs for o in hyp)
+        n_correct = sum(o.pairs for o in hyp if o.correct)
+        precision = n_correct / n_hyp if n_hyp else 1.0
+        n_recalled = sum(o.pairs for o in hyp
+                         if o.correct and o.iou > params.theta_overlap)
+        recall = n_recalled / n_overlapping if n_overlapping else 0.0
+        rows.append(PrPoint(s_max, precision, recall, n_hyp, n_overlapping))
     return rows
 
 
 def evaluate_map_pair(map_a, map_b, truth, params, voxel=None):
-    """Solve every submap pair three times (see `timing`) and return
-    (outcomes, mean_s, std_s): the first pass's per-pair outcomes for PR
-    aggregation, and seconds per solve. No submap pair gives ([], nan, nan).
+    """Solve every distinct submap pair three times (see `timing`) and return
+    (outcomes, mean_s, std_s): one outcome per distinct pair of the first
+    pass, with `pairs` the number of grid pairs it covers, for PR aggregation,
+    and seconds per solve. No submap pair gives ([], nan, nan).
 
     `truth` maps map-A-frame coordinates into map-B-frame coordinates; IoU is
     computed after pulling map B's submaps back into map A's frame.
@@ -100,17 +106,14 @@ def evaluate_map_pair(map_a, map_b, truth, params, voxel=None):
     truth_inv = truth.inverse()
 
     outcomes = []
-    for grid_a, grid_b, res, _ in solved:
-        sa, sb = subs_a[grid_a[0]], subs_b[grid_b[0]]
-        cardinality, attitude_ok, correct = 0, False, False
-        if res is not None:
-            hyp = AlignmentHypothesis(res[0], res[1], len(res[1]), grid_a[0], grid_b[0])
-            cardinality = hyp.cardinality
-            attitude_ok = prune(hyp, params) != "attitude"
-            correct = classify(hyp, truth, params)
+    for cells_a, cells_b, hyp, _ in solved:
+        sa, sb = subs_a[cells_a[0]], subs_b[cells_b[0]]
+        # (cardinality, attitude_ok, correct)
+        scored = (0, False, False) if hyp is None else (
+            hyp.cardinality, prune(hyp, params) != "attitude",
+            classify(hyp, truth, params))
         iou = submap_iou(sa, replace(sb, points=truth_inv.apply(sb.points)), voxel)
-        outcomes += [PairOutcome(iou, cardinality, attitude_ok, correct)] \
-            * (len(grid_a) * len(grid_b))
+        outcomes.append(PairOutcome(iou, *scored, len(cells_a) * len(cells_b)))
     return outcomes, mean_s, std_s
 
 

@@ -37,15 +37,17 @@ class Submap:
 
 def mahalanobis_filter(obj_map, omega_percentile):
     """Keep landmarks within the omega-th percentile of Mahalanobis distance
-    to the map's own landmark distribution (linear-interpolation percentile).
+    to the map's own landmark distribution (linear-interpolation percentile):
+    the input of submap generation.
 
-    Falls back to Euclidean distance to the mean (with a warning) when the
-    sample covariance is singular.
+    Maps with fewer than 2 landmarks have no covariance to measure against and
+    pass through unchanged. Falls back to Euclidean distance to the mean (with
+    a warning) when the sample covariance is singular.
     """
-    if len(obj_map) < 2:
-        raise ValueError("map must contain at least 2 landmarks")
     if not (0 < omega_percentile <= 100):
         raise ValueError("omega_percentile must lie in (0, 100]")
+    if len(obj_map) < 2:
+        return obj_map
     pos = obj_map.positions
     mean = pos.mean(axis=0)
     centered = pos - mean
@@ -63,15 +65,6 @@ def mahalanobis_filter(obj_map, omega_percentile):
     return ObjectMap(obj_map.agent_id,
                      [i for i, k in zip(obj_map.ids, keep) if k], pos[keep],
                      obj_map.covariances[keep], obj_map.frame_label)
-
-
-def inlier_map(obj_map, params):
-    """The map's Mahalanobis inliers at `params.omega_percentile`, the input
-    of submap generation. Maps with fewer than 2 landmarks have no covariance
-    to measure against and pass through unchanged."""
-    if len(obj_map) < 2:
-        return obj_map
-    return mahalanobis_filter(obj_map, params.omega_percentile)
 
 
 def generate_submaps(obj_map, params):

@@ -1,5 +1,6 @@
 import functools
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,7 +280,12 @@ def test_evaluate_map_pair_equals_per_grid_loop(n_points, n_max):
         expected[PairOutcome(submap_iou(sa, moved, voxel), cardinality,
                              attitude_ok, correct)] += 1
     assert any(o.correct for o in expected)
-    assert Counter(evaluate_map_pair(ma, mb, truth, params)[0]) == expected
+    outcomes = evaluate_map_pair(ma, mb, truth, params)[0]
+    assert Counter(replace(o, pairs=1) for o in outcomes
+                   for _ in range(o.pairs)) == expected
+    # one outcome per distinct pair of submap contents
+    assert len(outcomes) == len({(sa.landmark_ids, sb.landmark_ids)
+                                 for _, sa, _, sb, _ in grid}) < len(grid)
 
 
 @pytest.mark.parametrize("n_points, n_max", ENGINE_CASES)

@@ -131,7 +131,8 @@ def test_match_identical_maps_identity(workdir):
     assert np.allclose(R, np.eye(3), atol=1e-6)
     assert np.allclose(top["translation"], 0.0, atol=1e-6)
     assert top["cardinality"] > 4
-    inliers = submap.inlier_map(formats.load_map(map_path), Hyperparameters())
+    inliers = submap.mahalanobis_filter(formats.load_map(map_path),
+                                        Hyperparameters().omega_percentile)
     expected = alignment.align_maps(inliers, inliers, Hyperparameters())
     for record, h in zip(hyps, expected, strict=True):
         t = formats.parse_transform(json.dumps(record))
@@ -420,11 +421,14 @@ def test_evaluate_times_the_filtered_maps_it_scores(small_maps, monkeypatch):
     expected = [s.landmark_ids for s in submap.generate_submaps(inliers, params)]
     assert ([s.landmark_ids for s in subs_a] == [s.landmark_ids for s in subs_b]
             == expected)
-    # the scored cardinalities are those of the timed first pass
-    timed = Counter()
-    for grid_a, grid_b, res, _ in first:
-        timed[0 if res is None else len(res[1])] += len(grid_a) * len(grid_b)
-    assert Counter(o.cardinality for o in outcomes) == timed
+    # the scored cardinalities are those of the timed first pass, one
+    # outcome per distinct pair, counted once per grid pair it covers
+    timed, scored = Counter(), Counter()
+    for cells_a, cells_b, hyp, _ in first:
+        timed[0 if hyp is None else hyp.cardinality] += len(cells_a) * len(cells_b)
+    for o in outcomes:
+        scored[o.cardinality] += o.pairs
+    assert len(outcomes) == len(first) and scored == timed
     assert seconds == [mean_s, std_s]
 
 
@@ -445,7 +449,8 @@ def test_evaluate_solves_each_distinct_pair_repeats_times(small_maps,
                     "--out", small_maps["out"], "--config", cfg]) == 0
     params = Hyperparameters(n_max=18)
     subs = submap.generate_submaps(
-        submap.inlier_map(formats.load_map(small_maps["a"]), params), params)
+        submap.mahalanobis_filter(formats.load_map(small_maps["a"]),
+                                  params.omega_percentile), params)
     distinct = {(sa.landmark_ids, sb.landmark_ids) for sa in subs for sb in subs}
     assert 1 < len(distinct) < len(subs) ** 2
     assert Counter(calls) == {pair: 3 for pair in distinct}

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,12 +133,18 @@ def test_recall_monotone_in_s_max():
     rng = np.random.default_rng(3)
     outcomes = [PairOutcome(float(rng.uniform()), int(rng.integers(0, 20)),
                             bool(rng.uniform() < 0.8),
-                            bool(rng.uniform() < 0.5)) for _ in range(200)]
-    rows = precision_recall(outcomes, Hyperparameters(), list(range(0, 15)))
+                            bool(rng.uniform() < 0.5),
+                            int(rng.integers(1, 51))) for _ in range(200)]
+    sweep = list(range(0, 15))
+    rows = precision_recall(outcomes, Hyperparameters(), sweep)
     recalls = [r.recall for r in rows]
     hyped = [r.n_hypothesized for r in rows]
     assert all(a >= b for a, b in zip(recalls, recalls[1:]))
     assert all(a >= b for a, b in zip(hyped, hyped[1:]))
+    # an outcome that covers k grid pairs counts as k copies of itself
+    expanded = [replace(o, pairs=1) for o in outcomes for _ in range(o.pairs)]
+    assert len(expanded) > len(outcomes)
+    assert rows == precision_recall(expanded, Hyperparameters(), sweep)
 
 
 def test_evaluate_map_pair_perfect_alignment():

@@ -47,9 +47,9 @@ def test_mahalanobis_singular_covariance_falls_back():
 
 
 def test_mahalanobis_input_validation():
+    # fewer than 2 landmarks hold no covariance: the map passes through
     m = map_from_points([np.zeros(3)])
-    with pytest.raises(ValueError):
-        mahalanobis_filter(m, 95.0)
+    assert mahalanobis_filter(m, 95.0) is m
     m2 = map_from_points([np.zeros(3), np.ones(3)])
     with pytest.raises(ValueError):
         mahalanobis_filter(m2, 0.0)
