@@ -135,6 +135,9 @@ def load_map(path):
     return parse_map(_read(path))
 
 
+_DETECTION = '{"frame":%d,"u":%.9g,"v":%.9g}'
+
+
 def track_file_to_json(intrinsics, poses, tracks):
     intr = ('{"fx":%s,"fy":%s,"cx":%s,"cy":%s,"width":%d,"height":%d}'
             % (_f(intrinsics.fx), _f(intrinsics.fy), _f(intrinsics.cx),
@@ -146,8 +149,9 @@ def track_file_to_json(intrinsics, poses, tracks):
                              _floats(pose.translation)))
     track_parts = []
     for tr in tracks:
-        dets = ",".join('{"frame":%d,"u":%s,"v":%s}' % (f, _f(u), _f(v))
-                        for f, (u, v) in zip(tr.frames, tr.centroids.tolist()))
+        # one format per track; + 0.0 writes -0.0 as 0, as _f does
+        fields = np.column_stack([tr.frames, tr.centroids + 0.0]).ravel().tolist()
+        dets = ",".join([_DETECTION] * len(tr)) % tuple(fields)
         track_parts.append('{"id":%d,"detections":[%s]}' % (tr.track_id, dets))
     return ('{"intrinsics":%s,"poses":[%s],"tracks":[%s]}'
             % (intr, ",".join(pose_parts), ",".join(track_parts)))

@@ -7,7 +7,7 @@ detections with optional pixel noise, dropout, and track fragmentation.
 Occlusion is modeled only through random dropout.
 
 A scene is a `Scene` of per-object arrays. Each frame projects every object
-in one `project` call; noise and dropout are then drawn per detection in
+in one `project` call and draws its detections' noise and dropout in
 (frame, object) order, so a seed reproduces the same tracks.
 """
 
@@ -132,6 +132,17 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
     dropout removes detections at random; duplicate_rate splits an object's
     track into two disjoint ids, emulating redundant objects from tracker
     handoffs. Returns (tracks, {frame: RigidTransform}).
+
+    Random draws, all from one generator seeded with `seed`, come in this
+    order: one split flag per object (only if duplicate_rate > 0); then the
+    frames in ascending order, and within a frame the in-image objects in
+    ascending index, each drawing its noise pair and then, if its noisy pixel
+    is still in the image, its dropout uniform; last, one split cut per split
+    object of at least two detections, in ascending object index. A frame's
+    draws are made in one call when only noise or only dropout is on, which
+    gives the same values as one draw per detection. With both on, whether a
+    detection draws a uniform depends on its noise pair, so those draws are
+    made one detection at a time.
     """
     rng = np.random.default_rng(seed)
     poses = trajectory_poses(trajectory)
@@ -139,32 +150,43 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
     split_flags = rng.uniform(size=n) < duplicate_rate if duplicate_rate > 0 \
         else np.zeros(n, dtype=bool)
 
-    frames = [[] for _ in range(n)]
-    pixels = [[] for _ in range(n)]
+    frames, objects, pixels = [], [], []
     for f in sorted(poses):
         projected = project(poses[f], intrinsics,
                             scene.positions + scene.velocities * f)
-        for i in np.flatnonzero(_in_image(projected, intrinsics)):
-            px = projected[i]
-            if noise > 0:
-                px = px + rng.normal(0.0, noise, size=2)
-                if not _in_image(px, intrinsics):
-                    continue
-            if dropout > 0 and rng.uniform() < dropout:
-                continue
-            frames[i].append(f)
-            pixels[i].append(px)
+        seen = np.flatnonzero(_in_image(projected, intrinsics))
+        px = projected[seen]
+        keep = np.ones(len(seen), dtype=bool)
+        if noise > 0 and dropout > 0:
+            # a uniform is drawn only for a detection its noise left in the image
+            for k in range(len(seen)):
+                px[k] += rng.normal(0.0, noise, size=2)
+                keep[k] = _in_image(px[k], intrinsics) and rng.uniform() >= dropout
+        elif noise > 0:
+            px += rng.normal(0.0, noise, size=(len(seen), 2))
+            keep = _in_image(px, intrinsics)
+        elif dropout > 0:
+            keep = rng.uniform(size=len(seen)) >= dropout
+        frames.append(np.full(np.count_nonzero(keep), f))
+        objects.append(seen[keep])
+        pixels.append(px[keep])
+
+    objects = np.concatenate(objects)
+    order = np.argsort(objects, kind="stable")      # by object, frames ascending
+    frames = np.concatenate(frames)[order].tolist()
+    pixels = np.concatenate(pixels)[order]
+    ends = np.cumsum(np.bincount(objects, minlength=n)).tolist()
 
     tracks = []
     next_id = n
-    for i in range(n):
-        m = len(frames[i])
+    for i, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        m = hi - lo
         if not m:
             continue
-        cut = int(rng.integers(1, m)) if split_flags[i] and m >= 2 else m
-        tracks.append(Track(i, frames[i][:cut], pixels[i][:cut]))
-        if cut < m:
-            tracks.append(Track(next_id, frames[i][cut:], pixels[i][cut:]))
+        cut = lo + (int(rng.integers(1, m)) if split_flags[i] and m >= 2 else m)
+        tracks.append(Track(i, frames[lo:cut], pixels[lo:cut]))
+        if cut < hi:
+            tracks.append(Track(next_id, frames[cut:hi], pixels[cut:hi]))
             next_id += 1
     return tracks, poses
 

@@ -10,6 +10,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from vista_align.association import _SUPPORT_TOL, _ascend, _round
 from vista_align.core import CameraIntrinsics, ObjectMap, RigidTransform
+from vista_align.formats import _f, _floats
 from vista_align.triangulation import _residuals
 
 
@@ -142,3 +143,23 @@ def densest_clique_dense(affinity):
         d = 0.25 if d == 0.0 else d * 1.4
 
     return np.array(_round(u, A, feasible), dtype=int)   # sorted
+
+
+def track_file_to_json_per_value(intrinsics, poses, tracks):
+    """`formats.track_file_to_json` as it was with one `_f` call per centroid
+    value. The reference the per-track format must match byte for byte."""
+    intr = ('{"fx":%s,"fy":%s,"cx":%s,"cy":%s,"width":%d,"height":%d}'
+            % (_f(intrinsics.fx), _f(intrinsics.fy), _f(intrinsics.cx),
+               _f(intrinsics.cy), intrinsics.width, intrinsics.height))
+    pose_parts = []
+    for frame, pose in sorted(poses.items()):
+        pose_parts.append('{"frame":%d,"rotation":%s,"translation":%s}'
+                          % (frame, _floats(pose.rotation.ravel()),
+                             _floats(pose.translation)))
+    track_parts = []
+    for tr in tracks:
+        dets = ",".join('{"frame":%d,"u":%s,"v":%s}' % (f, _f(u), _f(v))
+                        for f, (u, v) in zip(tr.frames, tr.centroids.tolist()))
+        track_parts.append('{"id":%d,"detections":[%s]}' % (tr.track_id, dets))
+    return ('{"intrinsics":%s,"poses":[%s],"tracks":[%s]}'
+            % (intr, ",".join(pose_parts), ",".join(track_parts)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -67,6 +68,34 @@ def test_simulate_reproducible(workdir):
     with open(workdir / "s2" / "tracks.json") as fh:
         t2 = fh.read()
     assert t1 == t2
+
+
+# sha256 of simulate's files in each draw mode: bit-for-bit reproducibility
+# across versions. Ground truth does not depend on the draw mode.
+GROUND_TRUTH_SHA256 = "5c1556733b936d19dbbeb9d3a017977c7b7c9c85db083d6d782590a3d87ef8b9"
+TRACKS_SHA256 = {
+    "noise": ("--noise 0.3",
+              "8549b28e7a92aaeb9a20a8079e568d89f4ffc0aac257aee9adf5d6122f5594c3"),
+    "noise+dropout+duplicates": (
+        "--noise 0.5 --dropout 0.2 --duplicate-rate 0.2",
+        "2512868e38bd9362b92e5eef3abda3dd5b08f1f375f035cac54702171f96b0aa"),
+    "dropout": ("--dropout 0.2",
+                "f5e8463927c3ddcc62d74cff5ba42d0bd743b4a884a4945205d99719e86992d3"),
+    "none": ("", "165fdd29a186216f465525be03dec98a7dd4787bb05facfc00bbe0da52075398"),
+}
+
+
+@pytest.mark.parametrize("flags, tracks_sha256", TRACKS_SHA256.values(),
+                         ids=TRACKS_SHA256.keys())
+def test_simulate_bytes_are_pinned(workdir, flags, tracks_sha256):
+    sim = workdir / "sim"
+    assert cli.run(["simulate", "--scene", str(workdir / "scene.json"),
+                    "--trajectory", str(workdir / "trajectory.json"),
+                    "--out", str(sim)] + flags.split()) == 0
+    digest = {name: hashlib.sha256((sim / name).read_bytes()).hexdigest()
+              for name in ("tracks.json", "ground_truth.json")}
+    assert digest == {"tracks.json": tracks_sha256,
+                      "ground_truth.json": GROUND_TRUTH_SHA256}
 
 
 def test_build_map_loads_tracks_simulated_at_any_pitch(workdir):

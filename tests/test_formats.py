@@ -14,10 +14,12 @@ from vista_align.core import (CameraIntrinsics, Hyperparameters, InputError,
                               ObjectMap, RigidTransform, Track, rotation_y,
                               rotation_z)
 from vista_align.evaluation import PrPoint
-from vista_align.simulation import Scene, TrajectorySpec, trajectory_poses
+from vista_align.simulation import (Scene, SceneSpec, TrajectorySpec,
+                                    generate_scene, render_tracks,
+                                    trajectory_poses)
 from vista_align.submap import Submap
 
-from conftest import random_rotation, rotation_x
+from conftest import random_rotation, rotation_x, track_file_to_json_per_value
 
 
 def small_map():
@@ -124,6 +126,23 @@ def test_track_file_round_trip():
     assert formats.track_file_to_json(intr2, poses2, tracks2) == text
     assert intr2 == intr
     assert len(poses2) == 4 and len(tracks2) == 2
+
+
+def test_track_file_equals_per_value_writer():
+    intr, poses, tracks = track_fixture()
+    tracks += [Track(5, [0, 1, 3], [[-0.0, 7.0], [1e-12, -0.0], [639.0, 479.999999999]]),
+               Track(6, [], np.zeros((0, 2)))]
+    text = formats.track_file_to_json(intr, poses, tracks)
+    assert text == track_file_to_json_per_value(intr, poses, tracks)
+    assert '{"frame":0,"u":0,"v":7}' in text and '"u":1e-12,"v":0}' in text
+    trajectory = TrajectorySpec([(1.0, 1.0, 0.0), (9.0, 9.0, 0.0)], 30,
+                                camera_pitch=30.0, altitude=8.0)
+    scene = generate_scene(SceneSpec(40, (10.0, 10.0, 1.5), n_dynamic=5,
+                                     dynamic_velocity=0.5, seed=4))
+    tracks, poses = render_tracks(scene, trajectory, intr, noise=0.5, dropout=0.1,
+                                  duplicate_rate=0.3, seed=4)
+    assert formats.track_file_to_json(intr, poses, tracks) \
+        == track_file_to_json_per_value(intr, poses, tracks)
 
 
 def test_track_file_poses_load_again():

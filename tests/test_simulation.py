@@ -164,7 +164,7 @@ def reference_render(objects, trajectory, intrinsics, noise, dropout,
     point as R' (p - t); returns (track_id, frames, centroids) triples and the
     number of points seen behind the camera."""
     rng = np.random.default_rng(seed)
-    split = rng.uniform(size=len(objects)) < duplicate_rate
+    split = [duplicate_rate > 0 and rng.uniform() < duplicate_rate for _ in objects]
     poses = trajectory_poses(trajectory)
     detections = [[] for _ in objects]
     n_behind = 0
@@ -205,8 +205,15 @@ def reference_render(objects, trajectory, intrinsics, noise, dropout,
             for i, d in tracks], n_behind
 
 
+# (noise, dropout, duplicate_rate): noise alone and dropout alone are drawn a
+# frame at a time, noise with dropout one detection at a time
+DRAW_MODES = {"noise": (0.7, 0.0, 0.0), "dropout": (0.0, 0.2, 0.0),
+              "noise+dropout+duplicates": (0.7, 0.2, 0.3), "none": (0.0, 0.0, 0.0)}
+
+
+@pytest.mark.parametrize("draws", DRAW_MODES.values(), ids=DRAW_MODES.keys())
 @pytest.mark.parametrize("pitch", [0.0, 45.0])
-def test_render_tracks_equals_per_object_loop_exactly(intrinsics, pitch):
+def test_render_tracks_equals_per_object_loop_exactly(intrinsics, pitch, draws):
     spec = SceneSpec(60, (10.0, 10.0, 1.5), n_dynamic=12, dynamic_velocity=1.0,
                      seed=9)
     trajectory = nadir_trajectory(frames=40, pitch=pitch)
@@ -215,10 +222,12 @@ def test_render_tracks_equals_per_object_loop_exactly(intrinsics, pitch):
     assert np.array_equal(scene.positions, [o[0] for o in objects])
     assert np.array_equal(scene.velocities, [o[1] for o in objects])
     assert np.array_equal(scene.dynamic, [o[2] for o in objects])
-    tracks, _ = render_tracks(scene, trajectory, intrinsics, noise=0.7,
-                              dropout=0.2, duplicate_rate=0.3, seed=9)
+    noise, dropout, duplicate_rate = draws
+    tracks, _ = render_tracks(scene, trajectory, intrinsics, noise=noise,
+                              dropout=dropout, duplicate_rate=duplicate_rate,
+                              seed=9)
     expected, n_behind = reference_render(objects, trajectory, intrinsics,
-                                          0.7, 0.2, 0.3, 9)
+                                          noise, dropout, duplicate_rate, 9)
     assert n_behind > 0 or pitch == 0.0
     assert len(tracks) == len(expected) > len(scene) // 2
     for track, (track_id, frames, centroids) in zip(tracks, expected):
