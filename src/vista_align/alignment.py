@@ -13,7 +13,7 @@ every pass.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class AlignmentHypothesis:
     transform: RigidTransform
     inliers: frozenset        # Association set S
     cardinality: int          # |S|
-    source_submap: int
+    source_submap: int        # the first grid cells of the solve
     target_submap: int
 
     def __post_init__(self):
@@ -118,9 +118,10 @@ def solve_pairs(subs_a, subs_b, params, need=0):
 def align_maps(map_a, map_b, params):
     """All-to-all submap comparison between two maps.
 
-    Returns all kept hypotheses sorted by cardinality descending, ties broken
-    by (source submap id, target submap id); grid pairs with identical
-    landmark content each get a hypothesis from their shared solve.
+    Returns the kept solves as `solve_pairs` yields them, without the
+    seconds: (cells_a, cells_b, hypothesis) per distinct submap pair whose
+    hypothesis passes `prune`. A solve stands for every grid pair in
+    cells_a x cells_b; `formats.save_hypotheses` writes a record for each.
 
     Pairs that cannot yield more than `s_max` inliers are not solved (see
     `solve_submap_pair`); the result is the one a solve of every pair gives.
@@ -129,12 +130,6 @@ def align_maps(map_a, map_b, params):
         raise ValueError("maps must be non-empty")
     subs_a = generate_submaps(map_a, params)
     subs_b = generate_submaps(map_b, params)
-
-    hypotheses = []
-    for cells_a, cells_b, hyp, _ in solve_pairs(subs_a, subs_b, params,
-                                                params.s_max):
-        if hyp is not None and prune(hyp, params) is None:
-            hypotheses += [replace(hyp, source_submap=ia, target_submap=ib)
-                           for ia in cells_a for ib in cells_b]
-    hypotheses.sort(key=lambda h: (-h.cardinality, h.source_submap, h.target_submap))
-    return hypotheses
+    return [(cells_a, cells_b, hyp) for cells_a, cells_b, hyp, _
+            in solve_pairs(subs_a, subs_b, params, params.s_max)
+            if hyp is not None and prune(hyp, params) is None]

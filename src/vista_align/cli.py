@@ -99,15 +99,13 @@ def cmd_match(args):
         raise InputError("--top-k must be >= 1, got %d" % args.top_k)
     map_a, map_b = _load_map_pair(args)
     t0 = time.perf_counter()
-    hypotheses = alignment.align_maps(
+    solves = alignment.align_maps(
         submap.mahalanobis_filter(map_a, params.omega_percentile),
         submap.mahalanobis_filter(map_b, params.omega_percentile), params)
-    if args.top_k is not None:
-        hypotheses = hypotheses[:args.top_k]
-    formats.save_hypotheses(args.out, hypotheses)
-    _log_json(args.log_json, "match", n_hypotheses=len(hypotheses),
+    n_written = formats.save_hypotheses(args.out, solves, args.top_k)
+    _log_json(args.log_json, "match", n_hypotheses=n_written,
               seconds=time.perf_counter() - t0)
-    return 0 if hypotheses else 2
+    return 0 if n_written else 2
 
 
 def _parse_sweep(text):
@@ -197,7 +195,7 @@ def build_parser():
     p.add_argument("--map-a", required=True, help="source object map JSON")
     p.add_argument("--map-b", required=True, help="target object map JSON")
     p.add_argument("--out", required=True, help="output hypothesis list JSON")
-    p.add_argument("--top-k", type=int, help="truncate to the top-k hypotheses")
+    p.add_argument("--top-k", type=int, help="write only the first TOP_K >= 1 records")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("evaluate", parents=[configured],

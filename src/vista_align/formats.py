@@ -241,21 +241,25 @@ def transform_to_json(transform):
                      "translation": transform.translation.tolist()})
 
 
-def save_hypotheses(path, hypotheses):
-    """A record begins with transform_to_json's fields; parse_transform reads it.
+def save_hypotheses(path, solves, limit=None):
+    """Write `alignment.align_maps`' (cells_a, cells_b, hypothesis) solves,
+    one record per grid pair in cells_a x cells_b, by cardinality descending,
+    then source, then target cell; returns how many, at most `limit`, it wrote.
 
-    Grid pairs that share a solve share its transform object, so each
-    distinct transform is encoded once, keyed by id() while the list holds it."""
-    encoded, records = {}, []
-    for h in hypotheses:
-        t = h.transform
-        if id(t) not in encoded:
-            angles = dict(zip(("roll", "pitch", "yaw"), transform_angles(t)))
-            encoded[id(t)] = transform_to_json(t)[:-1], _compact(angles)[1:]
-        head, tail = encoded[id(t)]
-        records.append('%s,"cardinality":%d,"source_submap":%d,"target_submap":%d,%s'
-                       % (head, h.cardinality, h.source_submap, h.target_submap, tail))
+    A record begins with transform_to_json's fields; parse_transform reads
+    it. Each solve's transform and angles are encoded once."""
+    encoded, order = [], []
+    for s, (cells_a, cells_b, h) in enumerate(solves):
+        angles = dict(zip(("roll", "pitch", "yaw"), transform_angles(h.transform)))
+        encoded.append((transform_to_json(h.transform)[:-1], _compact(angles)[1:]))
+        order += [(-h.cardinality, ia, ib, s) for ia in cells_a for ib in cells_b]
+    # One short format per record: formatting a long per-solve template starts
+    # each record in a buffer over pymalloc's 512 bytes, which raised peak RSS.
+    records = ['%s,"cardinality":%d,"source_submap":%d,"target_submap":%d,%s'
+               % (encoded[s][0], -neg, ia, ib, encoded[s][1])
+               for neg, ia, ib, s in sorted(order)[:limit]]
     atomic_write(path, "[" + ",".join(records) + "]")
+    return len(records)
 
 
 def parse_transform(text):

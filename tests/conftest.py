@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from vista_align.association import _SUPPORT_TOL, _ascend, _round
-from vista_align.core import CameraIntrinsics, ObjectMap, RigidTransform
-from vista_align.formats import _f, _floats
+from vista_align.core import (CameraIntrinsics, ObjectMap, RigidTransform,
+                              transform_angles)
+from vista_align.formats import _compact, _f, _floats, transform_to_json
 from vista_align.triangulation import _residuals
 
 
@@ -163,3 +165,27 @@ def track_file_to_json_per_value(intrinsics, poses, tracks):
         track_parts.append('{"id":%d,"detections":[%s]}' % (tr.track_id, dets))
     return ('{"intrinsics":%s,"poses":[%s],"tracks":[%s]}'
             % (intr, ",".join(pose_parts), ",".join(track_parts)))
+
+
+def grid_hypotheses(solves):
+    """`alignment.align_maps` as it was: a copy of each kept solve's
+    `AlignmentHypothesis` for every grid pair it covers, sorted by
+    cardinality descending, then source, then target submap."""
+    hyps = [replace(h, source_submap=ia, target_submap=ib)
+            for cells_a, cells_b, h in solves
+            for ia in cells_a for ib in cells_b]
+    return sorted(hyps, key=lambda h: (-h.cardinality, h.source_submap,
+                                       h.target_submap))
+
+
+def hypotheses_to_json_per_grid_pair(solves, top_k=None):
+    """`match`'s hypothesis file as it was written: the first `top_k` of
+    `grid_hypotheses`, each record encoded on its own. The reference
+    `formats.save_hypotheses` must match byte for byte."""
+    records = []
+    for h in grid_hypotheses(solves)[:top_k]:
+        angles = dict(zip(("roll", "pitch", "yaw"), transform_angles(h.transform)))
+        records.append('%s,"cardinality":%d,"source_submap":%d,"target_submap":%d,%s'
+                       % (transform_to_json(h.transform)[:-1], h.cardinality,
+                          h.source_submap, h.target_submap, _compact(angles)[1:]))
+    return "[" + ",".join(records) + "]"

@@ -22,8 +22,8 @@ from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
                                     perturb_frame, render_tracks)
 from vista_align.submap import generate_submaps, mahalanobis_filter
 
-from conftest import (densest_clique_exact, map_from_points, random_rotation,
-                      reprojection_jacobian)
+from conftest import (densest_clique_exact, grid_hypotheses, map_from_points,
+                      random_rotation, reprojection_jacobian)
 
 INTRINSICS = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
 
@@ -212,7 +212,7 @@ def end_to_end():
             mahalanobis_filter(map_b, params.omega_percentile),
             truth, params)[0])
         if seed < 3:
-            hyps = align_maps(map_a, map_b, params)
+            hyps = grid_hypotheses(align_maps(map_a, map_b, params))
             top_correct.append(bool(hyps)
                                and classify(hyps[0], truth, params))
     return outcomes, top_correct, time.perf_counter() - t0

@@ -1,11 +1,12 @@
 import functools
+import json
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vista_align import alignment, evaluation
+from vista_align import alignment, evaluation, formats
 from vista_align.alignment import (AlignmentHypothesis, align_maps, arun,
                                    prune, solve_submap_pair)
 from vista_align.association import Association, build_affinity
@@ -16,8 +17,9 @@ from vista_align.evaluation import (PairOutcome, classify, default_voxel,
 from vista_align.simulation import perturb_frame
 from vista_align.submap import Submap, generate_submaps
 
-from conftest import (clique_number, identity, map_from_points,
-                      random_rotation, rotation_x)
+from conftest import (clique_number, grid_hypotheses,
+                      hypotheses_to_json_per_grid_pair, identity,
+                      map_from_points, random_rotation, rotation_x)
 
 
 def hyp(transform, n_inliers, src=0, tgt=0):
@@ -133,7 +135,7 @@ def test_align_maps_identical_maps():
     rng = np.random.default_rng(5)
     pts = rng.uniform(0.0, 5.0, size=(20, 3)) * np.array([1.0, 1.0, 0.3])
     m = map_from_points(pts)
-    hyps = align_maps(m, m, Hyperparameters())
+    hyps = grid_hypotheses(align_maps(m, m, Hyperparameters()))
     assert hyps
     top = hyps[0]
     assert top.cardinality == 20
@@ -145,8 +147,9 @@ def test_align_maps_translated_map():
     rng = np.random.default_rng(6)
     pts = rng.uniform(0.0, 5.0, size=(15, 3)) * np.array([1.0, 1.0, 0.3])
     shift = np.array([0.3, 0.3, 0.0])
-    hyps = align_maps(map_from_points(pts), map_from_points(pts + shift),
-                      Hyperparameters())
+    hyps = grid_hypotheses(align_maps(map_from_points(pts),
+                                      map_from_points(pts + shift),
+                                      Hyperparameters()))
     assert hyps
     assert np.allclose(hyps[0].transform.translation, shift, atol=1e-9)
     assert hyps[0].cardinality > Hyperparameters().s_max
@@ -157,8 +160,9 @@ def test_align_maps_direction_convention():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.0, 5.0, size=(12, 3)) * np.array([1.0, 1.0, 0.2])
     truth = RigidTransform(rotation_z(70.0), np.array([4.0, 1.0, 0.0]))
-    hyps = align_maps(map_from_points(pts), map_from_points(truth.apply(pts)),
-                      Hyperparameters())
+    hyps = grid_hypotheses(align_maps(map_from_points(pts),
+                                      map_from_points(truth.apply(pts)),
+                                      Hyperparameters()))
     t = hyps[0].transform
     assert np.allclose(t.apply(pts), truth.apply(pts), atol=1e-6)
 
@@ -168,8 +172,8 @@ def test_align_maps_forward_backward_inverse():
     pts = rng.uniform(0.0, 4.0, size=(10, 3)) * np.array([1.0, 1.0, 0.2])
     truth = RigidTransform(rotation_z(-35.0), np.array([1.0, 0.5, 0.0]))
     ma, mb = map_from_points(pts), map_from_points(truth.apply(pts))
-    fwd = align_maps(ma, mb, Hyperparameters())
-    bwd = align_maps(mb, ma, Hyperparameters())
+    fwd = grid_hypotheses(align_maps(ma, mb, Hyperparameters()))
+    bwd = grid_hypotheses(align_maps(mb, ma, Hyperparameters()))
     r = fwd[0].transform.compose(bwd[0].transform)
     assert np.allclose(r.rotation, np.eye(3), atol=1e-6)
     assert np.allclose(r.translation, 0.0, atol=1e-6)
@@ -190,7 +194,7 @@ def test_align_maps_moving_map_b_moves_every_hypothesis(seed):
 
     def solves(b):
         return {(h.cardinality, h.inliers): h.transform
-                for h in align_maps(map_a, b, Hyperparameters())}
+                for _, _, h in align_maps(map_a, b, Hyperparameters())}
 
     before, after = solves(map_b), solves(moved)
     assert before and set(after) == set(before)
@@ -201,13 +205,24 @@ def test_align_maps_moving_map_b_moves_every_hypothesis(seed):
                            rtol=0, atol=1e-9)
 
 
-def test_align_maps_sorted_by_cardinality():
+def test_align_maps_sorted_by_cardinality(tmp_path):
+    # the file lists every grid pair of every kept solve once, largest
+    # cardinality first, then by source and target cell
     rng = np.random.default_rng(9)
     pts = rng.uniform(0.0, 6.0, size=(25, 3)) * np.array([1.0, 1.0, 0.2])
-    hyps = align_maps(map_from_points(pts), map_from_points(pts),
-                      Hyperparameters(n_max=10))
-    cards = [h.cardinality for h in hyps]
-    assert cards == sorted(cards, reverse=True)
+    solves = align_maps(map_from_points(pts), map_from_points(pts),
+                        Hyperparameters(n_max=10))
+    path = str(tmp_path / "hyps.json")
+    assert formats.save_hypotheses(path, solves) == sum(
+        len(cells_a) * len(cells_b) for cells_a, cells_b, _ in solves)
+    with open(path) as fh:
+        keys = [(-r["cardinality"], r["source_submap"], r["target_submap"])
+                for r in json.load(fh)]
+    assert len({c for c, _, _ in keys}) > 1
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert sorted(keys) == sorted((-h.cardinality, ia, ib)
+                                  for cells_a, cells_b, h in solves
+                                  for ia in cells_a for ib in cells_b)
 
 
 def test_align_maps_rejects_empty_maps():
@@ -237,16 +252,24 @@ def engine_case(n_points, n_max):
 ENGINE_CASES = [(12, 50), (14, 6)]
 
 
+def written(tmp_path, solves, top_k=None):
+    path = str(tmp_path / "hyps.json")
+    formats.save_hypotheses(path, solves, top_k)
+    with open(path) as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize("n_points, n_max", ENGINE_CASES)
-def test_engine_solves_each_distinct_pair_once(n_points, n_max, monkeypatch):
+def test_engine_solves_each_distinct_pair_once(n_points, n_max, monkeypatch,
+                                               tmp_path):
+    # the file equals the one written from every grid pair solved on its own
     ma, mb, params, grid = engine_case(n_points, n_max)
     expected = []
     for ia, sa, ib, sb, res in grid:
         if res is not None:
             h = AlignmentHypothesis(res[0], res[1], len(res[1]), ia, ib)
             if prune(h, params) is None:
-                expected.append(h)
-    expected.sort(key=lambda h: (-h.cardinality, h.source_submap, h.target_submap))
+                expected.append(((ia,), (ib,), h))
 
     calls = []
 
@@ -255,12 +278,15 @@ def test_engine_solves_each_distinct_pair_once(n_points, n_max, monkeypatch):
         return solve_submap_pair(sa, sb, p, need)
 
     monkeypatch.setattr(alignment, "solve_submap_pair", counting)
-    hyps = align_maps(ma, mb, params)
+    solves = align_maps(ma, mb, params)
     assert sorted(calls) == sorted({(sa.landmark_ids, sb.landmark_ids)
                                     for _, sa, _, sb, _ in grid})
     assert len(calls) < len(grid)
-    assert ([(h.source_submap, h.target_submap, h.inliers) for h in hyps]
-            == [(h.source_submap, h.target_submap, h.inliers) for h in expected])
+    assert len(solves) < len(expected)
+    for top_k in (None, 1, 7, len(expected) + 1):
+        assert (written(tmp_path, solves, top_k)
+                == hypotheses_to_json_per_grid_pair(expected, top_k)
+                == hypotheses_to_json_per_grid_pair(solves, top_k))
 
 
 @pytest.mark.parametrize("n_points, n_max", ENGINE_CASES)
@@ -314,7 +340,7 @@ def test_prune_runs_once_per_distinct_solved_pair(n_points, n_max, monkeypatch):
     assert len(calls) == len(set(solved))
 
 
-def test_align_maps_skip_keeps_every_byte(monkeypatch):
+def test_align_maps_skip_keeps_every_byte(monkeypatch, tmp_path):
     # several submap contents per map: 114 of the 144 distinct pairs hold no
     # clique of s_max + 1 candidates, 88 of them pairs that yield a transform
     ma, mb, params, _ = engine_case(14, 6)
@@ -325,13 +351,14 @@ def test_align_maps_skip_keeps_every_byte(monkeypatch):
         verdicts.append(exact(affinity, k))
         return verdicts[-1]
 
-    def key(hyps):
-        return [(h.source_submap, h.target_submap, h.cardinality, h.inliers,
-                 h.transform.rotation.tobytes(), h.transform.translation.tobytes())
-                for h in hyps]
-
     monkeypatch.setattr(alignment, "has_clique", recording)
     skipping = align_maps(ma, mb, params)
     assert len(verdicts) == 144 and verdicts.count(False) == 114
     monkeypatch.setattr(alignment, "has_clique", lambda affinity, k: True)
-    assert skipping and key(skipping) == key(align_maps(ma, mb, params))
+    solving = align_maps(ma, mb, params)
+    assert skipping and [h.inliers for _, _, h in skipping] == [
+        h.inliers for _, _, h in solving]
+    for top_k in (None, 5):
+        assert (written(tmp_path, skipping, top_k)
+                == written(tmp_path, solving, top_k)
+                == hypotheses_to_json_per_grid_pair(solving, top_k))

@@ -14,7 +14,7 @@ from vista_align import (alignment, cli, evaluation, formats, submap,
 from vista_align.core import (Hyperparameters, ObjectMap, RigidTransform,
                               rotation_z)
 
-from conftest import identity, map_from_points
+from conftest import grid_hypotheses, identity, map_from_points
 
 
 SCENE = {"n_objects": 36, "extent": [10.0, 10.0, 1.5], "seed": 3}
@@ -162,7 +162,8 @@ def test_match_identical_maps_identity(workdir):
     assert top["cardinality"] > 4
     inliers = submap.mahalanobis_filter(formats.load_map(map_path),
                                         Hyperparameters().omega_percentile)
-    expected = alignment.align_maps(inliers, inliers, Hyperparameters())
+    expected = grid_hypotheses(
+        alignment.align_maps(inliers, inliers, Hyperparameters()))
     for record, h in zip(hyps, expected, strict=True):
         t = formats.parse_transform(json.dumps(record))
         assert t.rotation.tobytes() == h.transform.rotation.tobytes()
@@ -186,13 +187,43 @@ def test_match_no_overlap_exits_2(workdir, tmp_path):
             assert json.load(fh) == []
 
 
-def test_match_top_k(workdir):
+def test_match_top_k(workdir, capsys):
+    # --top-k k writes the first k records of the full file; --log-json's
+    # n_hypotheses counts the records written
     map_path = simulate_and_build(workdir)
+    capsys.readouterr()
+    files = {}
+    for top_k in ([], ["--top-k", "3"]):
+        out = str(workdir / ("hyps%d.json" % len(top_k)))
+        assert cli.run(["match", "--map-a", map_path, "--map-b", map_path,
+                        "--out", out, "--log-json"] + top_k) == 0
+        with open(out) as fh:
+            files[len(top_k)] = json.load(fh)
+        log = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert log["stage"] == "match"
+        assert log["n_hypotheses"] == len(files[len(top_k)])
+    assert len(files[0]) > 3
+    assert files[2] == files[0][:3]
+
+
+def test_match_encodes_each_kept_solve_once(workdir, monkeypatch):
+    map_path = simulate_and_build(workdir)
+    encode, encoded = formats.transform_to_json, []
+
+    def counting(transform):
+        encoded.append(transform)
+        return encode(transform)
+
+    monkeypatch.setattr(formats, "transform_to_json", counting)
     out = str(workdir / "hyps.json")
     assert cli.run(["match", "--map-a", map_path, "--map-b", map_path,
-                    "--out", out, "--top-k", "3"]) == 0
+                    "--out", out]) == 0
+    inliers = submap.mahalanobis_filter(formats.load_map(map_path),
+                                        Hyperparameters().omega_percentile)
+    solves = alignment.align_maps(inliers, inliers, Hyperparameters())
     with open(out) as fh:
-        assert len(json.load(fh)) <= 3
+        n_records = len(json.load(fh))
+    assert len(encoded) == len(solves) < n_records
 
 
 def test_log_json_lines(workdir, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import stat
@@ -260,36 +259,42 @@ def hypothesis(rotation, translation, cardinality, source, target):
         source, target)
 
 
-# A 3-4-5 yaw times a 3-4-5 pitch, written out; the identity with a -0.0;
-# and the first transform object again, as grid pairs sharing a solve give.
-HYPOTHESES = [
-    hypothesis([[0.48, -0.8, 0.36], [0.64, 0.6, 0.48], [-0.6, 0.0, 0.8]],
-               [1.5, -2.0, 0.25], 5, 2, 7),
-    hypothesis(np.eye(3), [-0.0, 0.0, 3.0], 3, 0, 0),
+# (cells_a, cells_b, hypothesis) solves, as align_maps returns them: a 3-4-5
+# yaw times a 3-4-5 pitch, written out, on source cells 0 and 2; a 90-degree
+# yaw of equal cardinality on source cell 1; the identity with a -0.0.
+SOLVES = [
+    ((0, 2), (3,), hypothesis(np.eye(3), [-0.0, 0.0, 3.0], 3, 0, 3)),
+    ((0, 2), (7,), hypothesis([[0.48, -0.8, 0.36], [0.64, 0.6, 0.48],
+                               [-0.6, 0.0, 0.8]], [1.5, -2.0, 0.25], 5, 0, 7)),
+    ((1,), (7,), hypothesis([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                            [0.0, 0.0, -1.25], 5, 1, 7)),
 ]
-HYPOTHESES.append(dataclasses.replace(HYPOTHESES[0], source_submap=4,
-                                      target_submap=1))
+X = ('{"rotation":[0.48,-0.8,0.36,0.64,0.6,0.48,-0.6,0.0,0.8],'
+     '"translation":[1.5,-2.0,0.25],"cardinality":5,"source_submap":%d,'
+     '"target_submap":7,"roll":0.0,"pitch":36.86989764584402,'
+     '"yaw":53.13010235415599}')
+Y = ('{"rotation":[0.0,-1.0,0.0,1.0,0.0,0.0,0.0,0.0,1.0],'
+     '"translation":[0.0,0.0,-1.25],"cardinality":5,"source_submap":1,'
+     '"target_submap":7,"roll":0.0,"pitch":-0.0,"yaw":90.0}')
+Z = ('{"rotation":[1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0],'
+     '"translation":[-0.0,0.0,3.0],"cardinality":3,"source_submap":%d,'
+     '"target_submap":3,"roll":0.0,"pitch":-0.0,"yaw":0.0}')
 
 
 def test_save_hypotheses_writes_exact_bytes(tmp_path):
+    # one record per grid pair: solves of equal cardinality interleave by cell
     path = str(tmp_path / "hyps.json")
-    formats.save_hypotheses(path, HYPOTHESES)
-    assert read(path) == (
-        '[{"rotation":[0.48,-0.8,0.36,0.64,0.6,0.48,-0.6,0.0,0.8],'
-        '"translation":[1.5,-2.0,0.25],"cardinality":5,"source_submap":2,'
-        '"target_submap":7,"roll":0.0,"pitch":36.86989764584402,'
-        '"yaw":53.13010235415599},'
-        '{"rotation":[1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0],'
-        '"translation":[-0.0,0.0,3.0],"cardinality":3,"source_submap":0,'
-        '"target_submap":0,"roll":0.0,"pitch":-0.0,"yaw":0.0},'
-        '{"rotation":[0.48,-0.8,0.36,0.64,0.6,0.48,-0.6,0.0,0.8],'
-        '"translation":[1.5,-2.0,0.25],"cardinality":5,"source_submap":4,'
-        '"target_submap":1,"roll":0.0,"pitch":36.86989764584402,'
-        '"yaw":53.13010235415599}]')
-    for record, h in zip(json.loads(read(path)), HYPOTHESES, strict=True):
-        t = formats.parse_transform(json.dumps(record))
-        assert t.rotation.tobytes() == h.transform.rotation.tobytes()
-        assert t.translation.tobytes() == h.transform.translation.tobytes()
+    assert formats.save_hypotheses(path, SOLVES) == 5
+    assert read(path) == "[%s]" % ",".join([X % 0, Y, X % 2, Z % 0, Z % 2])
+    transforms = [SOLVES[i][2].transform for i in (1, 2, 1, 0, 0)]
+    for record, t in zip(json.loads(read(path)), transforms, strict=True):
+        parsed = formats.parse_transform(json.dumps(record))
+        assert parsed.rotation.tobytes() == t.rotation.tobytes()
+        assert parsed.translation.tobytes() == t.translation.tobytes()
+    assert formats.save_hypotheses(path, SOLVES, 2) == 2
+    assert read(path) == "[%s]" % ",".join([X % 0, Y])
+    assert formats.save_hypotheses(path, []) == 0
+    assert read(path) == "[]"
 
 
 def test_save_pr_table_writes_exact_bytes(tmp_path):
