@@ -66,6 +66,7 @@ def cmd_build_map(args):
     _log_json(args.log_json, "build-map", landmarks=stats.n_landmarks,
               discarded_diverged=stats.n_discarded_diverged,
               discarded_short=stats.n_discarded_short,
+              **{"discarded_" + k: n for k, n in stats.discarded.items()},
               seconds=time.perf_counter() - t0)
     return 0
 

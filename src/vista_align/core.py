@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* A pose is the body-to-odometry `RigidTransform` of one frame; projecting a
-  world point applies its inverse.
+* A pose is the body-to-odometry transform of one frame, a row of `Poses`;
+  projecting a world point applies its inverse.
 * The camera is an ideal pinhole (zero distortion). Camera frame = body frame;
   any camera/IMU extrinsic must be folded into the poses upstream.
 * Euler angles are Z-Y-X (yaw about gravity-aligned +z, then pitch, then roll),
@@ -15,16 +15,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 
 class DegenerateGeometryError(Exception):
     """Input geometry is rank-deficient (parallel rays, collinear points, ...)."""
-
-
-class DivergedError(Exception):
-    """Nonlinear refinement failed to converge; caller should discard the track."""
 
 
 class InputError(Exception):
@@ -68,24 +65,95 @@ class CameraIntrinsics:
             raise ValueError("cy must lie within [0, height)")
 
 
-@dataclass(frozen=True)
-class Track:
-    """One object's centroid detections: pixel centroids[k] = (u, v) seen at
-    frames[k]."""
+class Pose(NamedTuple):
+    """One frame's camera, a row of `Poses`."""
 
-    track_id: int
+    rotation: np.ndarray
+    translation: np.ndarray
+
+
+@dataclass(frozen=True)
+class Poses:
+    """Camera poses by frame: row k holds frame frames[k] (distinct ints),
+    its body-to-odometry rotations[k] (F, 3, 3) and translations[k] (F, 3);
+    poses[k] is row k's `Pose`. Each row must pass `RigidTransform`'s checks,
+    made for all rows at once; the rows are then sorted by frame."""
+
     frames: tuple
-    centroids: np.ndarray
+    rotations: np.ndarray
+    translations: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        object.__setattr__(self, "centroids", _as_readonly(
-            self.centroids, (len(self.frames), 2), "centroids"))
-        if any(b <= a for a, b in zip(self.frames, self.frames[1:])):
-            raise ValueError("frames must be strictly increasing")
+        frames = tuple(self.frames)
+        if len(set(frames)) != len(frames):
+            raise ValueError("pose frames must be distinct")
+        R = np.array(self.rotations, dtype=float).reshape(len(frames), 3, 3)
+        t = np.array(self.translations, dtype=float).reshape(len(frames), 3)
+        finite = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
+        R1 = np.where(finite[:, None, None], R, np.eye(3))
+        err = np.linalg.norm(np.swapaxes(R1, 1, 2) @ R1 - np.eye(3), axis=(1, 2))
+        for k in np.flatnonzero(~finite | (err >= 1e-8)
+                                | (np.abs(np.linalg.det(R1) - 1.0) >= 1e-8)):
+            try:                        # RigidTransform names the fault
+                RigidTransform(R[k], t[k])
+            except ValueError as exc:
+                raise ValueError("pose at frame %d: %s" % (frames[k], exc)) from exc
+        order = sorted(range(len(frames)), key=frames.__getitem__)
+        R, t = R[order], t[order]
+        R.flags.writeable = t.flags.writeable = False
+        object.__setattr__(self, "frames", tuple(frames[k] for k in order))
+        object.__setattr__(self, "rotations", R)
+        object.__setattr__(self, "translations", t)
 
     def __len__(self):
         return len(self.frames)
+
+    def __getitem__(self, k):
+        return Pose(self.rotations[k], self.translations[k])
+
+
+@dataclass(frozen=True)
+class Tracks:
+    """Detection tracks as one table: track k, with id ids[k], owns the
+    detections starts[k]:starts[k + 1]. Detection j is the pixel centroids[j]
+    (an (N, 2) array) seen in the pose-table row pose_rows[j], and a track's
+    rows strictly increase. Iterating gives each track's detection range."""
+
+    ids: tuple
+    starts: np.ndarray
+    pose_rows: np.ndarray
+    centroids: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        starts = np.array(self.starts, dtype=np.intp).reshape(len(self.ids) + 1)
+        rows = np.array(self.pose_rows, dtype=np.intp).reshape(starts[-1])
+        starts.flags.writeable = rows.flags.writeable = False
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "pose_rows", rows)
+        object.__setattr__(self, "centroids", _as_readonly(
+            self.centroids, (len(rows), 2), "centroids"))
+        lengths = np.diff(starts)
+        if starts[0] != 0 or (lengths < 0).any() or (rows < 0).any():
+            raise ValueError("starts must rise from 0 and pose rows be >= 0")
+        track = np.repeat(np.arange(len(self.ids)), lengths)
+        stuck = (np.diff(rows) <= 0) & (track[1:] == track[:-1])
+        if stuck.any():
+            raise ValueError("track %d: frames must be strictly increasing"
+                             % self.ids[track[np.argmax(stuck)]])
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __iter__(self):
+        return map(range, self.starts[:-1].tolist(), self.starts[1:].tolist())
+
+    def select(self, keep):
+        """The tracks where the (n,) bool mask `keep` holds, in order."""
+        detections = np.repeat(keep, np.diff(self.starts))
+        return Tracks([i for i, k in zip(self.ids, keep) if k],
+                      np.cumsum([0, *np.diff(self.starts)[keep]]),
+                      self.pose_rows[detections], self.centroids[detections])
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ import tempfile
 
 import numpy as np
 
-from .core import (CameraIntrinsics, Hyperparameters, InputError, ObjectMap,
-                   RigidTransform, Track, check_rotation, transform_angles)
+from .core import (CameraIntrinsics, Hyperparameters, InputError, ObjectMap, Poses,
+                   RigidTransform, Tracks, check_rotation, transform_angles)
 from .simulation import SceneSpec, TrajectorySpec
 
 
@@ -142,26 +142,56 @@ def track_file_to_json(intrinsics, poses, tracks):
     intr = ('{"fx":%s,"fy":%s,"cx":%s,"cy":%s,"width":%d,"height":%d}'
             % (_f(intrinsics.fx), _f(intrinsics.fy), _f(intrinsics.cx),
                _f(intrinsics.cy), intrinsics.width, intrinsics.height))
-    pose_parts = []
-    for frame, pose in sorted(poses.items()):
-        pose_parts.append('{"frame":%d,"rotation":%s,"translation":%s}'
-                          % (frame, _floats(pose.rotation.ravel()),
-                             _floats(pose.translation)))
-    track_parts = []
-    for tr in tracks:
-        # one format per track; + 0.0 writes -0.0 as 0, as _f does
-        fields = np.column_stack([tr.frames, tr.centroids + 0.0]).ravel().tolist()
-        dets = ",".join([_DETECTION] * len(tr)) % tuple(fields)
-        track_parts.append('{"id":%d,"detections":[%s]}' % (tr.track_id, dets))
+    pose_parts = ['{"frame":%d,"rotation":%s,"translation":%s}'
+                  % (frame, _floats(R.ravel()), _floats(t))
+                  for frame, R, t in zip(poses.frames, poses.rotations,
+                                         poses.translations)]
+    # + 0.0 writes -0.0 as 0, as _f does
+    fields = np.column_stack([np.asarray(poses.frames)[tracks.pose_rows],
+                              tracks.centroids + 0.0])
+    track_parts = ['{"id":%d,"detections":[%s]}'
+                   % (tid, ",".join([_DETECTION] * len(r))
+                      % tuple(fields[r.start:r.stop].ravel().tolist()))
+                   for tid, r in zip(tracks.ids, tracks)]
     return ('{"intrinsics":%s,"poses":[%s],"tracks":[%s]}'
             % (intr, ",".join(pose_parts), ",".join(track_parts)))
 
 
-def parse_track_file(text):
-    """Parse a track file into (intrinsics, {frame: RigidTransform}, [Track])."""
-    data = _json(text, "track file")
-    intrinsics = _intrinsics(data)
-    poses = {}
+def _track_file_in_bulk(data, intrinsics):
+    """(Poses, Tracks) of a track file, its fields checked in bulk; None if
+    any check fails. It accepts exactly the files `_first_fault` passes."""
+    try:
+        poses, tracks = data["poses"], data["tracks"]
+        frames, rot, tra = ([p[k] for p in poses] for k in ("frame", "rotation",
+                                                             "translation"))
+        ids, dets = [t["id"] for t in tracks], [t["detections"] for t in tracks]
+        if not (type(poses) is type(tracks) is list and {*map(type, dets)} <= {list}
+                and all(type(r) is list and len(r) == 9 for r in rot)
+                and all(type(r) is list and len(r) == 3 for r in tra)):
+            return None
+        flat = [d for ds in dets for d in ds]
+        at, us, vs = ([d[k] for d in flat] for k in ("frame", "u", "v"))
+        if not ({*map(type, frames + ids + at)} <= {int} and min(frames, default=0) >= 0
+                and {type(v) for r in rot + tra for v in r} | {*map(type, us + vs)}
+                <= {int, float}):
+            return None
+        uv = np.array([us, vs], dtype=float).T.reshape(-1, 2)
+        if not (np.isfinite(uv).all() and len(set(frames)) == len(frames)
+                and len(set(ids)) == len(ids) and min(us + vs, default=0) >= 0
+                and max(us, default=0) < intrinsics.width
+                and max(vs, default=0) < intrinsics.height):
+            return None
+        poses = Poses(frames, np.reshape(rot, (-1, 3, 3)), np.reshape(tra, (-1, 3)))
+        row = dict(zip(poses.frames, range(len(poses))))
+        return poses, Tracks(ids, np.cumsum([0, *map(len, dets)]), [row[f] for f in at], uv)
+    except (KeyError, TypeError, ValueError):   # a missing field or pose, a bad row
+        return None
+
+
+def _first_fault(data, intrinsics):
+    """Raise the InputError of a track file's first faulty record, reading
+    the records one by one and each field in turn."""
+    poses = set()
     for rec in _require(data, "poses", list):
         frame = _require(rec, "frame", int, " in pose record")
         rot = _require(rec, "rotation", context=" in pose record", length=9)
@@ -172,28 +202,39 @@ def parse_track_file(text):
         if frame in poses:
             raise InputError("duplicate pose for field 'frame' = %d" % frame)
         with _invalid("pose at frame %d" % frame):
-            poses[frame] = RigidTransform(rot.reshape(3, 3), tra)
-    tracks = []
+            RigidTransform(rot.reshape(3, 3), tra)
+        poses.add(frame)
+    ids = []
     for rec in _require(data, "tracks", list):
-        tid = _require(rec, "id", int, " in track record")
-        frames, uv = [], []
+        ids.append(_require(rec, "id", int, " in track record"))
+        frames = []
         for drec in _require(rec, "detections", list, " in track record"):
-            frame = _require(drec, "frame", int, " in detection record")
+            frames.append(_require(drec, "frame", int, " in detection record"))
             u = _require(drec, "u", _NUMBER, " in detection record")
             v = _require(drec, "v", _NUMBER, " in detection record")
             if not (0 <= u < intrinsics.width and 0 <= v < intrinsics.height):
                 raise InputError("detection centroid (%g, %g) outside image in "
-                                 "track %d" % (u, v, tid))
-            if frame not in poses:
+                                 "track %d" % (u, v, ids[-1]))
+            if frames[-1] not in poses:
                 raise InputError("track %d references frame %d with no pose"
-                                 % (tid, frame))
-            frames.append(frame)
-            uv += u, v
-        with _invalid("track %d" % tid):
-            tracks.append(Track(tid, frames, np.reshape(uv, (-1, 2))))
-    if len({t.track_id for t in tracks}) != len(tracks):
+                                 % (ids[-1], frames[-1]))
+        if any(b <= a for a, b in zip(frames, frames[1:])):
+            raise InputError("invalid track %d: frames must be strictly increasing"
+                             % ids[-1])
+    if len(set(ids)) != len(ids):
         raise InputError("duplicate values in field 'id' of tracks")
-    return intrinsics, poses, tracks
+
+
+def parse_track_file(text):
+    """Parse a track file into (intrinsics, Poses, Tracks). The file is
+    checked in bulk; one that fails is read again record by record, to report
+    the fault of its first faulty record."""
+    data = _json(text, "track file")
+    intrinsics = _intrinsics(data)
+    tables = _track_file_in_bulk(data, intrinsics)
+    if tables is None:
+        _first_fault(data, intrinsics)
+    return (intrinsics, *tables)
 
 
 def save_track_file(path, intrinsics, poses, tracks):

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .core import ObjectMap, RigidTransform, Track, project, rotation_y, rotation_z
+from .core import (ObjectMap, Poses, RigidTransform, Tracks, project, rotation_y,
+                   rotation_z)
 
 # camera-to-world for a nadir view: optical axis straight down, image x = +x
 _R_NADIR = np.array([[1.0, 0.0, 0.0],
@@ -54,12 +56,16 @@ class TrajectorySpec:
     frames: int
     camera_pitch: float = 0.0   # deg off nadir, tilts the optical axis to +x
     altitude: float = 10.0
+    # The pose table holds 96 bytes a frame, allocated before any is rendered.
+    MAX_FRAMES: ClassVar[int] = 100_000
 
     def __post_init__(self):
         object.__setattr__(self, "waypoints",
                            tuple(tuple(float(v) for v in w) for w in self.waypoints))
         if self.frames < 2:
             raise ValueError("frames must be >= 2")
+        if self.frames > self.MAX_FRAMES:
+            raise ValueError("frames must be <= %d" % self.MAX_FRAMES)
         if not (0 <= self.camera_pitch <= 89):
             raise ValueError("camera_pitch must lie in [0, 89] degrees")
         if len(self.waypoints) < 2:
@@ -102,20 +108,19 @@ def generate_scene(spec):
 
 
 def trajectory_poses(trajectory):
-    """Interpolate the waypoint polyline into per-frame camera poses."""
+    """Interpolate the waypoint polyline into the `Poses` of frames
+    0..frames-1, all with one camera rotation."""
     wps = np.array(trajectory.waypoints, dtype=float)
     seg = np.linalg.norm(np.diff(wps[:, :2], axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
+    n = trajectory.frames
+    s = cum[-1] * np.arange(n) / (n - 1)
+    k = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg) - 1)
+    frac = np.divide(s - cum[k], seg[k], out=np.zeros(n), where=seg[k] > 0)
+    xy = wps[k, :2] + frac[:, None] * (wps[k + 1, :2] - wps[k, :2])
     R = _R_NADIR @ rotation_y(trajectory.camera_pitch)
-    poses = {}
-    for f in range(trajectory.frames):
-        s = total * f / (trajectory.frames - 1)
-        k = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg) - 1)
-        frac = (s - cum[k]) / seg[k] if seg[k] > 0 else 0.0
-        xy = wps[k, :2] + frac * (wps[k + 1, :2] - wps[k, :2])
-        poses[f] = RigidTransform(R, np.array([xy[0], xy[1], trajectory.altitude]))
-    return poses
+    return Poses(range(n), np.broadcast_to(R, (n, 3, 3)),
+                 np.column_stack([xy, np.full(n, float(trajectory.altitude))]))
 
 
 def _in_image(px, intrinsics):
@@ -131,7 +136,7 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
     Centroids falling outside the image (before or after noise) are dropped;
     dropout removes detections at random; duplicate_rate splits an object's
     track into two disjoint ids, emulating redundant objects from tracker
-    handoffs. Returns (tracks, {frame: RigidTransform}).
+    handoffs. Returns (Tracks, Poses); a track's pose rows are its frames.
 
     Random draws, all from one generator seeded with `seed`, come in this
     order: one split flag per object (only if duplicate_rate > 0); then the
@@ -151,7 +156,7 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
         else np.zeros(n, dtype=bool)
 
     frames, objects, pixels = [], [], []
-    for f in sorted(poses):
+    for f in range(len(poses)):
         projected = project(poses[f], intrinsics,
                             scene.positions + scene.velocities * f)
         seen = np.flatnonzero(_in_image(projected, intrinsics))
@@ -173,22 +178,23 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
 
     objects = np.concatenate(objects)
     order = np.argsort(objects, kind="stable")      # by object, frames ascending
-    frames = np.concatenate(frames)[order].tolist()
-    pixels = np.concatenate(pixels)[order]
     ends = np.cumsum(np.bincount(objects, minlength=n)).tolist()
 
-    tracks = []
+    ids, starts = [], [0]       # a split track's halves are adjacent rows
     next_id = n
     for i, (lo, hi) in enumerate(zip([0] + ends, ends)):
         m = hi - lo
         if not m:
             continue
         cut = lo + (int(rng.integers(1, m)) if split_flags[i] and m >= 2 else m)
-        tracks.append(Track(i, frames[lo:cut], pixels[lo:cut]))
+        ids.append(i)
+        starts.append(cut)
         if cut < hi:
-            tracks.append(Track(next_id, frames[cut:hi], pixels[cut:hi]))
+            ids.append(next_id)
+            starts.append(hi)
             next_id += 1
-    return tracks, poses
+    return Tracks(ids, starts, np.concatenate(frames)[order],
+                  np.concatenate(pixels)[order]), poses
 
 
 def perturb_frame(obj_map, yaw_deg, translation):

@@ -1,7 +1,7 @@
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import networkx as nx
 import numpy as np
@@ -10,9 +10,12 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from vista_align.association import _SUPPORT_TOL, _ascend, _round
-from vista_align.core import (CameraIntrinsics, ObjectMap, RigidTransform,
-                              transform_angles)
-from vista_align.formats import _compact, _f, _floats, transform_to_json
+from vista_align import triangulation as tri
+from vista_align.core import (CameraIntrinsics, DegenerateGeometryError, ObjectMap,
+                              Poses, RigidTransform, Tracks, transform_angles)
+from vista_align.core import InputError
+from vista_align.formats import (_NUMBER, _compact, _f, _floats, _intrinsics, _invalid,
+                                 _json, _require, transform_to_json)
 from vista_align.triangulation import _residuals
 
 
@@ -73,9 +76,191 @@ def clique_number(affinity):
 def reprojection_jacobian(pose, intrinsics, point):
     """Analytic 2x3 Jacobian of project() w.r.t. the 3D point: the one
     `triangulation.refine` steps with, from `_residuals`."""
-    _, J, _ = _residuals(np.asarray(point, dtype=float), pose.rotation[None],
+    _, J, _ = _residuals(np.asarray(point, dtype=float)[None], pose.rotation[None],
                          pose.translation[None], np.zeros((1, 2)), intrinsics)
-    return J
+    return J[0]
+
+
+def pose_table(poses):
+    """The `Poses` of a {frame: RigidTransform} dict."""
+    frames = sorted(poses)
+    return Poses(frames, np.reshape([poses[f].rotation for f in frames], (-1, 3, 3)),
+                 np.reshape([poses[f].translation for f in frames], (-1, 3)))
+
+
+def track_table(tracks):
+    """The `Tracks` of (track_id, pose rows, centroids) triples."""
+    lengths = [len(rows) for _, rows, _ in tracks]
+    return Tracks([tid for tid, _, _ in tracks], np.cumsum([0] + lengths),
+                  np.concatenate([np.zeros(0, int)]
+                                 + [np.asarray(rows, int) for _, rows, _ in tracks]),
+                  np.reshape([c for _, _, cs in tracks for c in np.reshape(cs, (-1, 2))],
+                             (-1, 2)))
+
+
+# ----------------------------------------------------------------------------
+# Triangulation as it was, one track at a time: the reference the batched
+# `triangulation.build_map` must match. The code below is unchanged but for
+# its names; it reads tracks as `Track`s and poses as a {frame: pose} dict.
+
+@dataclass(frozen=True)
+class Track:
+    track_id: int
+    frames: tuple
+    centroids: np.ndarray
+
+    def __len__(self):
+        return len(self.frames)
+
+
+class DivergedError(Exception):
+    """Nonlinear refinement failed to converge; caller should discard the track."""
+
+
+def per_track(tracks, poses):
+    """The tracks as `Track`s, and the poses as a {frame: pose} dict."""
+    return ([Track(tid, tuple(poses.frames[k] for k in tracks.pose_rows[r]),
+                   tracks.centroids[r]) for tid, r in zip(tracks.ids, tracks)],
+            {f: poses[k] for k, f in enumerate(poses.frames)})
+
+
+def _stack(track, poses):
+    """The rotations (m, 3, 3) and translations (m, 3) of a track's frames."""
+    return (np.array([poses[f].rotation for f in track.frames]),
+            np.array([poses[f].translation for f in track.frames]))
+
+
+def per_track_initial_guess(track, poses, intrinsics):
+    """Linear midpoint triangulation: least-squares point closest to all rays."""
+    R, t = _stack(track, poses)
+    u, v = track.centroids.T
+    d_cam = np.stack([(u - intrinsics.cx) / intrinsics.fx,
+                      (v - intrinsics.cy) / intrinsics.fy, np.ones(len(u))], axis=1)
+    d = R @ d_cam[:, :, None]                       # (m, 3, 1) ray directions
+    d = d / np.sqrt(np.swapaxes(d, 1, 2) @ d)
+    P = np.eye(3) - d * np.swapaxes(d, 1, 2)        # projectors off each ray
+    A = P.sum(axis=0)
+    b = (P @ t[:, :, None]).sum(axis=0)[:, 0]
+    w = np.linalg.eigvalsh(A)
+    if w[0] < 1e-8 * max(w[-1], 1e-300):
+        raise DegenerateGeometryError("all back-projected rays are parallel")
+    return np.linalg.solve(A, b)
+
+
+def per_track_residuals(point, R, t, centroids, intrinsics):
+    """Residuals, Jacobian, and cost at `point` seen from the cameras
+    (R[k], t[k]) at pixel centroids[k].
+
+    Observations whose camera-frame depth is <= 1e-6 contribute a fixed penalty
+    to the cost instead of a residual; if every detection is behind the
+    camera the point is unrecoverable and the track is declared diverged.
+    """
+    # @ keeps every product bit-equal to the per-observation R.T @ (point - t)
+    p_cam = ((point - t)[:, None, :] @ R)[:, 0]
+    front = p_cam[:, 2] > 1e-6
+    n_behind = len(front) - np.count_nonzero(front)
+    if n_behind == len(front):
+        raise DivergedError("iterate is behind every camera")
+    (x, y, z), c = p_cam[front].T, centroids[front]
+    r = np.stack([intrinsics.fx * x / z + intrinsics.cx - c[:, 0],
+                  intrinsics.fy * y / z + intrinsics.cy - c[:, 1]], axis=1).ravel()
+    z2 = np.float_power(z, 2.0)     # pow(), as scalar z ** 2; array z ** 2 is z * z
+    zero = np.zeros_like(z)
+    d_uv_d_cam = np.stack([intrinsics.fx / z, zero, -intrinsics.fx * x / z2,
+                           zero, intrinsics.fy / z, -intrinsics.fy * y / z2],
+                          axis=1).reshape(-1, 2, 3)
+    J = (d_uv_d_cam @ np.swapaxes(R[front], 1, 2)).reshape(-1, 3)
+    cost = float(r @ r) + tri._BEHIND_PENALTY * n_behind
+    return r, J, cost
+
+
+def per_track_refine(track, poses, intrinsics, guess):
+    """Gauss-Newton refinement of a track's 3D position.
+
+    Returns (position, covariance), the covariance s^2 (J'J)^-1 where
+    s^2 = cost / max(1, 2m - 3). Raises DivergedError when the iteration cap
+    is hit, the cost refuses to decrease for 5 consecutive damped steps, or
+    the converged residual stays above the pixel-scale floor.
+    """
+    x = np.array(guess, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("initial guess must be finite")
+    R, t = _stack(track, poses)
+    m = len(track)
+
+    r, J, cost = per_track_residuals(x, R, t, track.centroids, intrinsics)
+    lam = 0.0
+    fails = 0
+    converged = False
+    for _ in range(tri.MAX_ITERS):
+        H = J.T @ J + lam * np.eye(3)
+        g = J.T @ r
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            lam = max(lam * 10.0, 1e-6)
+            continue
+        x_new = x + step
+        r_new, J_new, cost_new = per_track_residuals(x_new, R, t, track.centroids,
+                                                     intrinsics)
+        rel_change = abs(cost - cost_new) / max(cost, 1e-300)
+        if np.linalg.norm(step) < tri.STEP_TOL or rel_change < tri.COST_TOL:
+            if cost_new < cost:
+                x, r, J, cost = x_new, r_new, J_new, cost_new
+            converged = True
+            break
+        if cost_new < cost:
+            x, r, J, cost = x_new, r_new, J_new, cost_new
+            lam *= 0.3
+            if lam < 1e-12:
+                lam = 0.0
+            fails = 0
+        else:
+            fails += 1
+            lam = max(lam * 10.0, 1e-4)
+            if fails >= tri.MAX_COST_INCREASES:
+                raise DivergedError("cost failed to decrease for %d damped steps"
+                                    % tri.MAX_COST_INCREASES)
+    if not converged:
+        raise DivergedError("no convergence within %d iterations" % tri.MAX_ITERS)
+
+    rms = np.sqrt(cost / (2 * m))
+    if rms > tri.RESIDUAL_FLOOR_PX:
+        raise DivergedError("converged residual %.2f px exceeds the %.1f px floor"
+                            % (rms, tri.RESIDUAL_FLOOR_PX))
+    s2 = cost / max(1, 2 * m - 3)
+    cov = s2 * np.linalg.inv(J.T @ J)
+    cov = 0.5 * (cov + cov.T)
+    # clip tiny negative eigenvalues from roundoff
+    w, V = np.linalg.eigh(cov)
+    cov = (V * np.maximum(w, 0.0)) @ V.T
+    cov = 0.5 * (cov + cov.T)
+    return x, cov
+
+
+# DivergedError messages by the status the batch gives the track
+_REASONS = {"behind": tri.BEHIND, "no convergence": tri.ITERATION_CAP,
+            "cost failed": tri.COST_STALL, "exceeds": tri.RESIDUAL_FLOOR}
+
+
+def per_track_build_map(tracks, poses, intrinsics, params, agent_id):
+    """`triangulation.build_map` one track at a time, on `per_track`'s
+    inputs: (ObjectMap, {track_id: status}) over the tracks long enough to
+    triangulate."""
+    ids, fits, status = [], [], {}
+    for track in [t for t in tracks if len(t) > params.n_min]:
+        try:
+            guess = per_track_initial_guess(track, poses, intrinsics)
+            fits.append(per_track_refine(track, poses, intrinsics, guess))
+            ids.append(track.track_id)
+            status[track.track_id] = tri.KEPT
+        except DegenerateGeometryError:
+            status[track.track_id] = tri.DEGENERATE
+        except DivergedError as exc:
+            status[track.track_id] = next(s for k, s in _REASONS.items()
+                                          if k in str(exc))
+    return ObjectMap(agent_id, ids, np.reshape([x for x, _ in fits], (-1, 3)),
+                     np.reshape([cov for _, cov in fits], (-1, 3, 3))), status
 
 
 def densest_clique_exact(affinity):
@@ -154,12 +339,11 @@ def track_file_to_json_per_value(intrinsics, poses, tracks):
             % (_f(intrinsics.fx), _f(intrinsics.fy), _f(intrinsics.cx),
                _f(intrinsics.cy), intrinsics.width, intrinsics.height))
     pose_parts = []
-    for frame, pose in sorted(poses.items()):
+    for frame, R, t in zip(poses.frames, poses.rotations, poses.translations):
         pose_parts.append('{"frame":%d,"rotation":%s,"translation":%s}'
-                          % (frame, _floats(pose.rotation.ravel()),
-                             _floats(pose.translation)))
+                          % (frame, _floats(R.ravel()), _floats(t)))
     track_parts = []
-    for tr in tracks:
+    for tr in per_track(tracks, poses)[0]:
         dets = ",".join('{"frame":%d,"u":%s,"v":%s}' % (f, _f(u), _f(v))
                         for f, (u, v) in zip(tr.frames, tr.centroids.tolist()))
         track_parts.append('{"id":%d,"detections":[%s]}' % (tr.track_id, dets))
@@ -189,3 +373,46 @@ def hypotheses_to_json_per_grid_pair(solves, top_k=None):
                        % (transform_to_json(h.transform)[:-1], h.cardinality,
                           h.source_submap, h.target_submap, _compact(angles)[1:]))
     return "[" + ",".join(records) + "]"
+
+
+def parse_track_file_per_record(text):
+    """`formats.parse_track_file` as it was, one record at a time: the
+    reference for which fault of a malformed file is reported, and how. It
+    returns the track ids."""
+    data = _json(text, "track file")
+    intrinsics = _intrinsics(data)
+    poses = {}
+    for rec in _require(data, "poses", list):
+        frame = _require(rec, "frame", int, " in pose record")
+        rot = _require(rec, "rotation", context=" in pose record", length=9)
+        tra = _require(rec, "translation", context=" in pose record", length=3)
+        if frame < 0:
+            raise InputError("field 'frame' must be >= 0 in pose record, got %d"
+                             % frame)
+        if frame in poses:
+            raise InputError("duplicate pose for field 'frame' = %d" % frame)
+        with _invalid("pose at frame %d" % frame):
+            poses[frame] = RigidTransform(rot.reshape(3, 3), tra)
+    tracks = []
+    for rec in _require(data, "tracks", list):
+        tid = _require(rec, "id", int, " in track record")
+        frames, uv = [], []
+        for drec in _require(rec, "detections", list, " in track record"):
+            frame = _require(drec, "frame", int, " in detection record")
+            u = _require(drec, "u", _NUMBER, " in detection record")
+            v = _require(drec, "v", _NUMBER, " in detection record")
+            if not (0 <= u < intrinsics.width and 0 <= v < intrinsics.height):
+                raise InputError("detection centroid (%g, %g) outside image in "
+                                 "track %d" % (u, v, tid))
+            if frame not in poses:
+                raise InputError("track %d references frame %d with no pose"
+                                 % (tid, frame))
+            frames.append(frame)
+            uv += u, v
+        with _invalid("track %d" % tid):    # as Track checked its frames
+            if any(b <= a for a, b in zip(frames, frames[1:])):
+                raise ValueError("frames must be strictly increasing")
+        tracks.append(tid)
+    if len(set(tracks)) != len(tracks):
+        raise InputError("duplicate values in field 'id' of tracks")
+    return tracks

@@ -23,7 +23,8 @@ from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
 from vista_align.submap import generate_submaps, mahalanobis_filter
 
 from conftest import (densest_clique_exact, grid_hypotheses, map_from_points,
-                      random_rotation, reprojection_jacobian)
+                      pose_table, random_rotation, reprojection_jacobian,
+                      track_table)
 
 INTRINSICS = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
 
@@ -122,18 +123,26 @@ def _ring_poses(target, n, radius):
         x /= np.linalg.norm(x)
         y = np.cross(z, x)
         poses[f] = RigidTransform(np.column_stack([x, y, z]), position)
-    return poses
+    return pose_table(poses)
 
 
 def _track_from(point, poses, noise, rng, track_id=0):
-    from vista_align.core import Track
+    """A (track_id, rows, centroids) track of `point` seen in every pose."""
     pixels = []
-    for f in sorted(poses):
+    for f in range(len(poses)):
         px = project(poses[f], INTRINSICS, point)
         if noise > 0:
             px = px + rng.normal(0.0, noise, size=2)
         pixels.append(px)
-    return Track(track_id, sorted(poses), pixels)
+    return track_id, range(len(poses)), pixels
+
+
+def _triangulate(tracks, poses):
+    """initial_guess then refine of every track: (positions, covariances,
+    statuses)."""
+    guesses, degenerate = tri.initial_guess(tracks, poses, INTRINSICS)
+    assert not degenerate.any()
+    return tri.refine(tracks, poses, INTRINSICS, guesses)
 
 
 def test_criterion_4_triangulation():
@@ -142,10 +151,10 @@ def test_criterion_4_triangulation():
     # zero-noise recovery
     target = np.array([3.0, -1.0, 8.0])
     poses = _ring_poses(target, 8, 6.0)
-    track = _track_from(target, poses, 0.0, rng)
-    position, _ = tri.refine(track, poses, INTRINSICS,
-                             tri.initial_guess(track, poses, INTRINSICS))
-    zero_noise_ok = np.linalg.norm(position - target) < 1e-6
+    positions, _, status = _triangulate(
+        track_table([_track_from(target, poses, 0.0, rng)]), poses)
+    zero_noise_ok = (status[0] == tri.KEPT
+                     and np.linalg.norm(positions[0] - target) < 1e-6)
 
     # analytic Jacobian vs central finite differences
     h = 1e-6
@@ -168,17 +177,13 @@ def test_criterion_4_triangulation():
     # Monte-Carlo covariance consistency, 1000 trials at 1 px noise
     target = np.array([0.0, 0.5, 1.0])
     poses = _ring_poses(target, 20, 5.0)
-    hits = 0
-    for _ in range(1000):
-        track = _track_from(target, poses, 1.0, rng)
-        try:
-            position, covariance = tri.refine(
-                track, poses, INTRINSICS, tri.initial_guess(track, poses, INTRINSICS))
-        except Exception:
-            continue
-        err = np.linalg.norm(position - target)
-        if err <= 3.0 * math.sqrt(np.trace(covariance)):
-            hits += 1
+    tracks = track_table([_track_from(target, poses, 1.0, rng, k)
+                          for k in range(1000)])
+    positions, covariances, status = _triangulate(tracks, poses)
+    kept = status == tri.KEPT
+    err = np.linalg.norm(positions[kept] - target, axis=1)
+    hits = np.count_nonzero(err <= 3.0 * np.sqrt(np.trace(covariances[kept],
+                                                          axis1=1, axis2=2)))
     mc_ok = hits >= 990
     _report(4, zero_noise_ok and jac_ok and mc_ok)
 
@@ -242,16 +247,16 @@ def test_criterion_6_dynamic_object_rejection():
                                       seed=seed + 500)
         obj_map, _ = tri.build_map(tracks, poses, INTRINSICS, params, "a")
         built = set(obj_map.ids)
-        for track in tracks:
-            if len(track) <= params.n_min:
+        for track_id, detections in zip(tracks.ids, tracks):
+            if len(detections) <= params.n_min:
                 continue        # never reached refinement
-            if scene.dynamic[track.track_id]:
+            if scene.dynamic[track_id]:
                 dynamic_total += 1
-                if track.track_id not in built:
+                if track_id not in built:
                     dynamic_rejected += 1
             else:
                 static_total += 1
-                if track.track_id in built:
+                if track_id in built:
                     static_kept += 1
     dyn_rate = dynamic_rejected / max(1, dynamic_total)
     stat_rate = static_kept / max(1, static_total)

@@ -114,6 +114,38 @@ def test_build_map_summary_line(workdir, capsys):
     assert len(obj_map) >= 30
 
 
+def test_build_map_log_json_counts_discards_by_reason(workdir, capsys):
+    sim = str(workdir / "sim")
+    assert cli.run(["simulate", "--scene", str(workdir / "scene.json"),
+                    "--trajectory", str(workdir / "trajectory.json"),
+                    "--out", sim, "--noise", "0.5"]) == 0
+    capsys.readouterr()
+    assert cli.run(["build-map", "--tracks", os.path.join(sim, "tracks.json"),
+                    "--out", str(workdir / "map.json"), "--log-json"]) == 0
+    line, record = capsys.readouterr().out.splitlines()
+    record = json.loads(record)
+    reasons = ["degenerate", "behind", "iteration_cap", "cost_stall",
+               "residual_floor"]
+    assert sorted(record) == sorted(["stage", "landmarks", "discarded_short",
+                                     "discarded_diverged", "seconds"]
+                                    + ["discarded_" + r for r in reasons])
+    assert record["discarded_diverged"] == sum(record["discarded_" + r]
+                                               for r in reasons)
+    assert line == ("landmarks=%d discarded_diverged=%d discarded_short=%d"
+                    % (record["landmarks"], record["discarded_diverged"],
+                       record["discarded_short"]))
+
+
+def test_simulate_over_the_frame_cap_exits_1_naming_frames(workdir, capsys):
+    with open(workdir / "trajectory.json", "w") as fh:
+        json.dump(dict(TRAJECTORY, frames=2 ** 70), fh)
+    assert cli.run(["simulate", "--scene", str(workdir / "scene.json"),
+                    "--trajectory", str(workdir / "trajectory.json"),
+                    "--out", str(workdir / "sim")]) == 1
+    assert "frames must be <= 100000" in capsys.readouterr().err
+    assert not (workdir / "sim").exists()
+
+
 def test_build_map_unknown_config_key(workdir, capsys):
     with open(workdir / "bad.cfg", "w") as fh:
         fh.write("not_a_real_key = 5\n")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vista_align.core import (CameraIntrinsics, Hyperparameters, ObjectMap,
-                              RigidTransform, Track, project, rotation_y,
+from vista_align.core import (CameraIntrinsics, Hyperparameters, ObjectMap, Poses,
+                              RigidTransform, Tracks, project, rotation_y,
                               rotation_z, transform_angles)
 
 from conftest import identity, random_rotation, rotation_x
@@ -147,21 +147,59 @@ def test_intrinsics_validation():
 
 
 def test_track_requires_strictly_increasing_frames():
-    with pytest.raises(ValueError):
-        Track(0, [2, 2], [[1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(ValueError, match="track 7: frames must be strictly"):
+        Tracks([5, 7], [0, 2, 4], [0, 1, 2, 2], np.ones((4, 2)))
+    # rows may fall between tracks
+    assert len(Tracks([5, 7], [0, 2, 4], [2, 3, 0, 1], np.ones((4, 2)))) == 2
 
 
 def test_track_centroids_are_one_checked_array():
-    t = Track(4, [1, 3], [[1.0, 2.0], [3.0, 4.0]])
-    assert t.frames == (1, 3) and len(t) == 2
-    assert t.centroids.shape == (2, 2) and not t.centroids.flags.writeable
-    assert Track(5, [], np.zeros((0, 2))).centroids.shape == (0, 2)
-    for frames, centroids in [([1, 3], [1.0, 2.0, 3.0, 4.0]),
-                              ([1, 3], [[1.0, 2.0]]), ([], [])]:
+    t = Tracks([4, 6], [0, 2, 2], [1, 3], [[1.0, 2.0], [3.0, 4.0]])
+    assert t.ids == (4, 6) and len(t) == 2 and [len(r) for r in t] == [2, 0]
+    assert list(t.pose_rows) == [1, 3]
+    for column in (t.starts, t.pose_rows, t.centroids):
+        assert not column.flags.writeable
+    assert t.centroids.shape == (2, 2)
+    assert Tracks([5], [0, 0], [], np.zeros((0, 2))).centroids.shape == (0, 2)
+    for starts, rows, centroids in [([0, 2], [1, 3], [1.0, 2.0, 3.0, 4.0]),
+                                    ([0, 2], [1, 3], [[1.0, 2.0]]),
+                                    ([0, 1], [1, 3], [[1.0, 2.0]] * 2),
+                                    ([0, 0], [], [])]:
         with pytest.raises(ValueError, match="shape"):
-            Track(0, frames, centroids)
+            Tracks([0], starts, rows, centroids)
     with pytest.raises(ValueError, match="non-finite"):
-        Track(0, [1], [[np.nan, 2.0]])
+        Tracks([0], [0, 1], [1], [[np.nan, 2.0]])
+    with pytest.raises(ValueError, match="rise from 0"):
+        Tracks([0, 1], [0, 2, 1], [0], np.ones((1, 2)))
+    with pytest.raises(ValueError, match="rows be >= 0"):
+        Tracks([0], [0, 1], [-1], np.ones((1, 2)))
+
+
+def test_pose_table_checks_rows_in_order_then_sorts_by_frame():
+    R = np.stack([rotation_z(10.0 * k) for k in range(4)])
+    t = np.arange(12.0).reshape(4, 3)
+    poses = Poses([7, 2, 5, 0], R, t)
+    assert poses.frames == (0, 2, 5, 7) and len(poses) == 4
+    assert np.array_equal(poses.rotations, R[[3, 1, 2, 0]])
+    assert np.array_equal(poses[1].translation, t[1])
+    assert not poses.rotations.flags.writeable
+    assert len(Poses([], np.zeros((0, 3, 3)), np.zeros((0, 3)))) == 0
+    bad = R.copy()
+    bad[2] *= 1.001
+    bad[3, 0, 0] = np.inf
+    # the first row given is named, not the first frame
+    with pytest.raises(ValueError, match="pose at frame 5: rotation is not ortho"):
+        Poses([7, 2, 5, 0], bad, t)
+    bad[2] = np.diag([1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="frame 5: rotation determinant"):
+        Poses([7, 2, 5, 0], bad, t)
+    t[1, 2] = np.nan
+    with pytest.raises(ValueError, match="frame 2: translation contains non-finite"):
+        Poses([7, 2, 5, 0], R, t)
+    with pytest.raises(ValueError, match="distinct"):
+        Poses([1, 1], R[:2], t[:2])
+    with pytest.raises(ValueError, match="reshape"):
+        Poses([1], R[:2], t[:2])
 
 
 def test_landmark_covariance_validation():
@@ -220,6 +258,9 @@ def test_core_types_are_immutable():
         m.positions[0, 0] = 1.0
     with pytest.raises(ValueError):
         m.covariances[0, 0, 0] = 2.0
+    poses = Poses([0], np.eye(3)[None], np.zeros((1, 3)))
+    with pytest.raises(ValueError):
+        poses[0].rotation[0, 0] = 2.0
 
 
 def test_hyperparameters_defaults():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -10,7 +11,7 @@ from vista_align import formats
 from vista_align.alignment import AlignmentHypothesis
 from vista_align.association import Association
 from vista_align.core import (CameraIntrinsics, Hyperparameters, InputError,
-                              ObjectMap, RigidTransform, Track, rotation_y,
+                              ObjectMap, Poses, RigidTransform, rotation_y,
                               rotation_z)
 from vista_align.evaluation import PrPoint
 from vista_align.simulation import (Scene, SceneSpec, TrajectorySpec,
@@ -18,7 +19,8 @@ from vista_align.simulation import (Scene, SceneSpec, TrajectorySpec,
                                     trajectory_poses)
 from vista_align.submap import Submap
 
-from conftest import random_rotation, rotation_x, track_file_to_json_per_value
+from conftest import (parse_track_file_per_record, random_rotation, rotation_x,
+                      track_file_to_json_per_value, track_table)
 
 
 def small_map():
@@ -111,11 +113,12 @@ def test_save_load_map(tmp_path):
 
 def track_fixture():
     intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
-    poses = {f: RigidTransform(rotation_z(5.0 * f), np.array([0.1 * f, 0.0, 8.0]))
-             for f in range(4)}
-    tracks = [Track(0, [0, 2], [[10.5, 20.25], [11.0, 21.0]]),
-              Track(3, [1], [[300.0, 200.0]])]
-    return intr, poses, tracks
+    poses = Poses(range(4), [rotation_z(5.0 * f) for f in range(4)],
+                  [[0.1 * f, 0.0, 8.0] for f in range(4)])
+    return intr, poses, track_table(TRACKS)
+
+
+TRACKS = [(0, [0, 2], [[10.5, 20.25], [11.0, 21.0]]), (3, [1], [[300.0, 200.0]])]
 
 
 def test_track_file_round_trip():
@@ -128,9 +131,10 @@ def test_track_file_round_trip():
 
 
 def test_track_file_equals_per_value_writer():
-    intr, poses, tracks = track_fixture()
-    tracks += [Track(5, [0, 1, 3], [[-0.0, 7.0], [1e-12, -0.0], [639.0, 479.999999999]]),
-               Track(6, [], np.zeros((0, 2)))]
+    intr, poses, _ = track_fixture()
+    tracks = track_table(TRACKS + [
+        (5, [0, 1, 3], [[-0.0, 7.0], [1e-12, -0.0], [639.0, 479.999999999]]),
+        (6, [], np.zeros((0, 2)))])
     text = formats.track_file_to_json(intr, poses, tracks)
     assert text == track_file_to_json_per_value(intr, poses, tracks)
     assert '{"frame":0,"u":0,"v":7}' in text and '"u":1e-12,"v":0}' in text
@@ -156,10 +160,10 @@ def test_track_file_poses_load_again():
                                 rng.uniform(-20, 20, 2000)):
         rotations.append(rotation_z(yaw) @ rotation_y(pitch) @ rotation_x(roll))
     intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
-    poses = {f: RigidTransform(R, [0.0, 0.0, 8.0]) for f, R in enumerate(rotations)}
-    text = formats.track_file_to_json(intr, poses, [])
+    poses = Poses(range(len(rotations)), rotations, [[0.0, 0.0, 8.0]] * len(rotations))
+    text = formats.track_file_to_json(intr, poses, track_table([]))
     _, loaded, _ = formats.parse_track_file(text)
-    assert formats.track_file_to_json(intr, loaded, []) == text
+    assert formats.track_file_to_json(intr, loaded, track_table([])) == text
 
 
 def test_parse_track_file_rejects_out_of_image_detection():
@@ -194,10 +198,105 @@ def test_parse_track_file_rejects_duplicate_ids():
 
 def test_parse_track_file_rejects_negative_pose_frame():
     intr, poses, tracks = track_fixture()
-    data = json.loads(formats.track_file_to_json(intr, poses, []))
+    data = json.loads(formats.track_file_to_json(intr, poses, track_table([])))
     data["poses"][0]["frame"] = -1
     with pytest.raises(InputError, match="frame.* must be >= 0"):
         formats.parse_track_file(json.dumps(data))
+
+
+def test_parse_track_file_sorts_poses_and_maps_frames_to_rows():
+    intr, poses, tracks = track_fixture()
+    text = formats.track_file_to_json(intr, poses, tracks)
+    _, poses, tracks = formats.parse_track_file(text)
+    data = json.loads(text)
+    data["poses"].reverse()
+    for rec in data["poses"]:
+        rec["frame"] = 10 * rec["frame"] + 3
+    for rec in data["tracks"]:
+        for det in rec["detections"]:
+            det["frame"] = 10 * det["frame"] + 3
+    _, loaded, tracks2 = formats.parse_track_file(json.dumps(data))
+    assert loaded.frames == (3, 13, 23, 33)
+    assert np.array_equal(loaded.rotations, poses.rotations)
+    assert np.array_equal(tracks2.pose_rows, tracks.pose_rows)
+
+
+# One fault injected into one detection of a valid file, by name.
+FAULTS = {
+    "bad u": lambda det: det.update(u="x"),
+    "missing pose": lambda det: det.update(frame=999),
+    "decreasing frames": lambda det: det.update(frame=det["frame"] - 2),
+    "out-of-image centroid": lambda det: det.update(v=1e6),
+}
+
+
+def faulty_track_file():
+    """A simulated track file to put faults in: every track has at least
+    four detections."""
+    intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
+    trajectory = TrajectorySpec([(1.0, 1.0, 0.0), (9.0, 9.0, 0.0)], 30,
+                                altitude=8.0)
+    scene = generate_scene(SceneSpec(8, (10.0, 10.0, 1.5), seed=4))
+    tracks, poses = render_tracks(scene, trajectory, intr, noise=0.5, seed=4)
+    data = json.loads(formats.track_file_to_json(intr, poses, tracks))
+    assert len(data["tracks"]) >= 4
+    assert min(len(t["detections"]) for t in data["tracks"]) >= 4
+    return data
+
+
+def parse_error(parse, text):
+    try:
+        parse(text)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("second", sorted(FAULTS))
+@pytest.mark.parametrize("first", sorted(FAULTS))
+def test_parse_track_file_reports_the_first_fault(first, second):
+    # one fault in a track, another in a later track: the bulk parser names
+    # the one the record-by-record parser meets first, in its words
+    for a, b in [(0, 2), (1, 3)]:
+        data = faulty_track_file()
+        FAULTS[first](data["tracks"][a]["detections"][2])
+        FAULTS[second](data["tracks"][b]["detections"][1])
+        text = json.dumps(data)
+        expected = parse_error(parse_track_file_per_record, text)
+        assert expected is not None
+        assert first == "bad u" or re.search(r"track %d\b" % data["tracks"][a]["id"],
+                                             expected)
+        assert parse_error(formats.parse_track_file, text) == expected
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3),
+                                st.sampled_from(["frame", "u", "v", None]),
+                                st.none() | st.booleans() | st.integers(-5, 40)
+                                | st.floats() | st.text(max_size=2)),
+                      max_size=4),
+       pose_edits=st.lists(st.tuples(st.integers(0, 29),
+                                     st.sampled_from(["frame", "rotation",
+                                                      "translation"]),
+                                     st.none() | st.integers(-1, 40)
+                                     | st.lists(st.floats(-1.5, 1.5), min_size=3,
+                                                max_size=3)
+                                     | st.lists(st.sampled_from([0.0, 1.0, -1.0]),
+                                                min_size=9, max_size=9)),
+                           max_size=3))
+def test_parse_track_file_first_error_equals_per_record_parser(edits, pose_edits):
+    data = faulty_track_file()
+    for k, field, value in pose_edits:
+        data["poses"][k][field] = value
+    for t, d, field, value in edits:
+        dets = data["tracks"][t % len(data["tracks"])]["detections"]
+        if field is None:
+            dets[d] = value
+        elif isinstance(dets[d], dict):
+            dets[d][field] = value
+    text = json.dumps(data)
+    assert parse_error(formats.parse_track_file, text) \
+        == parse_error(parse_track_file_per_record, text)
 
 
 def test_parse_config_empty_gives_defaults():

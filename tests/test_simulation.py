@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vista_align.core import Hyperparameters, ObjectMap, project
+from vista_align.core import Hyperparameters, ObjectMap, project, rotation_y
 from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
                                     perturb_frame, render_tracks,
                                     trajectory_poses)
@@ -67,8 +68,48 @@ def test_trajectory_poses_endpoints_and_altitude():
     assert len(poses) == 25
     assert np.allclose(poses[0].translation, [1.0, 1.0, 7.5])
     assert np.allclose(poses[24].translation, [9.0, 9.0, 7.5])
-    for p in poses.values():
-        assert p.translation[2] == 7.5
+    assert (poses.translations[:, 2] == 7.5).all()
+
+
+def reference_translations(trajectory):
+    """trajectory_poses' camera positions one frame at a time."""
+    wps = np.array(trajectory.waypoints, dtype=float)
+    seg = np.linalg.norm(np.diff(wps[:, :2], axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    total = cum[-1]
+    out = []
+    for f in range(trajectory.frames):
+        s = total * f / (trajectory.frames - 1)
+        k = min(int(np.searchsorted(cum, s, side="right")) - 1, len(seg) - 1)
+        frac = (s - cum[k]) / seg[k] if seg[k] > 0 else 0.0
+        xy = wps[k, :2] + frac * (wps[k + 1, :2] - wps[k, :2])
+        out.append(np.array([xy[0], xy[1], trajectory.altitude]))
+    return np.array(out)
+
+
+def test_trajectory_poses_equal_per_frame_loop_exactly():
+    # a repeated waypoint gives a zero-length segment
+    for trajectory in [nadir_trajectory(frames=57, pitch=30.0),
+                       TrajectorySpec([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (3.0, 4.0, 0.0),
+                                       (3.0, -1.5, 0.0)], frames=13, altitude=7)]:
+        poses = trajectory_poses(trajectory)
+        assert poses.frames == tuple(range(trajectory.frames))
+        assert np.array_equal(poses.translations, reference_translations(trajectory))
+        R = np.diag([1.0, -1.0, -1.0]) @ rotation_y(trajectory.camera_pitch)
+        assert (poses.rotations == R).all()
+
+
+def test_trajectory_frames_cap_is_checked_before_allocation():
+    waypoints = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
+    assert TrajectorySpec(waypoints, TrajectorySpec.MAX_FRAMES).frames == 100_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="frames must be <= 100000"):
+            TrajectorySpec(waypoints, frames=2 ** 70)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_nadir_camera_looks_down(intrinsics):
@@ -105,17 +146,16 @@ def test_render_tracks_detections_in_image(intrinsics):
     scene = generate_scene(SceneSpec(50, (12.0, 12.0, 2.0), seed=3))
     tracks, _ = render_tracks(scene, nadir_trajectory(), intrinsics,
                               noise=2.0, seed=3)
-    for t in tracks:
-        for u, v in t.centroids:
-            assert 0 <= u < intrinsics.width
-            assert 0 <= v < intrinsics.height
+    for u, v in tracks.centroids:
+        assert 0 <= u < intrinsics.width
+        assert 0 <= v < intrinsics.height
 
 
 def test_render_tracks_full_dropout(intrinsics):
     scene = generate_scene(SceneSpec(10, (10.0, 10.0, 1.0), seed=4))
     tracks, _ = render_tracks(scene, nadir_trajectory(), intrinsics,
                               dropout=1.0, seed=4)
-    assert tracks == []
+    assert len(tracks) == 0 and len(tracks.centroids) == 0
 
 
 def test_render_tracks_duplicates_split_ids(intrinsics):
@@ -124,8 +164,7 @@ def test_render_tracks_duplicates_split_ids(intrinsics):
     split, _ = render_tracks(scene, nadir_trajectory(), intrinsics,
                              duplicate_rate=1.0, seed=5)
     assert len(split) > len(base)
-    ids = [t.track_id for t in split]
-    assert len(ids) == len(set(ids))
+    assert len(split.ids) == len(set(split.ids))
 
 
 def test_render_tracks_deterministic(intrinsics):
@@ -134,11 +173,9 @@ def test_render_tracks_deterministic(intrinsics):
                           seed=6)
     t2, _ = render_tracks(scene, nadir_trajectory(), intrinsics, noise=0.5,
                           seed=6)
-    assert len(t1) == len(t2)
-    for a, b in zip(t1, t2):
-        assert a.track_id == b.track_id
-        assert a.frames == b.frames
-        assert np.array_equal(a.centroids, b.centroids)
+    assert t1.ids == t2.ids
+    for column in ("starts", "pose_rows", "centroids"):
+        assert np.array_equal(getattr(t1, column), getattr(t2, column))
 
 
 def reference_scene(spec):
@@ -172,7 +209,7 @@ def reference_render(objects, trajectory, intrinsics, noise, dropout,
     def inside(px):
         return 0 <= px[0] < intrinsics.width and 0 <= px[1] < intrinsics.height
 
-    for f in sorted(poses):
+    for f in range(len(poses)):
         R, t = poses[f].rotation, poses[f].translation
         for i, (position, velocity, _) in enumerate(objects):
             p_cam = R.T @ (position + velocity * f - t)
@@ -230,9 +267,9 @@ def test_render_tracks_equals_per_object_loop_exactly(intrinsics, pitch, draws):
                                           noise, dropout, duplicate_rate, 9)
     assert n_behind > 0 or pitch == 0.0
     assert len(tracks) == len(expected) > len(scene) // 2
-    for track, (track_id, frames, centroids) in zip(tracks, expected):
-        assert (track.track_id, track.frames) == (track_id, frames)
-        assert np.array_equal(track.centroids, centroids)
+    for track_id, r, (want_id, frames, centroids) in zip(tracks.ids, tracks, expected):
+        assert (track_id, tuple(tracks.pose_rows[r].tolist())) == (want_id, frames)
+        assert np.array_equal(tracks.centroids[r], centroids)
 
 
 def test_perturb_frame_identity():
