@@ -2,16 +2,21 @@
 
 Candidate associations are all-to-all point pairs between two submaps,
 numbered p = index_a * nb + index_b; `build_affinity` returns them as an
-(n, 2) index array next to their affinity matrix, and the solvers return
+(n, 2) index array next to their consistency graph, and the solvers return
 the selected candidate indices. Two candidates are consistent when the
 intra-map distances of their endpoints agree; agreement is scored by a
 Gaussian kernel with a hard cutoff. The inlier set is the support of a
 binary u maximizing u'Au / u'u subject to never selecting a zero-affinity
 pair, found by a projected power-iteration ascent with a geometric homotopy
 penalty on zero-affinity pairs, then rounded greedily and truncated to the
-densest prefix. The ascent's penalised products run on the edge list of
-A > 0, a few percent of the n^2 entries, so the solve allocates no n x n
-float array beyond the matrix itself.
+densest prefix.
+
+The graph is a few percent of the n^2 candidate pairs, so it is held as its
+edges, row by row (`AffinityMatrix`), from the build to the rounding: no
+step makes an n x n array. Where a result depends on the order of a
+floating-point sum over a dense row (the restart node, the rounding's
+growth, the local moves), that row is scattered from the edges and summed
+as numpy sums it, so results are those of the dense matrix.
 
 Every set the heuristic returns is a clique of the graph A > 0: rounding and
 local moves only ever add a candidate that is feasible with every member. So
@@ -30,6 +35,7 @@ from .core import InputError
 
 MAX_CANDIDATES = 10000
 _SUPPORT_TOL = 1e-8
+_BLOCK = 1 << 17        # dense-row entries `_heaviest_row` scatters at once
 
 
 @dataclass(frozen=True)
@@ -42,21 +48,24 @@ class Association:
 
 @dataclass(frozen=True)
 class AffinityMatrix:
-    """Pairwise affinity of `size` candidates as a dense float array.
+    """Pairwise affinity A of `size` candidates, held as the edges of the
+    graph A > 0, row by row: row p's edges are `starts[p]:starts[p + 1]`,
+    to the candidates in `cols`, with the weights in `entries`. Every other
+    entry of A is zero.
 
-    Unchecked precondition of `densest_clique`, true of every matrix
-    `build_affinity` makes: `entries` is size x size, exactly symmetric,
-    in [0, 1], with a unit diagonal; zero marks an inconsistent pair. The
-    unit diagonal is load-bearing: it gives every row of the ascent's edge
-    list an edge, and without one `np.add.reduceat` silently returns a
-    neighbouring row's value for the empty row, not 0.
+    Unchecked precondition of `densest_clique`, true of every graph
+    `build_affinity` makes: `starts` has size + 1 entries, from 0 to the
+    edge count; each row's `cols` increase strictly, so the edges come in
+    the order of `np.nonzero(A > 0)`; A is exactly symmetric, with weights
+    in (0, 1] and a unit diagonal. The unit diagonal is load-bearing: it
+    gives every row an edge, and without one `np.add.reduceat` silently
+    returns a neighbouring row's value for the empty row, not 0.
     """
 
+    size: int
+    starts: np.ndarray
+    cols: np.ndarray
     entries: np.ndarray
-
-    @property
-    def size(self):
-        return self.entries.shape[0]
 
 
 def consistency_score(x, sigma, epsilon):
@@ -70,14 +79,22 @@ def consistency_score(x, sigma, epsilon):
 
 
 def build_affinity(submap_a, submap_b, params):
-    """All-to-all candidate associations and their pairwise affinity matrix.
+    """All-to-all candidate associations and their consistency graph.
 
     Returns (pairs, AffinityMatrix): row p of the (n, 2) int array `pairs`
     is (index_a, index_b), with p = index_a * nb + index_b.
 
-    Entries are zeroed for association pairs whose endpoints within either
-    map are closer than gamma > 0 (duplicate-object suppression). That rule
-    also enforces one-to-one matching: a shared endpoint is at distance 0.
+    Candidates (i, k) and (j, l) are joined when X = DA[i, j] - DB[k, l],
+    the difference of their endpoints' intra-map distances, passes
+    -epsilon <= X <= epsilon; the weight is `consistency_score(X)`. No edge
+    joins pairs whose endpoints within either map are closer than gamma > 0
+    (duplicate-object suppression). That rule also enforces one-to-one
+    matching: a shared endpoint is at distance 0. Every candidate is joined
+    to itself with weight 1.
+
+    The edges are found from the sorted intra-map distances of B (see
+    `_agreeing`), so the build holds arrays of the edges' length, never
+    n x n.
     """
     na, nb = len(submap_a), len(submap_b)
     if na == 0 or nb == 0:
@@ -87,63 +104,162 @@ def build_affinity(submap_a, submap_b, params):
         raise InputError("%d x %d = %d candidates exceed the cap of %d; "
                          "lower field 'n_max'" % (na, nb, n, MAX_CANDIDATES))
     pa, pb = submap_a.points, submap_b.points
-    DA = np.linalg.norm(pa[:, None, :] - pa[None, :, :], axis=2)
-    DB = np.linalg.norm(pb[:, None, :] - pb[None, :, :], axis=2)
+    DA = np.linalg.norm(pa[:, None, :] - pa[None, :, :], axis=2).ravel()
+    DB = np.linalg.norm(pb[:, None, :] - pb[None, :, :], axis=2).ravel()
 
-    # association p = (i, k) lives at flat index i * nb + k. X is reused as
-    # the matrix: a large pair holds one n x n float array, not several.
-    X = DA[:, None, :, None] - DB[None, :, None, :]
-    valid = (X <= params.epsilon) & (X >= -params.epsilon)
-    valid &= (DA >= params.gamma)[:, None, :, None]   # gamma within map A
-    valid &= (DB >= params.gamma)[None, :, None, :]   # gamma within map B
-    kernel = X[valid]
-    X.fill(0.0)
-    X[valid] = consistency_score(kernel, params.sigma, params.epsilon)
-    M = X.reshape(n, n)
-    np.fill_diagonal(M, 1.0)
+    # The edge (p, q) = ((i, k), (j, l)) has the key p * n + q, which sorts
+    # the edges by row, then by column: (i * nb * n + j * nb) from A's pair
+    # (i, j), plus (k * n + l) from B's pair (k, l). Under the candidate cap
+    # n^2 fits int32.
+    key_a = np.add.outer(np.arange(na) * (nb * n), np.arange(na) * nb).ravel()
+    key_b = np.add.outer(np.arange(nb) * n, np.arange(nb)).ravel()
+    a = np.flatnonzero(DA >= params.gamma)          # gamma within map A
+    b = np.flatnonzero(DB >= params.gamma)          # gamma within map B
+    b = b[np.argsort(DB[b])]
+    keys, weights = _agreeing(DA[a], key_a[a].astype(np.int32), DB[b],
+                              key_b[b].astype(np.int32), params)
+    keys = np.concatenate([keys, np.arange(0, n * n, n + 1, dtype=np.int32)])
+    order = np.argsort(keys)
+    keys = keys[order]
+    entries = np.concatenate([weights, np.ones(n)])[order]
+    starts = np.searchsorted(keys, np.arange(n + 1, dtype=np.int32) * n)
+    return (np.indices((na, nb)).reshape(2, n).T,
+            AffinityMatrix(n, starts, (keys % n).astype(np.intp), entries))
 
-    return np.indices((na, nb)).reshape(2, n).T, AffinityMatrix(M)
+
+def _agreeing(d, key_d, vals, key_v, params):
+    """The keys key_d[s] + key_v[t] and the weights `consistency_score(X)`
+    of the pairs (s, t) whose X = d[s] - vals[t] passes -epsilon <= X <=
+    epsilon, `vals` sorted. Each d[s] looks up the vals within a window
+    wider than epsilon by more than X can round, and the test keeps those
+    that pass; a weight that underflows to 0 makes no edge."""
+    eps = params.epsilon
+    reach = eps * (1.0 + 1e-12) + 1e-15 * d
+    lo = np.searchsorted(vals, d - reach)
+    at, s = _ranges(lo, np.searchsorted(vals, d + reach, "right") - lo)
+    X = d[s]
+    X -= vals[at]
+    hit = (X <= eps) & (X >= -eps)
+    weights = consistency_score(X[hit], params.sigma, eps)
+    if not weights.all():
+        hit[hit] = weights > 0.0
+        weights = weights[weights > 0.0]
+    return key_d[s[hit]] + key_v[at[hit]], weights
 
 
-def _grow(seed, A, feasible):
-    """Greedily extend a feasible seed set, always adding the candidate with
-    the largest affinity mass to the current set (ties: lowest index), and
-    return the densest prefix of the growth sequence."""
-    members = list(seed)
-    feas = np.logical_and.reduce(feasible[members], axis=0)
-    feas[members] = False
-    sig = A[members].sum(axis=0)
-    k = len(members)
-    Q = float(A[np.ix_(members, members)].sum())
-    best, best_density = members[:], Q / k
+def _ranges(lo, lengths):
+    """The ranges lo[i]:lo[i] + lengths[i], concatenated, and for each
+    index the i of its range."""
+    owner = np.repeat(np.arange(len(lo)), lengths)
+    return np.arange(len(owner)) + (lo - np.cumsum(lengths) + lengths)[owner], owner
+
+
+def _edges(affinity, nodes):
+    """The edges of rows `nodes`, as indices into `cols` and `entries`, and
+    for each edge the position in `nodes` of its row."""
+    lo = affinity.starts[nodes]
+    return _ranges(lo, affinity.starts[nodes + 1] - lo)
+
+
+def _rows(affinity, nodes, live=None):
+    """The dense rows A[nodes], as a (len(nodes), size) array, or only
+    their columns `live` (sorted) as a (len(nodes), len(live)) one."""
+    edge, owner = _edges(affinity, nodes)
+    cols = affinity.cols[edge]
+    if live is None:
+        out = np.zeros((len(nodes), affinity.size))
+    else:
+        out = np.zeros((len(nodes), len(live)))
+        at = np.searchsorted(live, cols)
+        hit = live[np.minimum(at, len(live) - 1)] == cols
+        edge, owner, cols = edge[hit], owner[hit], at[hit]
+    out[owner, cols] = affinity.entries[edge]
+    return out
+
+
+def _heaviest_row(affinity):
+    """np.argmax(A.sum(axis=1)) of the dense matrix, without it.
+
+    numpy sums a dense row pairwise, zeros in place, so a sum over the
+    row's edges alone may differ in the last bit and, on a near tie, pick
+    another row. Any two orders of summing a row's m <= 10^6 non-negative
+    terms agree to within a relative 3e-10, so only rows whose edge sum is
+    within 1e-9 of the largest can hold the dense maximum; those rows are
+    scattered dense, a bounded block at a time, and summed as numpy sums
+    the dense matrix. Ties go to the lowest row, as argmax's do.
+    """
+    sums = np.add.reduceat(affinity.entries, affinity.starts[:-1])
+    near = np.flatnonzero(sums >= sums.max() * (1.0 - 1e-9))
+    block = max(1, _BLOCK // affinity.size)
+    dense = np.concatenate([_rows(affinity, near[b:b + block]).sum(axis=1)
+                            for b in range(0, len(near), block)])
+    return int(near[np.argmax(dense)])
+
+
+def _grow(affinity, seeds):
+    """Greedily extend every feasible seed, a row of the (S, m) array
+    `seeds`, always adding the candidate with the largest affinity mass to
+    the current set (ties: lowest index). Returns per seed the densest
+    prefix of its growth sequence and that prefix's density.
+
+    All seeds grow at once, on (S, live) arrays: the columns still feasible
+    for some seed, fewer at every step. Each seed adds, step by step, the
+    same dense rows in the same order as growing it alone on the dense
+    matrix, so its sums are those.
+    """
+    S, m = seeds.shape
+    live = np.zeros(affinity.size, dtype=bool)
+    live[affinity.cols[_edges(affinity, seeds.ravel())[0]]] = True
+    live = np.flatnonzero(live)
+    rows = _rows(affinity, seeds.ravel(), live).reshape(S, m, len(live))
+    at = np.searchsorted(live, seeds)                 # the seeds' own columns
+    sig = rows.sum(axis=1)
+    feas = np.logical_and.reduce(rows > 0.0, axis=1)
+    feas[np.arange(S)[:, None], at] = False
+    # the m x m block of A on the seed, summed as numpy sums A[ix_(seed, seed)]
+    Q = np.take_along_axis(rows, at[:, None, :], axis=2).reshape(S, m * m).sum(axis=1)
+    best_density, best_size = Q / m, np.full(S, m)
+    members, k = [seeds], m
     while True:
-        cand = np.flatnonzero(feas)
-        if not cand.size:
+        keep = feas.any(axis=0)
+        live, feas, sig = live[keep], feas[:, keep], sig[:, keep]
+        if not live.size:
             break
-        j = int(cand[np.argmax(sig[cand])])
-        Q += 1.0 + 2.0 * sig[j]
+        step = np.where(feas, sig, -np.inf).argmax(axis=1)
+        grow = np.flatnonzero(feas[np.arange(S), step])
+        j, at = live[step[grow]], step[grow]
+        Q[grow] += 1.0 + 2.0 * sig[grow, at]
         k += 1
-        members.append(j)
-        feas &= feasible[j]
-        feas[j] = False
-        sig = sig + A[j]
-        if Q / k > best_density + 1e-12:
-            best, best_density = members[:], Q / k
-    return best, best_density
+        added = np.full(S, -1)
+        added[grow] = j
+        members.append(added[:, None])
+        rows = _rows(affinity, j, live)
+        feas[grow] &= rows > 0.0
+        feas[grow, at] = False
+        sig[grow] = sig[grow] + rows
+        density = Q[grow] / k
+        better = density > best_density[grow] + 1e-12
+        best_density[grow[better]], best_size[grow[better]] = density[better], k
+    members = np.hstack(members)
+    return ([members[s, :size].tolist() for s, size in enumerate(best_size)],
+            best_density.tolist())
 
 
-def _local_improve(selected, A, feasible):
-    """Steepest-ascent add / remove / swap moves on the density objective."""
+def _local_improve(selected, affinity):
+    """Steepest-ascent add / remove / swap moves on the density objective,
+    on the dense rows of the current set."""
     S = sorted(selected)
-    n = len(A)
+    n = affinity.size
     while True:
         k = len(S)
-        Q = float(A[np.ix_(S, S)].sum())
+        rows = _rows(affinity, np.array(S))         # A[S]
+        Q = float(rows[np.ix_(np.arange(k), S)].sum())
         d = Q / k
         in_set = np.zeros(n, dtype=bool)
         in_set[S] = True
-        sig = A[S].sum(axis=0)          # affinity mass of every node w.r.t. S
-        feas_all = np.logical_and.reduce(feasible[S], axis=0)
+        sig = rows.sum(axis=0)          # affinity mass of every node w.r.t. S
+        feasible = rows > 0.0
+        feas_all = np.logical_and.reduce(feasible, axis=0)
 
         best_gain, move = 1e-12, None
         add = np.flatnonzero(feas_all & ~in_set)
@@ -156,12 +272,12 @@ def _local_improve(selected, A, feasible):
                 nd = (Q - 1.0 - 2.0 * (sig[i] - 1.0)) / (k - 1)
                 if nd - d > best_gain:
                     best_gain, move = nd - d, ("remove", i)
-        for i in S:
+        for r, i in enumerate(S):
             Qi = Q - 1.0 - 2.0 * (sig[i] - 1.0)
-            feas_wo_i = np.logical_and.reduce(feasible[[m for m in S if m != i]],
+            feas_wo_i = np.logical_and.reduce(np.delete(feasible, r, axis=0),
                                               axis=0) if k > 1 else np.ones(n, bool)
             for j in np.flatnonzero(feas_wo_i & ~in_set):
-                nd = (Qi + 1.0 + 2.0 * (sig[j] - A[i, j])) / k
+                nd = (Qi + 1.0 + 2.0 * (sig[j] - rows[r, j])) / k
                 if nd - d > best_gain:
                     best_gain, move = nd - d, ("swap", i, int(j))
         if move is None:
@@ -174,51 +290,49 @@ def _local_improve(selected, A, feasible):
             S = sorted([m for m in S if m != move[1]] + [move[2]])
 
 
-def _round(u, A, feasible):
+def _round(u, affinity):
     """Round the relaxed u to a feasible set: multi-start greedy growth from
     the heaviest nodes (all feasible pairs too, on small problems), keep the
     densest result, then polish with local moves. Fully deterministic."""
     n = len(u)
     order = np.lexsort((np.arange(n), -u))
-    best, best_density = [], -1.0
-
-    seeds = [[int(i)] for i in (order if n <= 64 else order[:32])]
+    grown, densities = _grow(affinity, (order if n <= 64 else order[:32])[:, None])
     if n <= 64:
-        pairs = np.argwhere(np.triu(feasible, k=1))
-        seeds.extend([[int(i), int(j)] for i, j in pairs])
-    for seed in seeds:
-        grown, density = _grow(seed, A, feasible)
+        row = np.repeat(np.arange(n), np.diff(affinity.starts))
+        pairs = np.column_stack([row, affinity.cols])[affinity.cols > row]
+        more = _grow(affinity, pairs)
+        grown, densities = grown + more[0], densities + more[1]
+    best, best_density = [], -1.0
+    for members, density in zip(grown, densities):
         if density > best_density + 1e-12 or (abs(density - best_density) <= 1e-12
-                                              and len(grown) > len(best)):
-            best, best_density = grown, density
-    return _local_improve(best, A, feasible)
+                                               and len(members) > len(best)):
+            best, best_density = members, density
+    return _local_improve(best, affinity)
 
 
 class _Penalised:
     """The homotopy's matrix, A with -d on every zero-affinity pair, held as
-    A's edges (i, j), A_ij > 0, row by row: row i of its product with u is
-    the sum over i's edges of (A_ij + d) u_j, minus d times the sum of u."""
+    A's edges (`AffinityMatrix`): row i of its product with u is the sum
+    over i's edges of (A_ij + d) u_j, minus d times the sum of u."""
 
-    def __init__(self, A, feasible):
-        self.rows, self.cols = np.nonzero(feasible)          # sorted by row
-        self.weights = A[self.rows, self.cols]
-        # each row's first edge; A_ii = 1 leaves no row empty (AffinityMatrix)
-        self.starts = np.searchsorted(self.rows, np.arange(len(A)))
+    def __init__(self, affinity):
+        self.affinity = affinity
+        self.cols, self.starts = affinity.cols, affinity.starts[:-1]
         self.penalise(0.0)
 
     def penalise(self, d):
-        self.d, self.shifted = d, self.weights + d
+        self.d, self.shifted = d, self.affinity.entries + d
 
     def __matmul__(self, u):
-        return (np.add.reduceat(self.shifted * u[self.cols], self.starts)
-                - self.d * u.sum())
+        return np.add.reduceat(self.shifted * u[self.cols], self.starts) - self.d * u.sum()
 
     def is_clique(self, inside):
         """Whether the nodes marked in the boolean array `inside` are
         pairwise feasible. By symmetry, k nodes are a clique exactly when
-        k^2 edges, the diagonal included, have both ends among them."""
-        k = np.count_nonzero(inside)
-        return np.count_nonzero(inside[self.rows] & inside[self.cols]) == k * k
+        their rows hold k^2 edges, the diagonal included, to one another."""
+        nodes = np.flatnonzero(inside)
+        edge = _edges(self.affinity, nodes)[0]
+        return np.count_nonzero(inside[self.cols[edge]]) == len(nodes) ** 2
 
 
 def _ascend(M, u, iterations, restart):
@@ -253,14 +367,39 @@ def _ascend(M, u, iterations, restart):
 def has_clique(affinity, k):
     """Whether the graph A > 0 holds a clique of k nodes. Exact.
 
-    Each row becomes a Python-int bitset. A depth-first search extends a
-    clique by candidates in index order, each branch keeping only the
-    candidates after the one it took that are adjacent to every member, and
-    cuts the branch once fewer candidates are left than members are still
-    needed.
+    A member of a k-clique has k - 1 neighbours in it, so only the k-core
+    can hold one: what is left once nodes with fewer than k - 1 neighbours
+    are removed, round by round, until none is. On sparse graphs it is
+    often empty. Each row of the core becomes a Python-int bitset, packed
+    from its edges: a row's columns are distinct, so the bits of one byte
+    are too, and their sum is their union. A depth-first search over the
+    core extends a clique by candidates in index order, each branch keeping
+    only the candidates after the one it took that are adjacent to every
+    member, and cuts the branch once fewer candidates are left than members
+    are still needed.
     """
-    rows = [int.from_bytes(r.tobytes(), "little") for r in
-            np.packbits(affinity.entries > 0.0, axis=1, bitorder="little")]
+    if k <= 0:
+        return True
+    cols, starts = affinity.cols, affinity.starts
+    core = np.diff(starts) >= k                 # a row's edges include itself
+    while core.any():
+        kept = core & (np.add.reduceat(core[cols], starts[:-1], dtype=np.intp) >= k)
+        if np.array_equal(kept, core):
+            break
+        core = kept
+    nodes = np.flatnonzero(core)
+    if not nodes.size:
+        return False
+    width = (affinity.size + 7) // 8
+    edge, owner = _edges(affinity, nodes)
+    byte = owner * width + (cols[edge] >> 3)
+    first = np.flatnonzero(np.diff(byte, prepend=-1))     # a row's byte begins
+    packed = np.zeros(len(nodes) * width, dtype=np.uint8)
+    packed[byte[first]] = np.add.reduceat(
+        np.left_shift(1, cols[edge] & 7).astype(np.uint8), first)
+    packed = packed.tobytes()
+    rows = dict(zip(nodes.tolist(), (int.from_bytes(packed[r:r + width], "little")
+                                     for r in range(0, len(packed), width))))
 
     def extend(cand, need):
         # the diagonal bit of rows[v] is harmless: v has left cand already
@@ -271,7 +410,8 @@ def has_clique(affinity, k):
                 return True
         return False
 
-    return k <= 0 or extend((1 << affinity.size) - 1, k)
+    return extend(int.from_bytes(np.packbits(core, bitorder="little").tobytes(),
+                                 "little"), k)
 
 
 def densest_clique(affinity):
@@ -282,9 +422,11 @@ def densest_clique(affinity):
     Deterministic: the ascent starts from a power-iteration estimate of the
     principal eigenvector, the homotopy penalty grows geometrically (x1.4)
     until the support is feasible, and rounding is greedy by descending u.
-    Every product with the penalised matrix runs on A's edges (`_Penalised`),
-    and the support's feasibility is a count of the edges inside it, so no
-    n x n penalised copy or mask is built.
+    Every step runs on A's edges: the penalised products (`_Penalised`), the
+    support's feasibility (a count of the edges of its rows), the restart
+    node (`_heaviest_row`) and the rounding, which grows all its seeds at
+    once (`_grow`) and polishes on the dense rows of one set. No step makes
+    an n x n array, and the result is the one the dense matrix gives.
     Each round's ascent ends early on an exact cycle (see `_ascend`): a
     2-cycle on a pair with no overlap, where the iterate alternates between
     the restart e_j and j's normalised feasible neighbourhood, or a longer
@@ -295,15 +437,13 @@ def densest_clique(affinity):
     only candidates feasible with every member), so its size is at most the
     clique number that `has_clique` bounds.
     """
-    A = affinity.entries
     n = affinity.size
     if n == 0:
         return np.zeros(0, dtype=int)
-    feasible = A > 0.0
-    penalised = _Penalised(A, feasible)
+    penalised = _Penalised(affinity)
 
     restart = np.zeros(n)                         # e_j, j the heaviest row
-    restart[int(np.argmax(A.sum(axis=1)))] = 1.0
+    restart[_heaviest_row(affinity)] = 1.0
     u = _ascend(penalised, np.full(n, 1.0 / np.sqrt(n)), 100, restart)
 
     d = 0.0
@@ -315,4 +455,4 @@ def densest_clique(affinity):
             break
         d = 0.25 if d == 0.0 else d * 1.4
 
-    return np.array(_round(u, A, feasible), dtype=int)   # sorted
+    return np.array(_round(u, affinity), dtype=int)   # sorted

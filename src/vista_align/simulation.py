@@ -35,6 +35,10 @@ class SceneSpec:
     n_dynamic: int = 0
     dynamic_velocity: float = 0.0   # m/frame, horizontal
     seed: int = 0
+    # `simulate` peaks near 1 KB an object: the scene's arrays hold 49 bytes,
+    # a frame's projection about 200 more and encoding the ground-truth file
+    # about 800, so the cap bounds it near 100 MB.
+    MAX_OBJECTS: ClassVar[int] = 100_000
 
     def __post_init__(self):
         object.__setattr__(self, "extent", tuple(float(e) for e in self.extent))
@@ -42,6 +46,8 @@ class SceneSpec:
             raise ValueError("extent must be three finite positive components")
         if self.n_objects < 0:
             raise ValueError("n_objects must be >= 0")
+        if self.n_objects > self.MAX_OBJECTS:
+            raise ValueError("n_objects must be <= %d" % self.MAX_OBJECTS)
         if not (0 <= self.n_dynamic <= self.n_objects):
             raise ValueError("n_dynamic must lie in [0, n_objects]")
         if not abs(self.dynamic_velocity) < math.inf:

@@ -9,7 +9,8 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from vista_align.association import _SUPPORT_TOL, _ascend, _round
+from vista_align.association import (_SUPPORT_TOL, MAX_CANDIDATES, AffinityMatrix,
+                                     _ascend, consistency_score)
 from vista_align import triangulation as tri
 from vista_align.core import (CameraIntrinsics, DegenerateGeometryError, ObjectMap,
                               Poses, RigidTransform, Tracks, transform_angles)
@@ -65,11 +66,27 @@ def looking_at_origin_pose(position):
     return RigidTransform(R, position)
 
 
+def dense(affinity):
+    """The n x n matrix A of an `AffinityMatrix`: its weights on its edges,
+    zero elsewhere."""
+    M = np.zeros((affinity.size, affinity.size))
+    M[np.repeat(np.arange(affinity.size), np.diff(affinity.starts)),
+      affinity.cols] = affinity.entries
+    return M
+
+
+def affinity_from_dense(M):
+    """The `AffinityMatrix` of a dense matrix: its entries > 0, row by row."""
+    rows, cols = np.nonzero(M > 0.0)
+    return AffinityMatrix(len(M), np.searchsorted(rows, np.arange(len(M) + 1)),
+                          cols, M[rows, cols])
+
+
 def clique_number(affinity):
     """Clique number of the graph A > 0, by networkx's maximal cliques."""
     G = nx.Graph()
     G.add_nodes_from(range(affinity.size))
-    G.add_edges_from(zip(*np.nonzero(np.triu(affinity.entries > 0.0, k=1))))
+    G.add_edges_from(zip(*np.nonzero(np.triu(dense(affinity) > 0.0, k=1))))
     return max((len(c) for c in nx.find_cliques(G)), default=0)
 
 
@@ -271,7 +288,7 @@ def densest_clique_exact(affinity):
     Ties are broken by larger cardinality, then lexicographically earliest
     index set.
     """
-    A = affinity.entries
+    A = dense(affinity)
     n = affinity.size
     if n > 20:
         raise ValueError("exhaustive enumeration is capped at 20 candidates")
@@ -302,12 +319,144 @@ def densest_clique_exact(affinity):
     return np.array(best_idx, dtype=int)
 
 
+# ----------------------------------------------------------------------------
+# The consistency graph as a dense n x n matrix, and the rounding on it: the
+# reference the edge-list build and solver must match entry for entry and
+# index for index. The code below is unchanged but for the name of
+# `build_affinity_dense` and its return of the dense matrix M itself.
+
+def build_affinity_dense(submap_a, submap_b, params):
+    """All-to-all candidate associations and their pairwise affinity matrix.
+
+    Returns (pairs, M): row p of the (n, 2) int array `pairs` is
+    (index_a, index_b), with p = index_a * nb + index_b.
+
+    Entries are zeroed for association pairs whose endpoints within either
+    map are closer than gamma > 0 (duplicate-object suppression). That rule
+    also enforces one-to-one matching: a shared endpoint is at distance 0.
+    """
+    na, nb = len(submap_a), len(submap_b)
+    if na == 0 or nb == 0:
+        raise ValueError("submaps must be non-empty")
+    n = na * nb
+    if n > MAX_CANDIDATES:
+        raise InputError("%d x %d = %d candidates exceed the cap of %d; "
+                         "lower field 'n_max'" % (na, nb, n, MAX_CANDIDATES))
+    pa, pb = submap_a.points, submap_b.points
+    DA = np.linalg.norm(pa[:, None, :] - pa[None, :, :], axis=2)
+    DB = np.linalg.norm(pb[:, None, :] - pb[None, :, :], axis=2)
+
+    # association p = (i, k) lives at flat index i * nb + k. X is reused as
+    # the matrix: a large pair holds one n x n float array, not several.
+    X = DA[:, None, :, None] - DB[None, :, None, :]
+    valid = (X <= params.epsilon) & (X >= -params.epsilon)
+    valid &= (DA >= params.gamma)[:, None, :, None]   # gamma within map A
+    valid &= (DB >= params.gamma)[None, :, None, :]   # gamma within map B
+    kernel = X[valid]
+    X.fill(0.0)
+    X[valid] = consistency_score(kernel, params.sigma, params.epsilon)
+    M = X.reshape(n, n)
+    np.fill_diagonal(M, 1.0)
+
+    return np.indices((na, nb)).reshape(2, n).T, M
+
+
+def _grow(seed, A, feasible):
+    """Greedily extend a feasible seed set, always adding the candidate with
+    the largest affinity mass to the current set (ties: lowest index), and
+    return the densest prefix of the growth sequence."""
+    members = list(seed)
+    feas = np.logical_and.reduce(feasible[members], axis=0)
+    feas[members] = False
+    sig = A[members].sum(axis=0)
+    k = len(members)
+    Q = float(A[np.ix_(members, members)].sum())
+    best, best_density = members[:], Q / k
+    while True:
+        cand = np.flatnonzero(feas)
+        if not cand.size:
+            break
+        j = int(cand[np.argmax(sig[cand])])
+        Q += 1.0 + 2.0 * sig[j]
+        k += 1
+        members.append(j)
+        feas &= feasible[j]
+        feas[j] = False
+        sig = sig + A[j]
+        if Q / k > best_density + 1e-12:
+            best, best_density = members[:], Q / k
+    return best, best_density
+
+
+def _local_improve(selected, A, feasible):
+    """Steepest-ascent add / remove / swap moves on the density objective."""
+    S = sorted(selected)
+    n = len(A)
+    while True:
+        k = len(S)
+        Q = float(A[np.ix_(S, S)].sum())
+        d = Q / k
+        in_set = np.zeros(n, dtype=bool)
+        in_set[S] = True
+        sig = A[S].sum(axis=0)          # affinity mass of every node w.r.t. S
+        feas_all = np.logical_and.reduce(feasible[S], axis=0)
+
+        best_gain, move = 1e-12, None
+        add = np.flatnonzero(feas_all & ~in_set)
+        for j in add:
+            nd = (Q + 1.0 + 2.0 * sig[j]) / (k + 1)
+            if nd - d > best_gain:
+                best_gain, move = nd - d, ("add", int(j))
+        if k > 1:
+            for i in S:
+                nd = (Q - 1.0 - 2.0 * (sig[i] - 1.0)) / (k - 1)
+                if nd - d > best_gain:
+                    best_gain, move = nd - d, ("remove", i)
+        for i in S:
+            Qi = Q - 1.0 - 2.0 * (sig[i] - 1.0)
+            feas_wo_i = np.logical_and.reduce(feasible[[m for m in S if m != i]],
+                                              axis=0) if k > 1 else np.ones(n, bool)
+            for j in np.flatnonzero(feas_wo_i & ~in_set):
+                nd = (Qi + 1.0 + 2.0 * (sig[j] - A[i, j])) / k
+                if nd - d > best_gain:
+                    best_gain, move = nd - d, ("swap", i, int(j))
+        if move is None:
+            return S
+        if move[0] == "add":
+            S = sorted(S + [move[1]])
+        elif move[0] == "remove":
+            S = [m for m in S if m != move[1]]
+        else:
+            S = sorted([m for m in S if m != move[1]] + [move[2]])
+
+
+def _round(u, A, feasible):
+    """Round the relaxed u to a feasible set: multi-start greedy growth from
+    the heaviest nodes (all feasible pairs too, on small problems), keep the
+    densest result, then polish with local moves. Fully deterministic."""
+    n = len(u)
+    order = np.lexsort((np.arange(n), -u))
+    best, best_density = [], -1.0
+
+    seeds = [[int(i)] for i in (order if n <= 64 else order[:32])]
+    if n <= 64:
+        pairs = np.argwhere(np.triu(feasible, k=1))
+        seeds.extend([[int(i), int(j)] for i, j in pairs])
+    for seed in seeds:
+        grown, density = _grow(seed, A, feasible)
+        if density > best_density + 1e-12 or (abs(density - best_density) <= 1e-12
+                                              and len(grown) > len(best)):
+            best, best_density = grown, density
+    return _local_improve(best, A, feasible)
+
+
 def densest_clique_dense(affinity):
-    """`association.densest_clique` as it was with a dense penalised matrix:
-    an n x n copy Md of A, rewritten each homotopy round with -d on every
-    infeasible pair, multiplied by BLAS, and an n x n mask for the support
-    test. The reference the edge-list solver must match index for index."""
-    A = affinity.entries
+    """`association.densest_clique` as it was on the dense matrix A: the
+    restart node from A's row sums, an n x n copy Md of A, rewritten each
+    homotopy round with -d on every infeasible pair, multiplied by BLAS, an
+    n x n mask for the support test, and the dense `_round` above. The
+    reference the edge-list solver must match index for index."""
+    A = dense(affinity)
     n = affinity.size
     if n == 0:
         return np.zeros(0, dtype=int)

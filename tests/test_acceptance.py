@@ -12,8 +12,7 @@ import pytest
 from vista_align import formats
 from vista_align import triangulation as tri
 from vista_align.alignment import align_maps, arun
-from vista_align.association import (AffinityMatrix, consistency_score,
-                                     densest_clique)
+from vista_align.association import consistency_score, densest_clique
 from vista_align.core import (CameraIntrinsics, Hyperparameters, ObjectMap,
                               RigidTransform, project)
 from vista_align.evaluation import (PairOutcome, classify, evaluate_map_pair,
@@ -22,9 +21,9 @@ from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
                                     perturb_frame, render_tracks)
 from vista_align.submap import generate_submaps, mahalanobis_filter
 
-from conftest import (densest_clique_exact, grid_hypotheses, map_from_points,
-                      pose_table, random_rotation, reprojection_jacobian,
-                      track_table)
+from conftest import (affinity_from_dense, dense, densest_clique_exact,
+                      grid_hypotheses, map_from_points, pose_table,
+                      random_rotation, reprojection_jacobian, track_table)
 
 INTRINSICS = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
 
@@ -45,7 +44,7 @@ def _random_instance(seed):
     M = 0.5 * (M + M.T)
     M[M < rng.uniform(0.2, 0.7)] = 0.0
     np.fill_diagonal(M, 1.0)
-    return AffinityMatrix(M)
+    return affinity_from_dense(M)
 
 
 def _density(idx, M):
@@ -62,7 +61,7 @@ def test_criterion_1_clique_oracle_equivalence():
         opt = densest_clique_exact(aff)
         if len(got) == len(opt):
             card_match += 1
-        if _density(got, aff.entries) >= 0.95 * _density(opt, aff.entries):
+        if _density(got, dense(aff)) >= 0.95 * _density(opt, dense(aff)):
             density_ok += 1
     elapsed = time.perf_counter() - t0
     _report(1, card_match >= 450 and density_ok == 500 and elapsed < 10.0)

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vista_align import association
-from vista_align.association import (MAX_CANDIDATES, AffinityMatrix,
-                                     _ascend, _Penalised, build_affinity,
+from vista_align import alignment, association
+from vista_align.association import (MAX_CANDIDATES, _ascend, _heaviest_row,
+                                     _Penalised, build_affinity,
                                      consistency_score, densest_clique,
                                      has_clique)
 from vista_align.core import (Hyperparameters, InputError, RigidTransform,
                               rotation_z)
 from vista_align.submap import Submap
 
-from conftest import (clique_number, densest_clique_dense,
-                      densest_clique_exact, random_rotation)
+from conftest import (affinity_from_dense, build_affinity_dense, clique_number,
+                      dense, densest_clique_dense, densest_clique_exact,
+                      random_rotation)
 
 
 def sub(points):
@@ -70,7 +71,7 @@ def test_build_affinity_matches_entrywise_kernel():
                 expected[p, q] = consistency_score(DA[i, j] - DB[k, m],
                                                    params.sigma, params.epsilon)
     assert 0 < np.count_nonzero(expected) - len(pairs) < expected.size - len(pairs)
-    assert np.allclose(aff.entries, expected, rtol=1e-12, atol=0.0)
+    assert np.allclose(dense(aff), expected, rtol=1e-12, atol=0.0)
 
 
 def test_build_affinity_identical_submaps():
@@ -79,15 +80,15 @@ def test_build_affinity_identical_submaps():
     pairs, aff = build_affinity(sub(pts), sub(pts), params)
     assert len(pairs) == 9
     correct = [i * 3 + i for i in range(3)]
-    block = aff.entries[np.ix_(correct, correct)]
+    block = dense(aff)[np.ix_(correct, correct)]
     assert np.allclose(block, 1.0)
 
 
 def test_build_affinity_shared_endpoint_zeroed():
     pts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
     _, aff = build_affinity(sub(pts), sub(pts), Hyperparameters())
-    assert aff.entries[0 * 2 + 0, 0 * 2 + 1] == 0.0     # (0, 0) vs (0, 1)
-    assert aff.entries[0 * 2 + 0, 1 * 2 + 0] == 0.0     # (0, 0) vs (1, 0)
+    assert dense(aff)[0 * 2 + 0, 0 * 2 + 1] == 0.0     # (0, 0) vs (0, 1)
+    assert dense(aff)[0 * 2 + 0, 1 * 2 + 0] == 0.0     # (0, 0) vs (1, 0)
 
 
 def test_build_affinity_gamma_rule():
@@ -95,10 +96,10 @@ def test_build_affinity_gamma_rule():
     pa = [[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]]
     pb = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
     _, aff = build_affinity(sub(pa), sub(pb), Hyperparameters())
-    assert aff.entries[0 * 2 + 0, 1 * 2 + 1] == 0.0     # (0, 0) vs (1, 1)
+    assert dense(aff)[0 * 2 + 0, 1 * 2 + 1] == 0.0     # (0, 0) vs (1, 1)
     # and symmetric on the target side
     _, aff = build_affinity(sub(pb), sub(pa), Hyperparameters())
-    assert aff.entries[0 * 2 + 0, 1 * 2 + 1] == 0.0
+    assert dense(aff)[0 * 2 + 0, 1 * 2 + 1] == 0.0
 
 
 def test_build_affinity_size_limit():
@@ -116,8 +117,8 @@ def test_build_affinity_swap_symmetry():
     pairs, aff_ab = build_affinity(sub(pa), sub(pb), params)
     _, aff_ba = build_affinity(sub(pb), sub(pa), params)
     swapped = pairs[:, 1] * len(pa) + pairs[:, 0]   # (i, k) -> (k, i) in B-A
-    assert np.array_equal(aff_ab.entries,
-                          aff_ba.entries[np.ix_(swapped, swapped)])
+    assert np.array_equal(dense(aff_ab),
+                          dense(aff_ba)[np.ix_(swapped, swapped)])
 
 
 def test_build_affinity_rigid_invariance():
@@ -128,7 +129,63 @@ def test_build_affinity_rigid_invariance():
     params = Hyperparameters()
     _, aff1 = build_affinity(sub(pa), sub(pb), params)
     _, aff2 = build_affinity(sub(pa), sub(t.apply(pb)), params)
-    assert np.allclose(aff1.entries, aff2.entries, atol=1e-9)
+    assert np.allclose(dense(aff1), dense(aff2), atol=1e-9)
+
+
+def assert_same_graph(aff, M):
+    """`aff` holds exactly the non-zeros of the dense matrix M, in the
+    order np.nonzero gives them."""
+    ref = affinity_from_dense(M)
+    assert aff.size == ref.size
+    assert np.array_equal(aff.starts, ref.starts)
+    assert np.array_equal(aff.cols, ref.cols)
+    assert aff.entries.tobytes() == ref.entries.tobytes()
+
+
+def test_build_affinity_matches_the_dense_build_at_the_cutoffs():
+    # Axis-aligned points, so every distance and difference is exact:
+    # |DA - DB| lands on epsilon from both sides, and distances on gamma.
+    params = Hyperparameters(epsilon=0.125, sigma=0.0625, gamma=0.25)
+    pa = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.25, 0.0]]
+    pb = [[0.0, 0.0, 0.0], [0.875, 0.0, 0.0], [0.0, 0.0, 1.125],
+          [0.0, 0.375, 0.0], [0.0, 0.0, 0.25], [1.0, 0.0, 0.0]]
+    _, M = build_affinity_dense(sub(pa), sub(pb), params)
+    nb = len(pb)
+    for (i, k), (j, l) in [((0, 0), (1, 1)),      # X = +epsilon
+                           ((0, 0), (1, 2)),      # X = -epsilon
+                           ((0, 0), (2, 3)),      # DA = gamma, X = -epsilon
+                           ((0, 0), (2, 4))]:     # DA = DB = gamma
+        assert M[i * nb + k, j * nb + l] > 0.0
+    assert M[0 * nb + 1, 2 * nb + 5] == 0.0       # X = epsilon, DB = 0.125 < gamma
+    assert_same_graph(build_affinity(sub(pa), sub(pb), params)[1], M)
+
+    # DB lies below the rounded DA - epsilon, yet DA - DB rounds to epsilon
+    da, db = 0.12292057180858407, 0.022920571808584058
+    assert db < da - 0.1 and da - db <= 0.1
+    params = Hyperparameters(gamma=0.02)
+    pa, pb = [[0.0, 0.0, 0.0], [da, 0.0, 0.0]], [[0.0, 0.0, 0.0], [db, 0.0, 0.0]]
+    _, M = build_affinity_dense(sub(pa), sub(pb), params)
+    assert M[0, 3] > 0.0
+    assert_same_graph(build_affinity(sub(pa), sub(pb), params)[1], M)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e7])
+def test_build_affinity_matches_the_dense_build(scale):
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        na, nb = rng.integers(1, 16, size=2)
+        pa = rng.uniform(0.0, 4.0, size=(na, 3))
+        pb = rng.uniform(0.0, 4.0, size=(nb, 3))
+        k = int(rng.integers(0, min(na, nb) + 1))
+        t = RigidTransform(rotation_z(rng.uniform(-180.0, 180.0)), rng.normal(size=3))
+        pb[:k] = t.apply(pa[:k]) + rng.normal(0.0, 0.02, size=(k, 3))
+        params = Hyperparameters(sigma=0.05 * scale, epsilon=0.1 * scale,
+                                 gamma=0.1 * scale)
+        sa, sb = sub(scale * pa), sub(scale * pb)
+        pairs, aff = build_affinity(sa, sb, params)
+        ref_pairs, M = build_affinity_dense(sa, sb, params)
+        assert np.array_equal(pairs, ref_pairs)
+        assert_same_graph(aff, M)
 
 
 # Points on a 5 cm lattice in a 1 m cube: intra-map distances often agree
@@ -143,8 +200,13 @@ def test_build_affinity_meets_the_solver_precondition(pa, pb):
     # What AffinityMatrix states and the solvers rely on, unchecked at run time.
     pairs, aff = build_affinity(sub(pa), sub(pb), Hyperparameters())
     na, nb = len(pa), len(pb)
-    M = aff.entries
+    M = dense(aff)
     assert aff.size == na * nb and M.shape == (na * nb, na * nb)
+    # the edges are M's non-zeros, in the order np.nonzero gives them
+    edges = affinity_from_dense(M)
+    assert np.array_equal(aff.starts, edges.starts)
+    assert np.array_equal(aff.cols, edges.cols)
+    assert np.array_equal(aff.entries, edges.entries)
     assert np.array_equal(M, M.T)
     assert M.min() >= 0.0 and M.max() <= 1.0
     assert np.all(np.diag(M) == 1.0)
@@ -155,20 +217,28 @@ def test_build_affinity_meets_the_solver_precondition(pa, pb):
     assert pairs.tolist() == [list(divmod(p, nb)) for p in range(na * nb)]
 
 
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(pa=LATTICE_POINTS, pb=LATTICE_POINTS)
+def test_build_affinity_matches_the_dense_build_on_lattice_points(pa, pb):
+    # lattice distances put |DA - DB| within rounding of epsilon and gamma
+    assert_same_graph(build_affinity(sub(pa), sub(pb), Hyperparameters())[1],
+                      build_affinity_dense(sub(pa), sub(pb), Hyperparameters())[1])
+
+
 def unit_graph(n, edges):
     """Affinity with unit weight on listed edges, used as a hand oracle."""
     M = np.zeros((n, n))
     for i, j in edges:
         M[i, j] = M[j, i] = 1.0
     np.fill_diagonal(M, 1.0)
-    return AffinityMatrix(M)
+    return affinity_from_dense(M)
 
 
 def test_densest_clique_complete_graph():
     aff = unit_graph(4, [(i, j) for i in range(4) for j in range(i)])
     out = densest_clique(aff)
     assert out.tolist() == [0, 1, 2, 3]
-    assert _pair_density(out, aff.entries) == 4.0
+    assert _pair_density(out, dense(aff)) == 4.0
 
 
 def test_densest_clique_picks_larger_group():
@@ -202,7 +272,7 @@ def test_densest_clique_true_associations_under_rigid_transform():
             x = da - db
             if abs(x) <= params.epsilon:
                 M[p, q] = math.exp(-0.5 * (x / params.sigma) ** 2)
-    aff = AffinityMatrix(M)
+    aff = affinity_from_dense(M)
     expected = list(range(8))
     assert densest_clique_exact(aff).tolist() == expected
     assert densest_clique(aff).tolist() == expected
@@ -227,7 +297,7 @@ def test_densest_clique_exact_too_large():
 
 
 def test_densest_clique_empty_input():
-    aff = AffinityMatrix(np.zeros((0, 0)))
+    aff = affinity_from_dense(np.zeros((0, 0)))
     assert densest_clique(aff).size == 0
     assert densest_clique_exact(aff).size == 0
     assert has_clique(aff, 0) and not has_clique(aff, 1)
@@ -253,7 +323,7 @@ def clique_cases(draw):
     M[rng.uniform(size=(n, n)) > rng.uniform()] = 0.0
     M = M + M.T
     np.fill_diagonal(M, 1.0)
-    return AffinityMatrix(M)
+    return affinity_from_dense(M)
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -263,7 +333,7 @@ def test_densest_clique_is_a_clique_and_has_clique_is_exact(aff):
     # the heuristic's inlier set is a clique, so it is no larger than omega.
     omega = clique_number(aff)
     out = densest_clique(aff)
-    assert np.all(aff.entries[np.ix_(out, out)] > 0.0)
+    assert np.all(dense(aff)[np.ix_(out, out)] > 0.0)
     assert len(out) <= omega
     for k in range(omega + 2):
         assert has_clique(aff, k) == (k <= omega)
@@ -278,7 +348,7 @@ def test_densest_clique_output_always_feasible():
         M = 0.5 * (M + M.T)
         M[M < 0.45] = 0.0
         np.fill_diagonal(M, 1.0)
-        out = densest_clique(AffinityMatrix(M))
+        out = densest_clique(affinity_from_dense(M))
         for i in out:
             for j in out:
                 if i != j:
@@ -430,14 +500,63 @@ def test_densest_clique_matches_the_dense_reference(overlap):
             densest_clique_dense(aff).tolist(), seed
 
 
+def test_densest_clique_matches_the_dense_reference_on_small_pairs():
+    # n <= 64: the rounding also grows a seed from every feasible pair
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        if seed % 3:
+            na, nb = rng.integers(2, 9, size=2)
+            pa = rng.uniform(0.0, 2.0, size=(na, 3))
+            pb = rng.uniform(0.0, 2.0, size=(nb, 3))
+            if seed % 3 == 2:                       # a rigidly moved, noisy part
+                k = int(rng.integers(2, min(na, nb) + 1))
+                t = RigidTransform(rotation_z(rng.uniform(-180.0, 180.0)),
+                                   rng.normal(size=3))
+                pb[:k] = t.apply(pa[:k]) + rng.normal(0.0, 0.02, size=(k, 3))
+            aff = build_affinity(sub(pa), sub(pb), Hyperparameters())[1]
+        else:                                       # arbitrary weights
+            n = int(rng.integers(2, 65))
+            M = np.triu(rng.uniform(size=(n, n)), k=1)
+            M[rng.uniform(size=(n, n)) > rng.uniform(0.1, 0.6)] = 0.0
+            M = M + M.T
+            np.fill_diagonal(M, 1.0)
+            aff = affinity_from_dense(M)
+        assert aff.size <= 64
+        assert densest_clique(aff).tolist() == densest_clique_dense(aff).tolist(), seed
+
+
+def test_heaviest_row_is_the_dense_argmax():
+    # Two hubs hold the same weights on different leaves: their row sums tie
+    # exactly, and summed over the edges alone or over the dense row they
+    # can round apart, either way.
+    edge_argmax_differs = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = 300
+        w = rng.uniform(0.1, 1.0, size=40)
+        M = np.zeros((n, n))
+        for hub in (0, 1):
+            leaves = rng.choice(np.arange(2, n), 40, replace=False)
+            M[hub, leaves] = M[leaves, hub] = rng.permutation(w)
+        np.fill_diagonal(M, 1.0)
+        aff = affinity_from_dense(M)
+        assert _heaviest_row(aff) == np.argmax(M.sum(axis=1))
+        edge_argmax_differs += (np.argmax(np.add.reduceat(aff.entries, aff.starts[:-1]))
+                                != np.argmax(M.sum(axis=1)))
+    assert edge_argmax_differs > 0
+    for seed in range(20):
+        aff = seeded_affinity(seed, seed % 2 == 1)
+        assert _heaviest_row(aff) == np.argmax(dense(aff).sum(axis=1))
+
+
 @pytest.mark.parametrize("overlap", [False, True])
 def test_penalised_product_and_clique_test_match_the_dense_matrix(overlap):
     rng = np.random.default_rng(7)
     for seed in range(10):
         aff = seeded_affinity(seed, overlap)
-        A, n = aff.entries, aff.size
+        A, n = dense(aff), aff.size
         infeasible = ~(A > 0.0)
-        penalised = _Penalised(A, A > 0.0)
+        penalised = _Penalised(aff)
         # an iterate of the ascent is non-negative and often sparse
         vectors = [rng.uniform(size=n), np.maximum(rng.normal(size=n), 0.0),
                    np.eye(n)[rng.integers(n)]]
@@ -472,4 +591,19 @@ def test_densest_clique_extra_memory_is_a_fraction_of_the_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * aff.entries.nbytes
+    assert peak < 0.5 * 8 * aff.size ** 2      # the dense matrix's bytes
+
+
+def test_solve_submap_pair_peak_memory_is_a_fraction_of_the_dense_matrix():
+    # 2,500 candidates: the build and solve hold the graph's edges, a few
+    # percent of the pairs, where a dense matrix alone takes 8 n^2 bytes
+    rng = np.random.default_rng(11)
+    sa = sub(rng.uniform(0.0, 4.0, size=(50, 3)))
+    sb = sub(rng.uniform(0.0, 4.0, size=(50, 3)))
+    tracemalloc.start()
+    try:
+        alignment.solve_submap_pair(sa, sb, Hyperparameters())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * 2500 ** 2

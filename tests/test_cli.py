@@ -410,6 +410,8 @@ MALFORMED = {
     "evaluate_over_candidate_cap": (["evaluate", "--map-a", "{big}", "--map-b",
                                      "{big}", "--config", "{n_max_cfg}"], {},
                                     "n_max"),
+    "scene_n_objects_over_cap": (["simulate"], {"scene": {"n_objects": 2 ** 70}},
+                                 "n_objects must be <= 100000"),
     "scene_fractional_n_objects": (["simulate"],
                                    {"scene": {"n_objects": 2.5}}, "n_objects"),
     "scene_string_n_objects": (["simulate"], {"scene": {"n_objects": "x"}},

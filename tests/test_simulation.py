@@ -99,6 +99,18 @@ def test_trajectory_poses_equal_per_frame_loop_exactly():
         assert (poses.rotations == R).all()
 
 
+def test_scene_objects_cap_is_checked_before_allocation():
+    assert SceneSpec(SceneSpec.MAX_OBJECTS, (1.0, 1.0, 1.0)).n_objects == 100_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n_objects must be <= 100000"):
+            SceneSpec(2 ** 70, (1.0, 1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_trajectory_frames_cap_is_checked_before_allocation():
     waypoints = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
     assert TrajectorySpec(waypoints, TrajectorySpec.MAX_FRAMES).frames == 100_000
