@@ -16,7 +16,10 @@ edges, row by row (`AffinityMatrix`), from the build to the rounding: no
 step makes an n x n array. Where a result depends on the order of a
 floating-point sum over a dense row (the restart node, the rounding's
 growth, the local moves), that row is scattered from the edges and summed
-as numpy sums it, so results are those of the dense matrix.
+as numpy sums it, so results are those of the dense matrix. `_rows` is the
+only code that scatters edges into dense rows; where the rows can span the
+whole graph (the restart node's near ties, `has_clique`'s bitsets), they
+come `_BLOCK` entries at a time (`_blocks`).
 
 Every set the heuristic returns is a clique of the graph A > 0: rounding and
 local moves only ever add a candidate that is feasible with every member. So
@@ -35,7 +38,7 @@ from .core import InputError
 
 MAX_CANDIDATES = 10000
 _SUPPORT_TOL = 1e-8
-_BLOCK = 1 << 17        # dense-row entries `_heaviest_row` scatters at once
+_BLOCK = 1 << 17        # dense-row entries `_blocks` scatters at once: 1 MB
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,14 @@ def _rows(affinity, nodes, live=None):
     return out
 
 
+def _blocks(affinity, nodes):
+    """The dense rows A[nodes], as (nodes, rows) blocks of at most `_BLOCK`
+    entries, in order."""
+    step = max(1, _BLOCK // affinity.size)
+    for b in range(0, len(nodes), step):
+        yield nodes[b:b + step], _rows(affinity, nodes[b:b + step])
+
+
 def _heaviest_row(affinity):
     """np.argmax(A.sum(axis=1)) of the dense matrix, without it.
 
@@ -185,14 +196,12 @@ def _heaviest_row(affinity):
     another row. Any two orders of summing a row's m <= 10^6 non-negative
     terms agree to within a relative 3e-10, so only rows whose edge sum is
     within 1e-9 of the largest can hold the dense maximum; those rows are
-    scattered dense, a bounded block at a time, and summed as numpy sums
-    the dense matrix. Ties go to the lowest row, as argmax's do.
+    scattered dense, a bounded block at a time (`_blocks`), and summed as
+    numpy sums the dense matrix. Ties go to the lowest row, as argmax's do.
     """
     sums = np.add.reduceat(affinity.entries, affinity.starts[:-1])
     near = np.flatnonzero(sums >= sums.max() * (1.0 - 1e-9))
-    block = max(1, _BLOCK // affinity.size)
-    dense = np.concatenate([_rows(affinity, near[b:b + block]).sum(axis=1)
-                            for b in range(0, len(near), block)])
+    dense = np.concatenate([rows.sum(axis=1) for _, rows in _blocks(affinity, near)])
     return int(near[np.argmax(dense)])
 
 
@@ -247,47 +256,34 @@ def _grow(affinity, seeds):
 
 def _local_improve(selected, affinity):
     """Steepest-ascent add / remove / swap moves on the density objective,
-    on the dense rows of the current set."""
+    on the dense rows of the current set.
+
+    Each step scores every move in one gain array, in the order adds (by
+    candidate), removes (by member), swaps (by member, then candidate), and
+    takes the first largest gain above 1e-12. A candidate may join when it
+    is feasible with every member that stays."""
     S = sorted(selected)
-    n = affinity.size
     while True:
-        k = len(S)
-        rows = _rows(affinity, np.array(S))         # A[S]
+        k, members = len(S), np.array(S)
+        rows = _rows(affinity, members)             # A[S]
         Q = float(rows[np.ix_(np.arange(k), S)].sum())
-        d = Q / k
-        in_set = np.zeros(n, dtype=bool)
-        in_set[S] = True
         sig = rows.sum(axis=0)          # affinity mass of every node w.r.t. S
         feasible = rows > 0.0
-        feas_all = np.logical_and.reduce(feasible, axis=0)
-
-        best_gain, move = 1e-12, None
-        add = np.flatnonzero(feas_all & ~in_set)
-        for j in add:
-            nd = (Q + 1.0 + 2.0 * sig[j]) / (k + 1)
-            if nd - d > best_gain:
-                best_gain, move = nd - d, ("add", int(j))
-        if k > 1:
-            for i in S:
-                nd = (Q - 1.0 - 2.0 * (sig[i] - 1.0)) / (k - 1)
-                if nd - d > best_gain:
-                    best_gain, move = nd - d, ("remove", i)
-        for r, i in enumerate(S):
-            Qi = Q - 1.0 - 2.0 * (sig[i] - 1.0)
-            feas_wo_i = np.logical_and.reduce(np.delete(feasible, r, axis=0),
-                                              axis=0) if k > 1 else np.ones(n, bool)
-            for j in np.flatnonzero(feas_wo_i & ~in_set):
-                nd = (Qi + 1.0 + 2.0 * (sig[j] - rows[r, j])) / k
-                if nd - d > best_gain:
-                    best_gain, move = nd - d, ("swap", i, int(j))
-        if move is None:
+        count = feasible.sum(axis=0)    # the members each node is feasible with
+        count[S] = -1                   # a member never joins
+        add = np.flatnonzero(count == k)
+        drop = members[:k if k > 1 else 0]          # a lone member stays
+        r, swap = np.nonzero(count - feasible == k - 1)
+        Qi = Q - 1.0 - 2.0 * (sig[S] - 1.0)         # Q without member i
+        gains = np.concatenate([(Q + 1.0 + 2.0 * sig[add]) / (k + 1),
+                                Qi[:drop.size] / (k - 1),
+                                (Qi[r] + 1.0 + 2.0 * (sig[swap] - rows[r, swap])) / k])
+        leave = np.concatenate([np.full(add.size, -1), drop, members[r]])
+        join = np.concatenate([add, np.full(drop.size, -1), swap])
+        best = np.argmax(np.concatenate([[1e-12], gains - Q / k]))   # 0: no move
+        if best == 0:
             return S
-        if move[0] == "add":
-            S = sorted(S + [move[1]])
-        elif move[0] == "remove":
-            S = [m for m in S if m != move[1]]
-        else:
-            S = sorted([m for m in S if m != move[1]] + [move[2]])
+        S = sorted({*S, int(join[best - 1])} - {int(leave[best - 1]), -1})
 
 
 def _round(u, affinity):
@@ -370,13 +366,13 @@ def has_clique(affinity, k):
     A member of a k-clique has k - 1 neighbours in it, so only the k-core
     can hold one: what is left once nodes with fewer than k - 1 neighbours
     are removed, round by round, until none is. On sparse graphs it is
-    often empty. Each row of the core becomes a Python-int bitset, packed
-    from its edges: a row's columns are distinct, so the bits of one byte
-    are too, and their sum is their union. A depth-first search over the
-    core extends a clique by candidates in index order, each branch keeping
-    only the candidates after the one it took that are adjacent to every
-    member, and cuts the branch once fewer candidates are left than members
-    are still needed.
+    often empty. Each row of the core becomes a Python-int bitset, bit j
+    set for each neighbour j: the core's dense rows come from `_rows` a
+    bounded block at a time (`_blocks`), and `np.packbits` packs each
+    block's A > 0. A depth-first search over the core extends a clique by
+    candidates in index order, each branch keeping only the candidates after
+    the one it took that are adjacent to every member, and cuts the branch
+    once fewer candidates are left than members are still needed.
     """
     if k <= 0:
         return True
@@ -390,16 +386,10 @@ def has_clique(affinity, k):
     nodes = np.flatnonzero(core)
     if not nodes.size:
         return False
-    width = (affinity.size + 7) // 8
-    edge, owner = _edges(affinity, nodes)
-    byte = owner * width + (cols[edge] >> 3)
-    first = np.flatnonzero(np.diff(byte, prepend=-1))     # a row's byte begins
-    packed = np.zeros(len(nodes) * width, dtype=np.uint8)
-    packed[byte[first]] = np.add.reduceat(
-        np.left_shift(1, cols[edge] & 7).astype(np.uint8), first)
-    packed = packed.tobytes()
-    rows = dict(zip(nodes.tolist(), (int.from_bytes(packed[r:r + width], "little")
-                                     for r in range(0, len(packed), width))))
+    rows = {}
+    for block, dense in _blocks(affinity, nodes):
+        bits = np.packbits(dense > 0.0, axis=1, bitorder="little")
+        rows.update(zip(block.tolist(), (int.from_bytes(row, "little") for row in bits)))
 
     def extend(cand, need):
         # the diagonal bit of rows[v] is harmless: v has left cand already

@@ -109,6 +109,11 @@ def cmd_match(args):
     return 0 if n_written else 2
 
 
+# The candidate cap keeps every inlier set at most 100 members, so every
+# s_max of 100 or more gives the same PR row.
+MAX_SWEEP = 10_000
+
+
 def _parse_sweep(text):
     try:
         lo, _, hi = text.partition(":")
@@ -117,6 +122,9 @@ def _parse_sweep(text):
         raise InputError("sweep must be 'lo:hi', got %r" % text) from exc
     if hi < lo:
         raise InputError("sweep must be 'lo:hi' with hi >= lo")
+    if hi - lo + 1 > MAX_SWEEP:
+        raise InputError("--sweep spans %d values, over the cap of %d"
+                         % (hi - lo + 1, MAX_SWEEP))
     return list(range(lo, hi + 1))
 
 

@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from vista_align.association import (_SUPPORT_TOL, MAX_CANDIDATES, AffinityMatrix,
-                                     _ascend, consistency_score)
+                                     _ascend, _edges, consistency_score)
 from vista_align import triangulation as tri
 from vista_align.core import (CameraIntrinsics, DegenerateGeometryError, ObjectMap,
                               Poses, RigidTransform, Tracks, transform_angles)
@@ -317,6 +317,45 @@ def densest_clique_exact(affinity):
                 if kk > best_k or (kk == best_k and cand < best_idx):
                     best_k, best_idx = kk, cand
     return np.array(best_idx, dtype=int)
+
+
+def has_clique_per_edge(affinity, k):
+    """`association.has_clique` as it packed its bitsets from the k-core's
+    edges all at once, one byte-level sum per edge: the reference the
+    block-packed bitsets must answer as. Exact."""
+    if k <= 0:
+        return True
+    cols, starts = affinity.cols, affinity.starts
+    core = np.diff(starts) >= k                 # a row's edges include itself
+    while core.any():
+        kept = core & (np.add.reduceat(core[cols], starts[:-1], dtype=np.intp) >= k)
+        if np.array_equal(kept, core):
+            break
+        core = kept
+    nodes = np.flatnonzero(core)
+    if not nodes.size:
+        return False
+    width = (affinity.size + 7) // 8
+    edge, owner = _edges(affinity, nodes)
+    byte = owner * width + (cols[edge] >> 3)
+    first = np.flatnonzero(np.diff(byte, prepend=-1))     # a row's byte begins
+    packed = np.zeros(len(nodes) * width, dtype=np.uint8)
+    packed[byte[first]] = np.add.reduceat(
+        np.left_shift(1, cols[edge] & 7).astype(np.uint8), first)
+    packed = packed.tobytes()
+    rows = dict(zip(nodes.tolist(), (int.from_bytes(packed[r:r + width], "little")
+                                     for r in range(0, len(packed), width))))
+
+    def extend(cand, need):
+        while cand.bit_count() >= need:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if need == 1 or extend(cand & rows[v], need - 1):
+                return True
+        return False
+
+    return extend(int.from_bytes(np.packbits(core, bitorder="little").tobytes(),
+                                 "little"), k)
 
 
 # ----------------------------------------------------------------------------

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vista_align import alignment, association
-from vista_align.association import (MAX_CANDIDATES, _ascend, _heaviest_row,
-                                     _Penalised, build_affinity,
+from vista_align.association import (MAX_CANDIDATES, _ascend, _grow, _heaviest_row,
+                                     _local_improve, _Penalised, build_affinity,
                                      consistency_score, densest_clique,
                                      has_clique)
 from vista_align.core import (Hyperparameters, InputError, RigidTransform,
                               rotation_z)
 from vista_align.submap import Submap
 
+from conftest import _local_improve as local_improve_dense
 from conftest import (affinity_from_dense, build_affinity_dense, clique_number,
                       dense, densest_clique_dense, densest_clique_exact,
-                      random_rotation)
+                      has_clique_per_edge, random_rotation)
 
 
 def sub(points):
@@ -547,6 +548,69 @@ def test_heaviest_row_is_the_dense_argmax():
     for seed in range(20):
         aff = seeded_affinity(seed, seed % 2 == 1)
         assert _heaviest_row(aff) == np.argmax(dense(aff).sum(axis=1))
+
+
+def small_affinity(seed):
+    """build_affinity on two seeded sets of 3-24 points; on odd seeds, at
+    least 2 points of b are a rigidly moved, noisy copy of a's."""
+    rng = np.random.default_rng(seed)
+    na, nb = rng.integers(3, 25, size=2)
+    pa = rng.uniform(0.0, 4.0, size=(na, 3))
+    pb = rng.uniform(0.0, 4.0, size=(nb, 3))
+    if seed % 2:
+        k = int(rng.integers(2, min(na, nb) + 1))
+        t = RigidTransform(rotation_z(rng.uniform(-180.0, 180.0)),
+                           rng.normal(size=3))
+        pb[:k] = t.apply(pa[:k]) + rng.normal(0.0, 0.02, size=(k, 3))
+    return build_affinity(sub(pa), sub(pb), Hyperparameters())[1]
+
+
+def random_affinity(m):
+    """build_affinity on two seeded sets of m random points: no overlap,
+    about 5% of the candidate pairs are edges."""
+    rng = np.random.default_rng(11)
+    return build_affinity(sub(rng.uniform(0.0, 4.0, size=(m, 3))),
+                          sub(rng.uniform(0.0, 4.0, size=(m, 3))),
+                          Hyperparameters())[1]
+
+
+def test_local_improve_matches_the_dense_reference():
+    # from singletons, where some move nearly always gains, and from the
+    # rounding's grown sets
+    starts = moved = 0
+    for seed in range(100):
+        aff = small_affinity(seed)
+        A, n = dense(aff), aff.size
+        rng = np.random.default_rng(seed)
+        sets = [[int(i)] for i in rng.choice(n, size=min(n, 8), replace=False)]
+        sets += _grow(aff, rng.choice(n, size=(min(n, 6), 1), replace=False))[0]
+        for start in sets:
+            got = _local_improve(start, aff)
+            assert got == local_improve_dense(start, A, A > 0.0), (seed, start)
+            starts, moved = starts + 1, moved + (got != sorted(start))
+    assert moved > starts // 2
+
+
+def test_has_clique_matches_the_per_edge_bitsets():
+    # 2,500 candidates: every node is in the k-core, and its dense rows
+    # span over 40 blocks of `_BLOCK` entries
+    aff = random_affinity(50)
+    assert aff.size // (association._BLOCK // aff.size) > 40
+    answers = [has_clique(aff, k) for k in range(2, 9)]
+    assert answers == [has_clique_per_edge(aff, k) for k in range(2, 9)]
+    assert True in answers and False in answers
+
+
+def test_has_clique_peak_memory_is_a_small_fraction_of_the_dense_matrix():
+    # every node of the 5-core is packed, but a bounded block at a time
+    aff = random_affinity(50)
+    tracemalloc.start()
+    try:
+        has_clique(aff, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 8 * aff.size ** 2
 
 
 @pytest.mark.parametrize("overlap", [False, True])

@@ -11,7 +11,7 @@ import pytest
 
 from vista_align import (alignment, cli, evaluation, formats, submap,
                          triangulation)
-from vista_align.core import (Hyperparameters, ObjectMap, RigidTransform,
+from vista_align.core import (Hyperparameters, InputError, ObjectMap, RigidTransform,
                               rotation_z)
 
 from conftest import grid_hypotheses, identity, map_from_points
@@ -392,6 +392,8 @@ MALFORMED = {
     "missing_out_flag": (["submaps", "--map", "{a}"], {}, "--out"),
     "negative_voxel": (["evaluate", "--voxel", "-1"], {}, "--voxel"),
     "voxel_inf": (["evaluate", "--voxel", "inf"], {}, "--voxel"),
+    # 10^15 + 1 s_max values: the cap is checked before the sweep is built
+    "sweep_over_cap": (["evaluate", "--sweep", "0:1000000000000000"], {}, "--sweep"),
     "empty_map": (["match", "--map-b", "{empty}"], {}, "landmarks"),
     "directory_as_map": (["match", "--map-a", "{dir}"], {}, "{dir}"),
     "negative_top_k": (["match", "--top-k", "-1"], {}, "--top-k"),
@@ -474,6 +476,12 @@ def test_malformed_input_exits_1_naming_field(case, small_maps, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert field.format(**small_maps) in err
+
+
+def test_sweep_cap_is_on_the_count_of_values():
+    assert cli._parse_sweep("1:%d" % cli.MAX_SWEEP) == list(range(1, cli.MAX_SWEEP + 1))
+    with pytest.raises(InputError, match="--sweep spans 10001 values"):
+        cli._parse_sweep("0:%d" % cli.MAX_SWEEP)
 
 
 def test_build_map_hides_only_the_empty_map_warning(workdir, monkeypatch):
