@@ -5,9 +5,9 @@ Hypotheses map coordinates expressed in map A's frame into map B's frame.
 `align_maps` keeps only hypotheses with more than `s_max` inliers, so it does
 not solve a pair whose consistency graph holds no clique of `s_max + 1`
 candidates: the densest-clique result is a clique, so it could not pass.
-`evaluation.timing` solves every distinct pair three times: the PR table
-scores every cardinality of the first pass, and the runtime columns time
-every pass.
+`evaluation.timing` solves every distinct pair once, skipping none: the PR
+table scores every cardinality of that pass, and the runtime columns time
+its solves.
 """
 
 from __future__ import annotations

@@ -130,8 +130,6 @@ def _parse_sweep(text):
 
 def cmd_evaluate(args):
     params = _load_params(args.config)
-    if args.voxel is not None and not 0 < args.voxel < math.inf:
-        raise InputError("--voxel must be finite and positive, got %g" % args.voxel)
     map_a, map_b = _load_map_pair(args)
     truth = formats.load_transform(args.truth)
     sweep = _parse_sweep(args.sweep)
@@ -139,7 +137,7 @@ def cmd_evaluate(args):
     outcomes, mean_rt, std_rt = evaluation.evaluate_map_pair(
         submap.mahalanobis_filter(map_a, params.omega_percentile),
         submap.mahalanobis_filter(map_b, params.omega_percentile),
-        truth, params, voxel=args.voxel)
+        truth, params)
     if not outcomes:
         raise InputError("no submap pairs: field 'landmarks' of each map must "
                          "hold more than s_max = %d inliers" % params.s_max)
@@ -215,7 +213,6 @@ def build_parser():
                    help="ground-truth transform JSON (map-a frame -> map-b frame)")
     p.add_argument("--sweep", default="3:15", help="s_max sweep as lo:hi")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--voxel", type=float, help="IoU voxel size, m (default w/4)")
     p.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -201,7 +201,7 @@ class Hyperparameters:
 
     n_min: int = 3                  # min detections (strict >) for triangulation
     omega_percentile: float = 95.0  # Mahalanobis inlier percentile
-    window: float = 2.0             # IoU voxel default (w/4); >= overlap, m
+    window: float = 2.0             # sets the IoU voxel (w/4); >= overlap, m
     overlap: float = 1.0            # grid step between submap centers, m
     n_max: int = 50                 # max objects per submap
     sigma: float = 0.05             # expected pairwise-consistency noise, m

@@ -88,17 +88,17 @@ def precision_recall(outcomes, params, s_max_sweep):
     return rows
 
 
-def evaluate_map_pair(map_a, map_b, truth, params, voxel=None):
-    """Solve every distinct submap pair three times (see `timing`) and return
-    (outcomes, mean_s, std_s): one outcome per distinct pair of the first
-    pass, with `pairs` the number of grid pairs it covers, for PR aggregation,
-    and seconds per solve. No submap pair gives ([], nan, nan).
+def evaluate_map_pair(map_a, map_b, truth, params):
+    """Solve every distinct submap pair once (see `timing`) and return
+    (outcomes, mean_s, std_s): one outcome per distinct pair, with `pairs`
+    the number of grid pairs it covers, for PR aggregation, and seconds per
+    solve. No submap pair gives ([], nan, nan).
 
     `truth` maps map-A-frame coordinates into map-B-frame coordinates; IoU is
-    computed after pulling map B's submaps back into map A's frame.
+    computed at `default_voxel` after pulling map B's submaps back into map
+    A's frame.
     """
-    if voxel is None:
-        voxel = default_voxel(params)
+    voxel = default_voxel(params)
     subs_a = generate_submaps(map_a, params)
     subs_b = generate_submaps(map_b, params)
     solved, mean_s, std_s = (timing(subs_a, subs_b, params)
@@ -118,13 +118,11 @@ def evaluate_map_pair(map_a, map_b, truth, params, voxel=None):
 
 
 def timing(subs_a, subs_b, params):
-    """Solve every distinct pair of two submap grids three times. Returns the
-    first pass's `solve_pairs` items and the wall-clock (mean, std) seconds
-    per solve over all passes; later passes keep only their seconds. No pair
-    is a ValueError."""
-    first = list(solve_pairs(subs_a, subs_b, params))
-    if not first:
+    """Solve every distinct pair of two submap grids once. Returns the
+    `solve_pairs` items and the wall-clock (mean, std) of their seconds per
+    solve. No pair is a ValueError."""
+    solved = list(solve_pairs(subs_a, subs_b, params))
+    if not solved:
         raise ValueError("no submap pair to time")
-    seconds = [s for *_, s in first] + [s for _ in range(2)
-                                        for *_, s in solve_pairs(subs_a, subs_b, params)]
-    return first, float(np.mean(seconds)), float(np.std(seconds))
+    seconds = [s for *_, s in solved]
+    return solved, float(np.mean(seconds)), float(np.std(seconds))

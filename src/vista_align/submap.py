@@ -3,8 +3,10 @@
 Submap centers tile the x-y bounding box of the landmark positions with step
 `overlap`; each center keeps the up-to-n_max landmarks nearest (3D Euclidean)
 to the center lifted to the mean landmark height. Membership is purely the
-n_max nearest landmarks: `window` does not bound it, and only sets the default
-IoU voxel (window / 4) and the upper bound on the grid step (overlap <= window).
+n_max nearest landmarks: `window` does not bound it, and only sets the IoU
+voxel (window / 4) and the upper bound on the grid step (overlap <= window).
+The grid's members, cells x min(n_max, landmarks), are capped at
+MAX_GRID_MEMBERS.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectMap
+from .core import InputError, ObjectMap
+
+# A grid member costs 40 bytes of its cell's Submap, or 72 when its landmark
+# id is above 256 and so is not one of CPython's cached small ints
+# (tracemalloc: 9,900 cells of 60 landmarks, 900 cells of 2,000), and a cell
+# takes 0.2-0.5 ms to select. The cap bounds the grid near 200-360 MB.
+MAX_GRID_MEMBERS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -70,15 +78,25 @@ def mahalanobis_filter(obj_map, omega_percentile):
 def generate_submaps(obj_map, params):
     """Lay a grid of centers over the map's x-y bounding box and select the
     nearest up-to-n_max landmarks per center. Submaps too small to ever pass
-    the |S| > s_max success gate are dropped."""
+    the |S| > s_max success gate are dropped. A grid of more than
+    MAX_GRID_MEMBERS members is an InputError naming `overlap`, raised
+    before any cell is built."""
     if len(obj_map) == 0:
         return []
     pos = obj_map.positions
     ids = np.array(obj_map.ids)
     step = params.overlap
-    mins = pos[:, :2].min(axis=0)
-    maxs = pos[:, :2].max(axis=0)
-    counts = [int(math.floor((maxs[k] - mins[k] + 1e-9) / step)) + 1 for k in range(2)]
+    # Counted in Python floats, with no warning: an extent past the float
+    # range reads inf and its count nan, which fails the cap's test too.
+    mins = pos[:, :2].min(axis=0).tolist()
+    extents = [hi - lo for lo, hi in zip(mins, pos[:, :2].max(axis=0).tolist())]
+    counts = [(e + 1e-9) / step // 1 + 1 for e in extents]
+    if not min(params.n_max, len(ids)) * math.prod(counts) <= MAX_GRID_MEMBERS:
+        raise InputError(
+            "the submap grid over an extent of %.3g x %.3g m at step %g "
+            "exceeds the cap of %d members (cells x min(n_max, landmarks)); "
+            "raise field 'overlap'" % (*extents, step, MAX_GRID_MEMBERS))
+    counts = [int(c) for c in counts]
     z_mean = pos[:, 2].mean()
 
     submaps = []

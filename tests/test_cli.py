@@ -328,8 +328,8 @@ def small_maps(tmp_path):
     """Two copies of a 20-landmark map, an empty map, a 4-landmark map, a
     120-landmark map, a map file holding a bare number, a truth file, configs
     with a NaN sigma, an out-of-range omega_percentile, n_max = 101,
-    n_max = 4, n_max set twice and n_max = 1e2, a file that is not UTF-8, and
-    valid scene, trajectory and track files."""
+    n_max = 4, n_max set twice, n_max = 1e2 and overlap = 1e-300, a file that
+    is not UTF-8, and valid scene, trajectory and track files."""
     rng = np.random.default_rng(12)
     pts = rng.uniform(0.0, 5.0, size=(20, 3)) * np.array([1.0, 1.0, 0.3])
     m = map_from_points(pts)
@@ -360,6 +360,8 @@ def small_maps(tmp_path):
     formats.atomic_write(paths["dup_cfg"], "n_max = 10\nn_max = 20\n")
     paths["exp_cfg"] = str(tmp_path / "exp.cfg")
     formats.atomic_write(paths["exp_cfg"], "n_max = 1e2\n")
+    paths["overlap_cfg"] = str(tmp_path / "overlap.cfg")
+    formats.atomic_write(paths["overlap_cfg"], "overlap = 1e-300\n")
     paths["not_utf8"] = str(tmp_path / "not_utf8.json")
     with open(paths["not_utf8"], "wb") as fh:
         fh.write(b"\xff\xfe\xfd")
@@ -390,8 +392,7 @@ MALFORMED = {
     "removed_threads_flag": (["match", "--threads", "2"], {}, "--threads"),
     "removed_repeats_flag": (["evaluate", "--repeats", "3"], {}, "--repeats"),
     "missing_out_flag": (["submaps", "--map", "{a}"], {}, "--out"),
-    "negative_voxel": (["evaluate", "--voxel", "-1"], {}, "--voxel"),
-    "voxel_inf": (["evaluate", "--voxel", "inf"], {}, "--voxel"),
+    "removed_voxel_flag": (["evaluate", "--voxel", "0.5"], {}, "--voxel"),
     # 10^15 + 1 s_max values: the cap is checked before the sweep is built
     "sweep_over_cap": (["evaluate", "--sweep", "0:1000000000000000"], {}, "--sweep"),
     "empty_map": (["match", "--map-b", "{empty}"], {}, "landmarks"),
@@ -404,6 +405,8 @@ MALFORMED = {
                              "'n_max' is set twice"),
     "config_int_in_float_notation": (["match", "--config", "{exp_cfg}"], {},
                                      "'n_max' must be an integer"),
+    # 5 m / 1e-300 = 5e300 cells a side: over the grid cap before it is built
+    "grid_over_cap": (["match", "--config", "{overlap_cfg}"], {}, "overlap"),
     "no_submap_pair": (["evaluate", "--map-a", "{tiny}", "--map-b", "{tiny}"],
                        {}, "s_max"),
     # 114 inliers each: 101 x 101 candidates per submap pair, over the cap
@@ -523,8 +526,8 @@ def test_evaluate_times_the_filtered_maps_it_scores(small_maps, monkeypatch):
     expected = [s.landmark_ids for s in submap.generate_submaps(inliers, params)]
     assert ([s.landmark_ids for s in subs_a] == [s.landmark_ids for s in subs_b]
             == expected)
-    # the scored cardinalities are those of the timed first pass, one
-    # outcome per distinct pair, counted once per grid pair it covers
+    # the scored cardinalities are those of the timed pass, one outcome
+    # per distinct pair, counted once per grid pair it covers
     timed, scored = Counter(), Counter()
     for cells_a, cells_b, hyp, _ in first:
         timed[0 if hyp is None else hyp.cardinality] += len(cells_a) * len(cells_b)
@@ -534,8 +537,7 @@ def test_evaluate_times_the_filtered_maps_it_scores(small_maps, monkeypatch):
     assert seconds == [mean_s, std_s]
 
 
-def test_evaluate_solves_each_distinct_pair_repeats_times(small_maps,
-                                                          monkeypatch):
+def test_evaluate_solves_each_distinct_pair_once(small_maps, monkeypatch):
     solve = alignment.solve_submap_pair
     calls = []
 
@@ -555,4 +557,28 @@ def test_evaluate_solves_each_distinct_pair_repeats_times(small_maps,
                                   params.omega_percentile), params)
     distinct = {(sa.landmark_ids, sb.landmark_ids) for sa in subs for sb in subs}
     assert 1 < len(distinct) < len(subs) ** 2
-    assert Counter(calls) == {pair: 3 for pair in distinct}
+    assert Counter(calls) == {pair: 1 for pair in distinct}
+
+
+# sha256 of the PR rows, the first five columns of `evaluate`'s pr.csv (the
+# runtime columns vary from run to run), on small_maps; the sweep runs past
+# n_max, so the rows pin how many grid pairs reach each cardinality
+PR_ROWS_SHA256 = {
+    "defaults": ("", "38ca47baaa23fa09e330fd90f657225c33cc0d7d460eafbbbfc2545e7bf02c1a"),
+    "n_max_18": ("n_max = 18\n",      # 4 distinct submaps
+                 "ceb1875e8ace635c78b48add59d7894b53ed4173a0fbf7a4cb990fbc822ac45c"),
+}
+
+
+@pytest.mark.parametrize("config, rows_sha256", PR_ROWS_SHA256.values(),
+                         ids=PR_ROWS_SHA256.keys())
+def test_evaluate_pr_rows_are_pinned(small_maps, config, rows_sha256):
+    cfg = os.path.join(small_maps["dir"], "pinned.cfg")
+    formats.atomic_write(cfg, config)
+    assert cli.run(["evaluate", "--map-a", small_maps["a"],
+                    "--map-b", small_maps["b"], "--truth", small_maps["truth"],
+                    "--out", small_maps["out"], "--config", cfg,
+                    "--sweep", "0:20"]) == 0
+    with open(small_maps["out"]) as fh:
+        rows = "".join(",".join(line.split(",")[:5]) + "\n" for line in fh)
+    assert hashlib.sha256(rows.encode()).hexdigest() == rows_sha256

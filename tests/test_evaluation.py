@@ -1,6 +1,8 @@
+import itertools
 import math
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,6 +208,23 @@ def test_timing_small_pair_is_fast(monkeypatch):
     elapsed = time.perf_counter() - t0
     assert len({s.landmark_ids for s in subs}) == 1     # one distinct pair
     assert [(ga, gb) for ga, gb, *_ in first] == [(tuple(range(len(subs))),) * 2]
-    assert calls == [(subs[0].landmark_ids,) * 2] * 3
+    assert calls == [(subs[0].landmark_ids,) * 2] * 1
     assert math.isfinite(mean_s) and std_s >= 0.0
-    assert 0.0 < 3 * mean_s <= elapsed      # seconds per solve, three solves
+    assert 0.0 < mean_s <= elapsed          # seconds per solve, one solve
+
+
+def test_timing_reports_the_seconds_of_the_solves_it_returns(monkeypatch):
+    # a clock that reads k^2 at its k-th call gives solve i the seconds
+    # (2i)^2 - (2i - 1)^2 = 4i - 1, so any other solve's seconds would show
+    ticks = itertools.count(1)
+    monkeypatch.setattr(alignment, "time", SimpleNamespace(
+        perf_counter=lambda: float(next(ticks) ** 2)))
+    rng = np.random.default_rng(12)
+    m = map_from_points(rng.uniform(0.0, 5.0, size=(20, 3)) * [1.0, 1.0, 0.3])
+    params = Hyperparameters(n_max=18)
+    subs = generate_submaps(m, params)
+    solved, mean_s, std_s = timing(subs, subs, params)
+    seconds = [s for *_, s in solved]
+    assert len(seconds) > 1
+    assert seconds == [4.0 * i - 1 for i in range(1, len(seconds) + 1)]
+    assert (mean_s, std_s) == (np.mean(seconds), np.std(seconds))

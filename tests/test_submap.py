@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from vista_align.core import Hyperparameters, ObjectMap
+from vista_align import submap
+from vista_align.core import Hyperparameters, InputError, ObjectMap
 from vista_align.submap import generate_submaps, mahalanobis_filter
 
 from conftest import map_from_points
@@ -64,6 +67,39 @@ def test_grid_center_count():
     centers = {(round(s.center[0], 6), round(s.center[1], 6)) for s in subs}
     assert len(subs) == 15
     assert centers == {(float(x), float(y)) for x in range(5) for y in range(3)}
+
+
+def test_grid_cap_is_checked_before_allocation():
+    # an x extent of 2e308 overflows to inf cells, and a 1e-300 step on a
+    # 4 x 2 m box gives about 1e601: both fail before a cell is built
+    far = map_from_points([[-1e308, 0.0, 0.0], [1e308, 1.0, 0.0]]
+                          + [[0.0, 0.5 * y, 0.0] for y in range(4)])
+    box = map_from_points([[0.0, 0.0, 0.0], [4.0, 2.0, 0.0]]
+                          + [[x, 1.0, 0.0] for x in (1.0, 2.0, 3.0, 3.5)])
+    cases = [(far, Hyperparameters()), (box, Hyperparameters(overlap=1e-300))]
+    for obj_map, params in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="field 'overlap'"):
+                generate_submaps(obj_map, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
+@pytest.mark.parametrize("n_max", [50, 5])
+def test_grid_cap_counts_cells_times_members(monkeypatch, n_max):
+    # test_grid_center_count's box: 15 cells of min(n_max, 8) members
+    pts = [[0.0, 0.0, 0.0], [4.0, 2.0, 0.0]]
+    pts += [[x, y, 0.0] for x in (1.0, 2.0, 3.0) for y in (0.5, 1.5)]
+    m, params = map_from_points(pts), Hyperparameters(n_max=n_max, s_max=1)
+    members = 15 * min(n_max, 8)
+    monkeypatch.setattr(submap, "MAX_GRID_MEMBERS", members)
+    assert len(generate_submaps(m, params)) == 15
+    monkeypatch.setattr(submap, "MAX_GRID_MEMBERS", members - 1)
+    with pytest.raises(InputError, match="cap of %d members" % (members - 1)):
+        generate_submaps(m, params)
 
 
 def test_n_max_selects_nearest():
