@@ -7,6 +7,7 @@ separators) so that parse -> serialize round trips are byte-identical.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import tempfile
@@ -138,23 +139,31 @@ def load_map(path):
 _DETECTION = '{"frame":%d,"u":%.9g,"v":%.9g}'
 
 
+def _track_file_pieces(intrinsics, poses, tracks):
+    """A track file's text in pieces: its head, then one piece a pose and
+    one a track."""
+    yield ('{"intrinsics":{"fx":%s,"fy":%s,"cx":%s,"cy":%s,"width":%d,"height":%d},'
+           '"poses":[' % (_f(intrinsics.fx), _f(intrinsics.fy), _f(intrinsics.cx),
+                          _f(intrinsics.cy), intrinsics.width, intrinsics.height))
+    for k, (frame, R, t) in enumerate(zip(poses.frames, poses.rotations,
+                                          poses.translations)):
+        yield ('%s{"frame":%d,"rotation":%s,"translation":%s}'
+               % ("," if k else "", frame, _floats(R.ravel()), _floats(t)))
+    yield '],"tracks":['
+    frames = np.asarray(poses.frames)
+    for k, (tid, a, b) in enumerate(zip(tracks.ids, tracks.starts[:-1],
+                                        tracks.starts[1:])):
+        # + 0.0 writes -0.0 as 0, as _f does
+        fields = np.column_stack([frames[tracks.pose_rows[a:b]],
+                                  tracks.centroids[a:b] + 0.0])
+        yield ('%s{"id":%d,"detections":[%s]}'
+               % ("," if k else "", tid, ",".join([_DETECTION] * len(fields))
+                  % tuple(fields.ravel().tolist())))
+    yield "]}"
+
+
 def track_file_to_json(intrinsics, poses, tracks):
-    intr = ('{"fx":%s,"fy":%s,"cx":%s,"cy":%s,"width":%d,"height":%d}'
-            % (_f(intrinsics.fx), _f(intrinsics.fy), _f(intrinsics.cx),
-               _f(intrinsics.cy), intrinsics.width, intrinsics.height))
-    pose_parts = ['{"frame":%d,"rotation":%s,"translation":%s}'
-                  % (frame, _floats(R.ravel()), _floats(t))
-                  for frame, R, t in zip(poses.frames, poses.rotations,
-                                         poses.translations)]
-    # + 0.0 writes -0.0 as 0, as _f does
-    fields = np.column_stack([np.asarray(poses.frames)[tracks.pose_rows],
-                              tracks.centroids + 0.0])
-    track_parts = ['{"id":%d,"detections":[%s]}'
-                   % (tid, ",".join([_DETECTION] * len(r))
-                      % tuple(fields[r.start:r.stop].ravel().tolist()))
-                   for tid, r in zip(tracks.ids, tracks)]
-    return ('{"intrinsics":%s,"poses":[%s],"tracks":[%s]}'
-            % (intr, ",".join(pose_parts), ",".join(track_parts)))
+    return "".join(_track_file_pieces(intrinsics, poses, tracks))
 
 
 def _track_file_in_bulk(data, intrinsics):
@@ -169,16 +178,16 @@ def _track_file_in_bulk(data, intrinsics):
                 and all(type(r) is list and len(r) == 9 for r in rot)
                 and all(type(r) is list and len(r) == 3 for r in tra)):
             return None
-        flat = [d for ds in dets for d in ds]
-        at, us, vs = ([d[k] for d in flat] for k in ("frame", "u", "v"))
-        if not ({*map(type, frames + ids + at)} <= {int} and min(frames, default=0) >= 0
-                and {type(v) for r in rot + tra for v in r} | {*map(type, us + vs)}
-                <= {int, float}):
+        at, us, vs = ([d[k] for ds in dets for d in ds] for k in ("frame", "u", "v"))
+        if not ({*map(type, frames), *map(type, ids), *map(type, at)} <= {int}
+                and min(frames, default=0) >= 0
+                and {type(v) for r in itertools.chain(rot, tra) for v in r}
+                | {*map(type, us), *map(type, vs)} <= {int, float}):
             return None
         uv = np.array([us, vs], dtype=float).T.reshape(-1, 2)
         if not (np.isfinite(uv).all() and len(set(frames)) == len(frames)
-                and len(set(ids)) == len(ids) and min(us + vs, default=0) >= 0
-                and max(us, default=0) < intrinsics.width
+                and len(set(ids)) == len(ids) and min(us, default=0) >= 0
+                and min(vs, default=0) >= 0 and max(us, default=0) < intrinsics.width
                 and max(vs, default=0) < intrinsics.height):
             return None
         poses = Poses(frames, np.reshape(rot, (-1, 3, 3)), np.reshape(tra, (-1, 3)))
@@ -229,7 +238,11 @@ def parse_track_file(text):
     """Parse a track file into (intrinsics, Poses, Tracks). The file is
     checked in bulk; one that fails is read again record by record, to report
     the fault of its first faulty record."""
-    data = _json(text, "track file")
+    return _track_file(_json(text, "track file"))
+
+
+def _track_file(data):
+    """`parse_track_file` of the decoded document."""
     intrinsics = _intrinsics(data)
     tables = _track_file_in_bulk(data, intrinsics)
     if tables is None:
@@ -238,11 +251,14 @@ def parse_track_file(text):
 
 
 def save_track_file(path, intrinsics, poses, tracks):
-    atomic_write(path, track_file_to_json(intrinsics, poses, tracks))
+    """Stream the track file into place one pose and one track at a time,
+    so the whole text is never held."""
+    with _atomic_file(path) as fh:
+        fh.writelines(_track_file_pieces(intrinsics, poses, tracks))
 
 
 def load_track_file(path):
-    return parse_track_file(_read(path))
+    return _track_file(_json(_read(path), "track file"))
 
 
 def parse_config(text):
@@ -387,21 +403,28 @@ def save_pr_table(path, rows, mean_runtime_s, std_runtime_s):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def atomic_write(path, text):
-    """Write text to path via a temp file + rename in the same directory.
-
-    The file gets the mode open() would give it, 0666 less the umask, not
-    the temp file's private 0600."""
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A text file to write path's contents into: a temp file in the same
+    directory, renamed over path once the block completes and removed if it
+    raises. The file gets the mode open() would give it, 0666 less the
+    umask, not the temp file's private 0600."""
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)           # setting the umask is the only way to read it
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path, text):
+    """Write text to path via a temp file + rename in the same directory."""
+    with _atomic_file(path) as fh:
+        fh.write(text)

@@ -6,8 +6,9 @@ mounting pitch (0 = nadir), and visible objects produce per-frame centroid
 detections with optional pixel noise, dropout, and track fragmentation.
 Occlusion is modeled only through random dropout.
 
-A scene is a `Scene` of per-object arrays. Each frame projects every object
-in one `project` call and draws its detections' noise and dropout in
+A scene is a `Scene` of per-object arrays. Rendering projects a block of
+frames in one `project` call, as many as fit in BATCH_ROWS frame x object
+rows but at least one, and draws the detections' noise and dropout in
 (frame, object) order, so a seed reproduces the same tracks.
 """
 
@@ -19,8 +20,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (ObjectMap, Poses, RigidTransform, Tracks, project, rotation_y,
-                   rotation_z)
+from .core import (BATCH_ROWS, ObjectMap, Poses, RigidTransform, Tracks, project,
+                   rotation_y, rotation_z)
 
 # camera-to-world for a nadir view: optical axis straight down, image x = +x
 _R_NADIR = np.array([[1.0, 0.0, 0.0],
@@ -36,8 +37,9 @@ class SceneSpec:
     dynamic_velocity: float = 0.0   # m/frame, horizontal
     seed: int = 0
     # `simulate` peaks near 1 KB an object: the scene's arrays hold 49 bytes,
-    # a frame's projection about 200 more and encoding the ground-truth file
-    # about 800, so the cap bounds it near 100 MB.
+    # a block's projection, of at least one frame, under 250 more and
+    # encoding the ground-truth file about 800, so the cap bounds it near
+    # 100 MB.
     MAX_OBJECTS: ClassVar[int] = 100_000
 
     def __post_init__(self):
@@ -154,6 +156,10 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
     gives the same values as one draw per detection. With both on, whether a
     detection draws a uniform depends on its noise pair, so those draws are
     made one detection at a time.
+
+    The frames are projected a block at a time, at most BATCH_ROWS frame x
+    object rows but at least one frame, which bounds the working arrays;
+    the block size changes neither the pixels nor the draws.
     """
     rng = np.random.default_rng(seed)
     poses = trajectory_poses(trajectory)
@@ -162,11 +168,14 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
         else np.zeros(n, dtype=bool)
 
     frames, objects, pixels = [], [], []
-    for f in range(len(poses)):
-        projected = project(poses[f], intrinsics,
-                            scene.positions + scene.velocities * f)
-        seen = np.flatnonzero(_in_image(projected, intrinsics))
-        px = projected[seen]
+    step = max(1, BATCH_ROWS // max(n, 1))      # frames a block projects
+    for lo in range(0, len(poses), step):
+        f = np.arange(lo, min(lo + step, len(poses)))
+        projected = project(poses[lo:lo + step], intrinsics,
+                            scene.positions + scene.velocities * f[:, None, None])
+        inside = _in_image(projected, intrinsics)
+        at, seen = np.nonzero(inside)           # in (frame, object) order
+        px = projected[inside]
         keep = np.ones(len(seen), dtype=bool)
         if noise > 0 and dropout > 0:
             # a uniform is drawn only for a detection its noise left in the image
@@ -174,11 +183,13 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
                 px[k] += rng.normal(0.0, noise, size=2)
                 keep[k] = _in_image(px[k], intrinsics) and rng.uniform() >= dropout
         elif noise > 0:
-            px += rng.normal(0.0, noise, size=(len(seen), 2))
+            px += np.concatenate([rng.normal(0.0, noise, size=(c, 2))
+                                  for c in inside.sum(axis=1)])
             keep = _in_image(px, intrinsics)
         elif dropout > 0:
-            keep = rng.uniform(size=len(seen)) >= dropout
-        frames.append(np.full(np.count_nonzero(keep), f))
+            keep = np.concatenate([rng.uniform(size=c)
+                                   for c in inside.sum(axis=1)]) >= dropout
+        frames.append(f[at[keep]])
         objects.append(seen[keep])
         pixels.append(px[keep])
 

@@ -50,16 +50,22 @@ def mahalanobis_filter(obj_map, omega_percentile):
 
     Maps with fewer than 2 landmarks have no covariance to measure against and
     pass through unchanged. Falls back to Euclidean distance to the mean (with
-    a warning) when the sample covariance is singular.
+    a warning) when the sample covariance is singular. Positions whose
+    covariance overflows the float range are an InputError naming `position`.
     """
     if not (0 < omega_percentile <= 100):
         raise ValueError("omega_percentile must lie in (0, 100]")
     if len(obj_map) < 2:
         return obj_map
     pos = obj_map.positions
-    mean = pos.mean(axis=0)
-    centered = pos - mean
-    cov = centered.T @ centered / (len(pos) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = pos.mean(axis=0)
+        centered = pos - mean
+        cov = centered.T @ centered / (len(pos) - 1)
+    if not np.isfinite(cov).all():
+        raise InputError("field 'position' of map %r spans too far: the inlier "
+                         "filter's covariance overflows the float range"
+                         % obj_map.agent_id)
     try:
         L = np.linalg.cholesky(cov)
         white = np.linalg.solve(L, centered.T).T

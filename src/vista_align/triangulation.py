@@ -4,8 +4,9 @@ Each track's point is fit by nonlinear least squares on the reprojection
 error (Gauss-Newton with Levenberg damping), seeded by a linear midpoint
 triangulation. With the cameras fixed, each point's normal equations are an
 independent 3x3 block (Triggs et al., "Bundle Adjustment - A Modern
-Synthesis", 2000), so all tracks iterate at once, each with its own damping,
-fail count, convergence test and status. Tracks that fail to converge, or
+Synthesis", 2000), so the tracks of a block iterate at once, each with its
+own damping, fail count, convergence test and status; `build_map` takes the
+tracks a bounded block at a time. Tracks that fail to converge, or
 converge with a reprojection residual well above pixel scale, are treated as
 dynamic objects and discarded; the status says why.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ObjectMap
+from .core import BATCH_ROWS, ObjectMap, row_blocks
 
 MAX_ITERS = 50
 STEP_TOL = 1e-8
@@ -207,18 +208,30 @@ class BuildStats:
 def build_map(tracks, poses, intrinsics, params, agent_id):
     """Triangulate every track into an ObjectMap.
 
+    The tracks are filtered and triangulated a block of whole tracks at a
+    time, at most BATCH_ROWS detections unless one track holds more
+    (`row_blocks`), so the working arrays do not grow with the track file.
+    A track's arithmetic is the same in any block.
+
     Returns (ObjectMap, BuildStats). Discarded tracks are counted by reason;
     an empty result is an empty map, not an error.
     """
-    long_enough = filter_tracks(tracks, params.n_min)
-    guesses, degenerate = initial_guess(long_enough, poses, intrinsics)
-    solvable = long_enough.select(~degenerate)
-    positions, covariances, status = refine(solvable, poses, intrinsics,
-                                            guesses[~degenerate])
-    counts = np.bincount(status, minlength=len(REASONS) + 1)
-    counts[DEGENERATE] = np.count_nonzero(degenerate)
-    stats = BuildStats(int(counts[KEPT]), len(tracks) - len(long_enough),
+    ids, positions, covariances = [], [np.empty((0, 3))], [np.empty((0, 3, 3))]
+    counts = np.zeros(len(REASONS) + 1, dtype=int)
+    n_long = 0
+    for lo, hi in row_blocks(tracks.starts, BATCH_ROWS):
+        long_enough = filter_tracks(tracks.block(lo, hi), params.n_min)
+        guesses, degenerate = initial_guess(long_enough, poses, intrinsics)
+        solvable = long_enough.select(~degenerate)
+        x, cov, status = refine(solvable, poses, intrinsics, guesses[~degenerate])
+        counts += np.bincount(status, minlength=len(REASONS) + 1)
+        counts[DEGENERATE] += np.count_nonzero(degenerate)
+        n_long += len(long_enough)
+        kept = status == KEPT
+        ids += [i for i, k in zip(solvable.ids, kept) if k]
+        positions.append(x[kept])
+        covariances.append(cov[kept])
+    stats = BuildStats(int(counts[KEPT]), len(tracks) - n_long,
                        dict(zip(REASONS, counts[1:].tolist())))
-    kept = status == KEPT
-    return ObjectMap(agent_id, [i for i, k in zip(solvable.ids, kept) if k],
-                     positions[kept], covariances[kept]), stats
+    return ObjectMap(agent_id, ids, np.concatenate(positions),
+                     np.concatenate(covariances)), stats

@@ -319,12 +319,10 @@ def densest_clique_exact(affinity):
     return np.array(best_idx, dtype=int)
 
 
-def has_clique_per_edge(affinity, k):
-    """`association.has_clique` as it packed its bitsets from the k-core's
-    edges all at once, one byte-level sum per edge: the reference the
-    block-packed bitsets must answer as. Exact."""
-    if k <= 0:
-        return True
+def k_core_in_one_pass(affinity, k):
+    """`association._k_core` as it counted every row's core edges at once,
+    9 bytes an edge of the graph: the reference the block-wise count must
+    match."""
     cols, starts = affinity.cols, affinity.starts
     core = np.diff(starts) >= k                 # a row's edges include itself
     while core.any():
@@ -332,6 +330,17 @@ def has_clique_per_edge(affinity, k):
         if np.array_equal(kept, core):
             break
         core = kept
+    return core
+
+
+def has_clique_per_edge(affinity, k):
+    """`association.has_clique` as it packed its bitsets from the k-core's
+    edges all at once, one byte-level sum per edge: the reference the
+    block-packed bitsets must answer as. Exact."""
+    if k <= 0:
+        return True
+    cols = affinity.cols
+    core = k_core_in_one_pass(affinity, k)
     nodes = np.flatnonzero(core)
     if not nodes.size:
         return False

@@ -17,7 +17,7 @@ from vista_align.submap import Submap
 from conftest import _local_improve as local_improve_dense
 from conftest import (affinity_from_dense, build_affinity_dense, clique_number,
                       dense, densest_clique_dense, densest_clique_exact,
-                      has_clique_per_edge, random_rotation)
+                      has_clique_per_edge, k_core_in_one_pass, random_rotation)
 
 
 def sub(points):
@@ -599,6 +599,35 @@ def test_has_clique_matches_the_per_edge_bitsets():
     answers = [has_clique(aff, k) for k in range(2, 9)]
     assert answers == [has_clique_per_edge(aff, k) for k in range(2, 9)]
     assert True in answers and False in answers
+
+
+@pytest.mark.parametrize("block", [1, 997, association._BLOCK])
+def test_k_core_by_row_blocks_equals_the_one_pass_peel(monkeypatch, block):
+    # a block of 1 edge puts every row in a block of its own
+    monkeypatch.setattr(association, "_BLOCK", block)
+    graphs = [seeded_affinity(seed, overlap) for seed in range(10)
+              for overlap in (False, True)] + [random_affinity(20)]
+    sizes = set()
+    for aff in graphs:
+        for k in range(1, 9):
+            core = association._k_core(aff, k)
+            assert np.array_equal(core, k_core_in_one_pass(aff, k))
+            sizes.add(int(core.sum()))
+    assert 0 in sizes and len(sizes) > 5
+
+
+def test_k_core_peak_memory_is_bounded_by_the_block():
+    # 1.2 million edges, nine blocks: the one-pass peel peaked at 9 bytes an
+    # edge, 11 MB; by blocks it stays near 9 bytes an edge of one block
+    aff = random_affinity(70)
+    assert len(aff.cols) > 8 * association._BLOCK
+    tracemalloc.start()
+    try:
+        association._k_core(aff, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * association._BLOCK
 
 
 def test_has_clique_peak_memory_is_a_small_fraction_of_the_dense_matrix():

@@ -98,6 +98,50 @@ def test_simulate_bytes_are_pinned(workdir, flags, tracks_sha256):
                       "ground_truth.json": GROUND_TRUTH_SHA256}
 
 
+# The benchmark's M scene (144 objects, 14 moving, 200 frames) seen by its
+# 45 deg agent: 28,800 frame x object rows and about 17,600 detections span
+# several BATCH_ROWS blocks in render and in triangulation, where the scene
+# above fits in one. sha256 of simulate's files and of the map build-map
+# makes from them, recorded before the front end ran in blocks.
+M_SCENE = {"n_objects": 144, "extent": [20.0, 20.0, 1.5], "n_dynamic": 14,
+           "dynamic_velocity": 1.0, "seed": 0}
+M_TRAJECTORY = {**TRAJECTORY, "frames": 200, "camera_pitch": 45.0,
+                "waypoints": [[2.0 * x - 13.0, 2.0 * y, 0.0] for x, y in
+                              [(1, 1), (1, 9), (4, 9), (4, 1), (7, 1), (7, 9),
+                               (9, 9), (9, 1)]]}
+M_GROUND_TRUTH_SHA256 = "6ff4b37546704694046ff6c4b76c5e82b993a0664fe8e765aef567fb194eb71e"
+M_SHA256 = {
+    "noise": ("--noise 0.3",
+              "ca4c3d9053ec121551893b3a88e972c570da03732d46d1672a062112c893be76",
+              "f032a1375752a9a063ebcc5a71c9350bca194cbaf8b1e25766acd27e0f541f45"),
+    "noise+dropout+duplicates": (
+        "--noise 0.5 --dropout 0.2 --duplicate-rate 0.2",
+        "931a41caa218f47c12aceabab3146eddda50cea0e1ed789fb4dc1ca3c88fefe1",
+        "4953364d15750592f64d9ad158fa7c24c4f6d4b175be4c060a6ced5e6c49e10e"),
+}
+
+
+@pytest.mark.parametrize("flags, tracks_sha256, map_sha256", M_SHA256.values(),
+                         ids=M_SHA256.keys())
+def test_multi_block_scene_bytes_are_pinned(tmp_path, flags, tracks_sha256,
+                                            map_sha256):
+    for name, doc in (("scene", M_SCENE), ("trajectory", M_TRAJECTORY)):
+        with open(tmp_path / (name + ".json"), "w") as fh:
+            json.dump(doc, fh)
+    sim = tmp_path / "sim"
+    assert cli.run(["simulate", "--scene", str(tmp_path / "scene.json"),
+                    "--trajectory", str(tmp_path / "trajectory.json"),
+                    "--out", str(sim)] + flags.split()) == 0
+    assert cli.run(["build-map", "--tracks", str(sim / "tracks.json"),
+                    "--out", str(tmp_path / "map.json")]) == 0
+    digest = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in (sim / "tracks.json", sim / "ground_truth.json",
+                           tmp_path / "map.json")}
+    assert digest == {"tracks.json": tracks_sha256,
+                      "ground_truth.json": M_GROUND_TRUTH_SHA256,
+                      "map.json": map_sha256}
+
+
 def test_build_map_loads_tracks_simulated_at_any_pitch(workdir):
     # at 35 deg the %.9g pose rotations sit 1.2e-9 off orthonormal
     with open(workdir / "trajectory.json", "w") as fh:
@@ -385,6 +429,8 @@ BASE_ARGS = {
 }
 
 NAN = float("nan")
+FAR_LANDMARKS = [{"id": i, "position": [1e308 if i == 3 else i % 5, i // 5, 0.1 * i],
+                  "covariance": [1, 0, 0, 0, 1, 0, 0, 0, 1]} for i in range(20)]
 
 # case: (argv, {input file: patch of its JSON}, expected name)
 MALFORMED = {
@@ -443,6 +489,11 @@ MALFORMED = {
     "tracks_nan_fx": (["build-map"], {"tracks": {"intrinsics": {"fx": NAN}}},
                       "fx"),
     "map_file_is_a_number": (["match", "--map-a", "{five}"], {}, "agent_id"),
+    # 20 landmarks, one at x = 1e308: the inlier filter's covariance overflows
+    "submaps_far_landmark": (["submaps", "--map", "{a}", "--out", "{out}"],
+                             {"a": {"landmarks": FAR_LANDMARKS}}, "'position'"),
+    "match_far_landmark": (["match"], {"a": {"landmarks": FAR_LANDMARKS}},
+                           "'position'"),
     "map_asymmetric_covariance": (["match"], {"a": {"landmarks": [
         {"id": 3, "position": [0, 0, 0],
          "covariance": [1, 0.5, 0, 0, 1, 0, 0, 0, 1]}]}}, "landmark 3"),

@@ -5,7 +5,7 @@ import pytest
 
 from vista_align.core import (CameraIntrinsics, Hyperparameters, ObjectMap, Poses,
                               RigidTransform, Tracks, project, rotation_y,
-                              rotation_z, transform_angles)
+                              rotation_z, row_blocks, transform_angles)
 
 from conftest import identity, random_rotation, rotation_x
 
@@ -43,6 +43,42 @@ def test_project_rows_equal_single_points(intrinsics):
     for point, row in zip(points, rows):
         assert np.array_equal(project(pose, intrinsics, point), row,
                               equal_nan=True)
+
+
+@pytest.mark.parametrize("m", [1, 3, 200])
+def test_project_block_of_poses_equals_per_pose_calls(intrinsics, m):
+    rng = np.random.default_rng(14)
+    poses = Poses(range(9), [random_rotation(rng) for _ in range(9)],
+                  rng.normal(size=(9, 3)))
+    points = poses.translations[:, None] + rng.normal(scale=5.0, size=(9, m, 3))
+    for lo, hi in ((0, 9), (2, 6), (4, 5)):
+        block = project(poses[lo:hi], intrinsics, points[lo:hi])
+        assert block.shape == (hi - lo, m, 2)
+        for j, f in enumerate(range(lo, hi)):
+            assert np.array_equal(block[j], project(poses[f], intrinsics, points[f]),
+                                  equal_nan=True)
+    block = project(poses[0:9], intrinsics, points)
+    assert np.isnan(block).any() and np.isfinite(block).any()
+
+
+def test_row_blocks_split_whole_units_at_the_row_budget():
+    # units of 3, 1, 5, 0, 2, 9 and 1 rows
+    starts = np.cumsum([0, 3, 1, 5, 0, 2, 9, 1])
+    assert row_blocks(starts, 4) == [(0, 2), (2, 3), (3, 5), (5, 6), (6, 7)]
+    assert row_blocks(starts, 1) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                                     (6, 7)]
+    assert row_blocks(starts, 21) == [(0, 7)]
+    assert row_blocks(np.zeros(1, dtype=int), 4) == []
+    rng = np.random.default_rng(3)
+    for size in (1, 7, 50):
+        starts = np.cumsum([0, *rng.integers(0, 20, size=100)])
+        blocks = row_blocks(starts, size)
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == 100
+        for (lo, hi), (nxt, _) in zip(blocks, blocks[1:] + [(None, None)]):
+            assert starts[hi] - starts[lo] <= size or hi == lo + 1
+            if nxt is not None and hi < 100:      # no room for the next unit
+                assert starts[hi + 1] - starts[lo] > size
 
 
 def test_project_applies_pose_inverse(intrinsics):

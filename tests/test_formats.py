@@ -2,6 +2,7 @@ import json
 import os
 import re
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from vista_align import formats
 from vista_align.alignment import AlignmentHypothesis
 from vista_align.association import Association
 from vista_align.core import (CameraIntrinsics, Hyperparameters, InputError,
-                              ObjectMap, Poses, RigidTransform, rotation_y,
-                              rotation_z)
+                              ObjectMap, Poses, RigidTransform, Tracks,
+                              rotation_y, rotation_z)
 from vista_align.evaluation import PrPoint
 from vista_align.simulation import (Scene, SceneSpec, TrajectorySpec,
                                     generate_scene, render_tracks,
@@ -146,6 +147,44 @@ def test_track_file_equals_per_value_writer():
                                   duplicate_rate=0.3, seed=4)
     assert formats.track_file_to_json(intr, poses, tracks) \
         == track_file_to_json_per_value(intr, poses, tracks)
+
+
+def test_save_track_file_streams_the_text_and_cleans_up_on_failure(tmp_path,
+                                                                   monkeypatch):
+    intr, poses, tracks = track_fixture()
+    path, text = tmp_path / "tracks.json", formats.track_file_to_json(intr, poses, tracks)
+    formats.save_track_file(str(path), intr, poses, tracks)
+    assert path.read_text() == text
+
+    def failing_pieces(*args):
+        yield "{"
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(formats, "_track_file_pieces", failing_pieces)
+    with pytest.raises(RuntimeError, match="disk full"):
+        formats.save_track_file(str(path), intr, poses, track_table([]))
+    assert path.read_text() == text
+    assert os.listdir(tmp_path) == ["tracks.json"]
+
+
+def test_save_track_file_peak_memory_does_not_grow_with_detections(tmp_path):
+    # 4,000 and 32,000 detections in tracks of 40: the file is streamed a
+    # track at a time, so the peak is one track's text, not the file's
+    intr, _, _ = track_fixture()
+    poses = Poses(range(40), [np.eye(3)] * 40, [[0.0, 0.0, 8.0]] * 40)
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n in (100, 800):
+        tracks = Tracks(range(n), np.arange(n + 1) * 40, np.tile(np.arange(40), n),
+                        rng.uniform(0.0, 400.0, size=(40 * n, 2)))
+        tracemalloc.start()
+        try:
+            formats.save_track_file(str(tmp_path / "tracks.json"), intr, poses, tracks)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert os.path.getsize(tmp_path / "tracks.json") > 40 * peaks[1]
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 def test_track_file_poses_load_again():

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vista_align.core import Hyperparameters, ObjectMap, project, rotation_y
+from vista_align import simulation
+from vista_align.core import BATCH_ROWS, Hyperparameters, ObjectMap, project, rotation_y
 from vista_align.simulation import (SceneSpec, TrajectorySpec, generate_scene,
                                     perturb_frame, render_tracks,
                                     trajectory_poses)
@@ -282,6 +283,28 @@ def test_render_tracks_equals_per_object_loop_exactly(intrinsics, pitch, draws):
     for track_id, r, (want_id, frames, centroids) in zip(tracks.ids, tracks, expected):
         assert (track_id, tuple(tracks.pose_rows[r].tolist())) == (want_id, frames)
         assert np.array_equal(tracks.centroids[r], centroids)
+
+
+@pytest.mark.parametrize("draws", DRAW_MODES.values(), ids=DRAW_MODES.keys())
+def test_render_tracks_is_the_same_at_any_block_size(intrinsics, monkeypatch, draws):
+    # 50 objects x 120 frames, 6,000 rows: one frame a block, 14 frames a
+    # block and the default's 81 split the trajectory at different frames
+    scene = generate_scene(SceneSpec(50, (10.0, 10.0, 1.5), n_dynamic=10,
+                                     dynamic_velocity=1.0, seed=5))
+    trajectory = nadir_trajectory(frames=120, pitch=45.0)
+    noise, dropout, duplicate_rate = draws
+    tables = []
+    for rows in (1, 700, BATCH_ROWS):
+        monkeypatch.setattr(simulation, "BATCH_ROWS", rows)
+        tracks, _ = render_tracks(scene, trajectory, intrinsics, noise=noise,
+                                  dropout=dropout, duplicate_rate=duplicate_rate,
+                                  seed=5)
+        tables.append(tracks)
+    assert len(scene) * 120 > BATCH_ROWS and len(tables[0]) > len(scene) // 2
+    for tracks in tables[1:]:
+        assert tracks.ids == tables[0].ids
+        for column in ("starts", "pose_rows", "centroids"):
+            assert np.array_equal(getattr(tracks, column), getattr(tables[0], column))
 
 
 def test_perturb_frame_identity():

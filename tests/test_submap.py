@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ def test_mahalanobis_singular_covariance_falls_back():
     with pytest.warns(UserWarning, match="singular"):
         filtered = mahalanobis_filter(map_from_points(pts), 100.0)
     assert len(filtered) == 10
+
+
+@pytest.mark.parametrize("far", [1e308, -1e308, 1e200])
+def test_mahalanobis_far_landmark_is_an_input_error_without_warning(far):
+    # the covariance overflows: an error naming the field, with no
+    # RuntimeWarning from the matrix product before it
+    pts = np.random.default_rng(4).uniform(0.0, 10.0, size=(20, 3))
+    pts[3, 0] = far
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="'position'"):
+            mahalanobis_filter(map_from_points(pts), 95.0)
 
 
 def test_mahalanobis_input_validation():

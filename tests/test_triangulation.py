@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -392,3 +393,60 @@ def test_build_map_equals_per_track_reference(intrinsics, case):
     assert np.abs(got.positions - want.positions).max(initial=0.0) <= 1e-9
     assert [formats._floats(p) for p in got.positions] \
         == [formats._floats(p) for p in want.positions]
+
+
+def blocks_cases(intrinsics):
+    """(tracks, poses) cases for the block size: a 45 deg scene with moving
+    objects and split tracks, some too short, all in one table; the
+    hand-made tracks, one discarded for each reason; and tracks all short."""
+    scene = generate_scene(SceneSpec(60, (10.0, 10.0, 1.5), n_dynamic=12,
+                                     dynamic_velocity=0.5, seed=8))
+    trajectory = TrajectorySpec([(1.0, 1.0, 0.0), (1.0, 9.0, 0.0),
+                                 (5.0, 9.0, 0.0), (5.0, 1.0, 0.0)],
+                                frames=200, camera_pitch=45.0, altitude=8.0)
+    tracks, poses, _ = reason_tracks(intrinsics)
+    return {"rendered": render_tracks(scene, trajectory, intrinsics, noise=0.5,
+                                      duplicate_rate=0.3, seed=8),
+            "reasons": (tracks, poses),
+            "all short": reference_cases(intrinsics)["all short"]}
+
+
+@pytest.mark.parametrize("case", ["rendered", "reasons", "all short"])
+def test_build_map_is_the_same_at_any_block_size(intrinsics, monkeypatch, case):
+    tracks, poses = blocks_cases(intrinsics)[case]
+    params = Hyperparameters()
+    n = len(tracks.pose_rows)
+    results = []
+    for rows in (1, max(1, n // 5), tri.BATCH_ROWS):
+        monkeypatch.setattr(tri, "BATCH_ROWS", rows)
+        obj_map, stats = tri.build_map(tracks, poses, intrinsics, params, "a")
+        results.append((formats.map_to_json(obj_map), stats))
+    assert results[1:] == results[:1] * 2
+    stats = results[0][1]
+    if case == "rendered":      # kept, short and moving tracks across blocks
+        assert n > tri.BATCH_ROWS
+        assert stats.n_landmarks and stats.n_discarded_short
+        assert stats.n_discarded_diverged
+    elif case == "reasons":
+        assert stats.discarded == dict.fromkeys(tri.REASONS, 1)
+
+
+def test_build_map_peak_memory_does_not_grow_with_detections(intrinsics):
+    # the same 36 objects over 250 and 1,000 frames: about 5,000 and 20,000
+    # detections, and a peak set by one block of tracks
+    scene = generate_scene(SceneSpec(36, (10.0, 10.0, 1.5), seed=2))
+    peaks = []
+    for frames in (250, 1000):
+        trajectory = TrajectorySpec([(1.0, 1.0, 0.0), (1.0, 9.0, 0.0),
+                                     (5.0, 9.0, 0.0), (5.0, 1.0, 0.0)],
+                                    frames=frames, altitude=8.0)
+        tracks, poses = render_tracks(scene, trajectory, intrinsics, noise=0.3,
+                                      seed=1)
+        tracemalloc.start()
+        try:
+            tri.build_map(tracks, poses, intrinsics, Hyperparameters(), "a")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(tracks.pose_rows) > 4 * tri.BATCH_ROWS
+    assert peaks[1] < 1.2 * peaks[0]
