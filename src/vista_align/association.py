@@ -18,8 +18,9 @@ floating-point sum over a dense row (the restart node, the rounding's
 growth, the local moves), that row is scattered from the edges and summed
 as numpy sums it, so results are those of the dense matrix. `_rows` is the
 only code that scatters edges into dense rows; where the rows can span the
-whole graph (the restart node's near ties, `has_clique`'s bitsets), they
-come `_BLOCK` entries at a time (`_blocks`).
+whole graph (the restart node's near ties, `_heaviest_row`), they come
+`_BLOCK` entries at a time (`_blocks`). `has_clique` packs its bitsets from
+each visited row's own edges.
 
 Every set the heuristic returns is a clique of the graph A > 0: rounding and
 local moves only ever add a candidate that is feasible with every member. So
@@ -173,8 +174,10 @@ def _rows(affinity, nodes, live=None):
         out = np.zeros((len(nodes), affinity.size))
     else:
         out = np.zeros((len(nodes), len(live)))
-        at = np.searchsorted(live, cols)
-        hit = live[np.minimum(at, len(live) - 1)] == cols
+        where = np.full(affinity.size, -1)       # each column's position in live
+        where[live] = np.arange(len(live))
+        at = where[cols]
+        hit = at >= 0
         edge, owner, cols = edge[hit], owner[hit], at[hit]
     out[owner, cols] = affinity.entries[edge]
     return out
@@ -388,31 +391,38 @@ def has_clique(affinity, k):
     A member of a k-clique has k - 1 neighbours in it, so only the k-core
     can hold one: what is left once nodes with fewer than k - 1 neighbours
     are removed, round by round, until none is. On sparse graphs it is
-    often empty. Each row of the core becomes a Python-int bitset, bit j
-    set for each neighbour j: the core's dense rows come from `_rows` a
-    bounded block at a time (`_blocks`), and `np.packbits` packs each
-    block's A > 0. A depth-first search over the core extends a clique by
+    often empty. A depth-first search over the core extends a clique by
     candidates in index order, each branch keeping only the candidates after
     the one it took that are adjacent to every member, and cuts the branch
-    once fewer candidates are left than members are still needed.
+    once fewer candidates are left than members are still needed. A node's
+    row becomes a Python-int bitset, bit j set for each neighbour j, packed
+    from its own edges when the search first takes it: on a graph rich in
+    cliques the search ends within a few rows, and packs only those.
     """
     if k <= 0:
         return True
     core = _k_core(affinity, k)
-    nodes = np.flatnonzero(core)
-    if not nodes.size:
+    if not core.any():
         return False
-    rows = {}
-    for block, dense in _blocks(affinity, nodes):
-        bits = np.packbits(dense > 0.0, axis=1, bitorder="little")
-        rows.update(zip(block.tolist(), (int.from_bytes(row, "little") for row in bits)))
+    cols, starts = affinity.cols, affinity.starts
+    rows, mask = {}, np.zeros(affinity.size, dtype=bool)
+
+    def row(v):
+        # bit j set for each edge (v, j), the diagonal included: harmless,
+        # as v has left the candidates already
+        if v not in rows:
+            edges = cols[starts[v]:starts[v + 1]]
+            mask[edges] = True
+            rows[v] = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(),
+                                     "little")
+            mask[edges] = False
+        return rows[v]
 
     def extend(cand, need):
-        # the diagonal bit of rows[v] is harmless: v has left cand already
         while cand.bit_count() >= need:
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            if need == 1 or extend(cand & rows[v], need - 1):
+            if need == 1 or extend(cand & row(v), need - 1):
                 return True
         return False
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -182,20 +183,17 @@ def build_parser():
                    help="per-detection dropout probability")
     p.add_argument("--duplicate-rate", type=float, default=0.0,
                    help="per-object track-split probability")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("build-map", parents=[configured],
                        help="triangulate a track file into an object map")
     p.add_argument("--tracks", required=True, help="track file JSON")
     p.add_argument("--out", required=True, help="output map JSON")
     p.add_argument("--agent-id", default="agent", help="agent id for the map")
-    p.set_defaults(func=cmd_build_map)
 
     p = sub.add_parser("submaps", parents=[configured],
                        help="filter inliers and write the submap grid")
     p.add_argument("--map", required=True, help="object map JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_submaps)
 
     p = sub.add_parser("match", parents=[configured],
                        help="all-to-all submap matching between two maps")
@@ -203,7 +201,6 @@ def build_parser():
     p.add_argument("--map-b", required=True, help="target object map JSON")
     p.add_argument("--out", required=True, help="output hypothesis list JSON")
     p.add_argument("--top-k", type=int, help="write only the first TOP_K >= 1 records")
-    p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("evaluate", parents=[configured],
                        help="precision/recall sweep against a known alignment")
@@ -213,14 +210,22 @@ def build_parser():
                    help="ground-truth transform JSON (map-a frame -> map-b frame)")
     p.add_argument("--sweep", default="3:15", help="s_max sweep as lo:hi")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_evaluate)
     return parser
+
+
+@functools.cache
+def _parser():
+    """The parser, built once per process: `run` parses with it again."""
+    return build_parser()
 
 
 def run(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up by name on each call, not held by the one parser, so a
+        # command rebound after it was built (a monkeypatch, a profiler's
+        # wrapper) is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (InputError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

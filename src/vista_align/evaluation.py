@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .alignment import prune, solve_pairs
-from .core import transform_angles
+from .core import InputError, transform_angles
 from .submap import generate_submaps
 
 
@@ -99,6 +99,17 @@ def evaluate_map_pair(map_a, map_b, truth, params):
     A's frame.
     """
     voxel = default_voxel(params)
+    # The IoU's voxel indices of map B's landmarks, pulled back by the truth,
+    # must fit int64 (2^62 leaves room for rounding); NaN fails the test too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            cells = truth.inverse().apply(map_b.positions) / voxel
+        except ValueError:                  # the inverse's translation overflows
+            cells = np.inf
+    if not np.all(np.abs(cells) < 2.0 ** 62):
+        raise InputError("field 'translation' of the truth transform moves map "
+                         "b's landmarks out of range: their IoU voxel indices "
+                         "(coordinate / %g m) must stay below 2^62" % voxel)
     subs_a = generate_submaps(map_a, params)
     subs_b = generate_submaps(map_b, params)
     solved, mean_s, std_s = (timing(subs_a, subs_b, params)

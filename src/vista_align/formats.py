@@ -14,8 +14,8 @@ import tempfile
 
 import numpy as np
 
-from .core import (CameraIntrinsics, Hyperparameters, InputError, ObjectMap, Poses,
-                   RigidTransform, Tracks, check_rotation, transform_angles)
+from .core import (BATCH_ROWS, CameraIntrinsics, Hyperparameters, InputError, ObjectMap,
+                   Poses, RigidTransform, Tracks, check_rotation, transform_angles)
 from .simulation import SceneSpec, TrajectorySpec
 
 
@@ -136,19 +136,24 @@ def load_map(path):
     return parse_map(_read(path))
 
 
+_POSE = ('{"frame":%d,"rotation":[' + ",".join(["%.9g"] * 9) + '],"translation":['
+         + ",".join(["%.9g"] * 3) + ']}')
 _DETECTION = '{"frame":%d,"u":%.9g,"v":%.9g}'
 
 
 def _track_file_pieces(intrinsics, poses, tracks):
-    """A track file's text in pieces: its head, then one piece a pose and
-    one a track."""
+    """A track file's text in pieces: its head, then one piece for each
+    block of at most BATCH_ROWS poses and one for each track."""
     yield ('{"intrinsics":{"fx":%s,"fy":%s,"cx":%s,"cy":%s,"width":%d,"height":%d},'
            '"poses":[' % (_f(intrinsics.fx), _f(intrinsics.fy), _f(intrinsics.cx),
                           _f(intrinsics.cy), intrinsics.width, intrinsics.height))
-    for k, (frame, R, t) in enumerate(zip(poses.frames, poses.rotations,
-                                          poses.translations)):
-        yield ('%s{"frame":%d,"rotation":%s,"translation":%s}'
-               % ("," if k else "", frame, _floats(R.ravel()), _floats(t)))
+    for lo in range(0, len(poses), BATCH_ROWS):
+        # + 0.0 writes -0.0 as 0, as _f does
+        table = np.column_stack([poses.frames[lo:lo + BATCH_ROWS],
+                                 poses.rotations[lo:lo + BATCH_ROWS].reshape(-1, 9) + 0.0,
+                                 poses.translations[lo:lo + BATCH_ROWS] + 0.0])
+        yield ("," if lo else "") + (",".join([_POSE] * len(table))
+                                     % tuple(table.ravel().tolist()))
     yield '],"tracks":['
     frames = np.asarray(poses.frames)
     for k, (tid, a, b) in enumerate(zip(tracks.ids, tracks.starts[:-1],
@@ -304,19 +309,39 @@ def save_hypotheses(path, solves, limit=None):
     then source, then target cell; returns how many, at most `limit`, it wrote.
 
     A record begins with transform_to_json's fields; parse_transform reads
-    it. Each solve's transform and angles are encoded once."""
-    encoded, order = [], []
-    for s, (cells_a, cells_b, h) in enumerate(solves):
+    it. Each solve's transform and angles are encoded once. One lexsort
+    orders every record, and the file is streamed a run at a time: the
+    consecutive records of one solve and one source cell, which differ only
+    in their target cell, written as one join of the targets between the
+    run's fixed head and tail."""
+    heads, tails = [], []
+    for cells_a, cells_b, h in solves:
         angles = dict(zip(("roll", "pitch", "yaw"), transform_angles(h.transform)))
-        encoded.append((transform_to_json(h.transform)[:-1], _compact(angles)[1:]))
-        order += [(-h.cardinality, ia, ib, s) for ia in cells_a for ib in cells_b]
-    # One short format per record: formatting a long per-solve template starts
-    # each record in a buffer over pymalloc's 512 bytes, which raised peak RSS.
-    records = ['%s,"cardinality":%d,"source_submap":%d,"target_submap":%d,%s'
-               % (encoded[s][0], -neg, ia, ib, encoded[s][1])
-               for neg, ia, ib, s in sorted(order)[:limit]]
-    atomic_write(path, "[" + ",".join(records) + "]")
-    return len(records)
+        heads.append('%s,"cardinality":%d,"source_submap":'
+                     % (transform_to_json(h.transform)[:-1], h.cardinality))
+        tails.append("," + _compact(angles)[1:])
+    # record r of solve s is the grid pair (cells_a[r // nb], cells_b[r % nb])
+    na, nb = (np.array([len(c[k]) for c in solves], dtype=np.intp) for k in (0, 1))
+    cells_a, cells_b = (np.fromiter(itertools.chain.from_iterable(c[k] for c in solves),
+                                    np.int64) for k in (0, 1))
+    solve = np.repeat(np.arange(len(solves)), na * nb)
+    r = np.arange(len(solve)) - np.repeat(np.cumsum(na * nb) - na * nb, na * nb)
+    ia = cells_a[(np.cumsum(na) - na)[solve] + r // nb[solve]]
+    ib = cells_b[(np.cumsum(nb) - nb)[solve] + r % nb[solve]]
+    cardinality = np.array([h.cardinality for *_, h in solves], dtype=np.int64)
+    order = np.lexsort((solve, ib, ia, -cardinality[solve]))[:limit]
+    ia, ib, solve = ia[order], ib[order], solve[order]
+    cuts = (np.flatnonzero((np.diff(ia) != 0) | (np.diff(solve) != 0)) + 1).tolist()
+    ia, ib, solve = ia.tolist(), ib.tolist(), solve.tolist()
+    with _atomic_file(path) as fh:
+        fh.write("[")
+        for lo, hi in zip([0, *cuts], [*cuts, len(ia)]) if ia else ():
+            head = '%s%d,"target_submap":' % (heads[solve[lo]], ia[lo])
+            tail = tails[solve[lo]]
+            fh.write("%s%s%s%s" % ("," if lo else "", head,
+                                   (tail + "," + head).join(map(str, ib[lo:hi])), tail))
+        fh.write("]")
+    return len(ia)
 
 
 def parse_transform(text):

@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, ObjectMap
+from .core import BATCH_ROWS, InputError, ObjectMap
 
 # A grid member costs 40 bytes of its cell's Submap, or 72 when its landmark
 # id is above 256 and so is not one of CPython's cached small ints
-# (tracemalloc: 9,900 cells of 60 landmarks, 900 cells of 2,000), and a cell
-# takes 0.2-0.5 ms to select. The cap bounds the grid near 200-360 MB.
+# (tracemalloc: 9,900 cells of 60 landmarks, 900 cells of 2,000). A cell
+# takes about 10 us to select at 36-60 landmarks and 0.18 ms at 2,000, where
+# its sort of every landmark dominates (2-vCPU host). The cap bounds the grid
+# near 200-360 MB.
 MAX_GRID_MEMBERS = 5_000_000
 
 
@@ -36,7 +38,7 @@ class Submap:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.array(self.center, dtype=float))
-        object.__setattr__(self, "landmark_ids", tuple(int(i) for i in self.landmark_ids))
+        object.__setattr__(self, "landmark_ids", tuple(map(int, self.landmark_ids)))
         object.__setattr__(self, "points", np.array(self.points, dtype=float))
 
     def __len__(self):
@@ -103,18 +105,24 @@ def generate_submaps(obj_map, params):
             "exceeds the cap of %d members (cells x min(n_max, landmarks)); "
             "raise field 'overlap'" % (*extents, step, MAX_GRID_MEMBERS))
     counts = [int(c) for c in counts]
+    if min(params.n_max, len(ids)) < params.s_max + 1:
+        return []
     z_mean = pos[:, 2].mean()
+    # the cell centers, x index major: mins + index * step
+    cx = np.repeat(mins[0] + np.arange(counts[0]) * step, counts[1])
+    cy = np.tile(mins[1] + np.arange(counts[1]) * step, counts[0])
+    c3 = np.column_stack([cx, cy, np.full(len(cx), z_mean)])
 
-    submaps = []
-    for ix in range(counts[0]):
-        for iy in range(counts[1]):
-            center = np.array([mins[0] + ix * step, mins[1] + iy * step])
-            c3 = np.array([center[0], center[1], z_mean])
-            dist = np.linalg.norm(pos - c3, axis=1)
-            order = np.lexsort((ids, dist))[:params.n_max]
-            if len(order) < params.s_max + 1:
-                continue
-            # canonical member order (by id) so equal contents compare equal
-            order = order[np.argsort(ids[order])]
-            submaps.append(Submap(center, ids[order], pos[order]))
+    # A chunk of cells holds at most BATCH_ROWS cell x landmark rows.
+    # Each cell keeps its n_max nearest landmarks by (distance, id), then
+    # orders them by id, so equal contents compare equal.
+    submaps, step_cells = [], max(1, BATCH_ROWS // len(ids))
+    for lo in range(0, len(c3), step_cells):
+        centers = c3[lo:lo + step_cells]
+        dist = np.linalg.norm(pos[None, :, :] - centers[:, None, :], axis=2)
+        order = np.lexsort((np.broadcast_to(ids, dist.shape), dist))[:, :params.n_max]
+        order = np.take_along_axis(order, np.argsort(ids[order], axis=1), axis=1)
+        for center, members, points in zip(centers[:, :2], ids[order].tolist(),
+                                           pos[order]):
+            submaps.append(Submap(center, members, points))
     return submaps

@@ -17,6 +17,7 @@ from vista_align.core import (CameraIntrinsics, DegenerateGeometryError, ObjectM
 from vista_align.core import InputError
 from vista_align.formats import (_NUMBER, _compact, _f, _floats, _intrinsics, _invalid,
                                  _json, _require, transform_to_json)
+from vista_align.submap import Submap
 from vista_align.triangulation import _residuals
 
 
@@ -527,6 +528,34 @@ def densest_clique_dense(affinity):
         d = 0.25 if d == 0.0 else d * 1.4
 
     return np.array(_round(u, A, feasible), dtype=int)   # sorted
+
+
+def generate_submaps_per_cell(obj_map, params):
+    """`submap.generate_submaps` as it selected one cell at a time, with its
+    own distances, `(distance, id)` lexsort, n_max cut and id sort: the
+    reference the chunked pass must match cell for cell and bit for bit.
+    The grid cap is left out."""
+    if len(obj_map) == 0:
+        return []
+    pos = obj_map.positions
+    ids = np.array(obj_map.ids)
+    step = params.overlap
+    mins = pos[:, :2].min(axis=0).tolist()
+    extents = [hi - lo for lo, hi in zip(mins, pos[:, :2].max(axis=0).tolist())]
+    counts = [int((e + 1e-9) / step // 1 + 1) for e in extents]
+    z_mean = pos[:, 2].mean()
+    submaps = []
+    for ix in range(counts[0]):
+        for iy in range(counts[1]):
+            center = np.array([mins[0] + ix * step, mins[1] + iy * step])
+            c3 = np.array([center[0], center[1], z_mean])
+            dist = np.linalg.norm(pos - c3, axis=1)
+            order = np.lexsort((ids, dist))[:params.n_max]
+            if len(order) < params.s_max + 1:
+                continue
+            order = order[np.argsort(ids[order])]
+            submaps.append(Submap(center, ids[order], pos[order]))
+    return submaps
 
 
 def track_file_to_json_per_value(intrinsics, poses, tracks):

@@ -591,14 +591,27 @@ def test_local_improve_matches_the_dense_reference():
     assert moved > starts // 2
 
 
-def test_has_clique_matches_the_per_edge_bitsets():
-    # 2,500 candidates: every node is in the k-core, and its dense rows
-    # span over 40 blocks of `_BLOCK` entries
-    aff = random_affinity(50)
-    assert aff.size // (association._BLOCK // aff.size) > 40
-    answers = [has_clique(aff, k) for k in range(2, 9)]
-    assert answers == [has_clique_per_edge(aff, k) for k in range(2, 9)]
-    assert True in answers and False in answers
+def test_has_clique_matches_the_per_edge_bitsets(monkeypatch):
+    # 2,500 random candidates, every node in the k-core: the search visits
+    # many rows; on overlapping pairs it finds a clique within a few
+    graphs = [random_affinity(50)] + [seeded_affinity(seed, True) for seed in range(8)]
+    answers = set()
+    for aff in graphs:
+        got = [has_clique(aff, k) for k in range(2, 9)]
+        assert got == [has_clique_per_edge(aff, k) for k in range(2, 9)]
+        answers.update(got)
+    assert answers == {True, False}
+
+    # a 36-point map against a moved copy: 1,296 candidates, all in the
+    # 5-core; the search packs the core, then one row per member it takes
+    pts = np.random.default_rng(3).uniform(0.0, 10.0, size=(36, 3)) * [1.0, 1.0, 0.15]
+    aff = build_affinity(sub(pts), sub(pts + [0.3, -0.2, 0.0]), Hyperparameters())[1]
+    assert association._k_core(aff, 5).all() and has_clique_per_edge(aff, 5)
+    packbits, packed = np.packbits, []
+    monkeypatch.setattr(np, "packbits",
+                        lambda *args, **kwargs: packed.append(1) or packbits(*args, **kwargs))
+    assert has_clique(aff, 5)
+    assert len(packed) < 10
 
 
 @pytest.mark.parametrize("block", [1, 997, association._BLOCK])

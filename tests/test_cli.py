@@ -429,6 +429,7 @@ BASE_ARGS = {
 }
 
 NAN = float("nan")
+C45 = 0.5 ** 0.5
 FAR_LANDMARKS = [{"id": i, "position": [1e308 if i == 3 else i % 5, i // 5, 0.1 * i],
                   "covariance": [1, 0, 0, 0, 1, 0, 0, 0, 1]} for i in range(20)]
 
@@ -503,6 +504,14 @@ MALFORMED = {
     # ||R'R - I|| = 6e-9: within a track-file pose's 1e-8, not --truth's 1e-9
     "truth_rotation_6e-9_off_orthonormal": (["evaluate"], {"truth": {"rotation": [
         1 + 3e-9, 0, 0, 0, 1, 0, 0, 0, 1]}}, "rotation"),
+    # map b pulled back by the truth lands past int64's voxel indices
+    "truth_translation_far": (["evaluate"], {"truth": {"translation": [-1e308, 0, 0]}},
+                              "translation"),
+    # a 45-degree yaw adds two 1.7e308 components: the inverse's translation
+    # overflows the float range
+    "truth_inverse_overflows": (["evaluate"], {"truth": {
+        "rotation": [C45, -C45, 0, C45, C45, 0, 0, 0, 1],
+        "translation": [1.7e308, 1.7e308, 0]}}, "translation"),
     "map_not_utf8": (["match", "--map-a", "{not_utf8}"], {}, "{not_utf8}"),
     "config_not_utf8": (["match", "--config", "{not_utf8}"], {}, "{not_utf8}"),
     "omega_percentile_above_100": (["match", "--config", "{omega_cfg}"], {},
@@ -530,6 +539,39 @@ def test_malformed_input_exits_1_naming_field(case, small_maps, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert field.format(**small_maps) in err
+
+
+def test_one_parser_serves_every_run(small_maps, monkeypatch, capsys):
+    # run builds its parser once: a --top-k of one run does not carry over
+    # to the next, a later usage error still exits 1, and each run calls
+    # the command bound at that time
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda build=cli.build_parser: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        base = ["match", "--map-a", small_maps["a"], "--map-b", small_maps["b"], "--out"]
+        top, full = (os.path.join(small_maps["dir"], f) for f in ("top.json", "full.json"))
+        assert cli.run(base + [top, "--top-k", "3"]) == 0
+        assert cli.run(base + [full]) == 0
+        params = Hyperparameters()
+        inliers = [submap.mahalanobis_filter(formats.load_map(small_maps[k]),
+                                             params.omega_percentile) for k in "ab"]
+        solves = alignment.align_maps(*inliers, params)
+        with open(top) as fh, open(full) as gh:
+            top_records, records = json.load(fh), json.load(gh)
+        assert len(records) == sum(len(a) * len(b) for a, b, _ in solves) > 3
+        assert top_records == records[:3]
+        capsys.readouterr()
+        assert cli.run(["match", "--top-k", "x"]) == 1
+        assert "--top-k" in capsys.readouterr().err
+        # a command rebound after the parser was built is the one that runs
+        called = []
+        monkeypatch.setattr(cli, "cmd_match", lambda args: called.append(args.top_k) or 0)
+        assert cli.run(base + [full, "--top-k", "2"]) == 0 and called == [2]
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_sweep_cap_is_on_the_count_of_values():

@@ -20,8 +20,9 @@ from vista_align.simulation import (Scene, SceneSpec, TrajectorySpec,
                                     trajectory_poses)
 from vista_align.submap import Submap
 
-from conftest import (parse_track_file_per_record, random_rotation, rotation_x,
-                      track_file_to_json_per_value, track_table)
+from conftest import (hypotheses_to_json_per_grid_pair, parse_track_file_per_record,
+                      random_rotation, rotation_x, track_file_to_json_per_value,
+                      track_table)
 
 
 def small_map():
@@ -145,6 +146,19 @@ def test_track_file_equals_per_value_writer():
                                      dynamic_velocity=0.5, seed=4))
     tracks, poses = render_tracks(scene, trajectory, intr, noise=0.5, dropout=0.1,
                                   duplicate_rate=0.3, seed=4)
+    assert formats.track_file_to_json(intr, poses, tracks) \
+        == track_file_to_json_per_value(intr, poses, tracks)
+
+
+@pytest.mark.parametrize("batch_rows", [1, 7])
+def test_track_file_pose_blocks_equal_the_per_value_writer(monkeypatch, batch_rows):
+    # 1 and 7 poses a block write 30 poses in several pieces
+    monkeypatch.setattr(formats, "BATCH_ROWS", batch_rows)
+    intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
+    trajectory = TrajectorySpec([(1.0, 1.0, 0.0), (9.0, 9.0, 0.0)], 30,
+                                camera_pitch=30.0, altitude=8.0)
+    tracks, poses = render_tracks(generate_scene(SceneSpec(40, (10.0, 10.0, 1.5))),
+                                  trajectory, intr, noise=0.5, seed=4)
     assert formats.track_file_to_json(intr, poses, tracks) \
         == track_file_to_json_per_value(intr, poses, tracks)
 
@@ -433,6 +447,26 @@ def test_save_hypotheses_writes_exact_bytes(tmp_path):
     assert read(path) == "[%s]" % ",".join([X % 0, Y])
     assert formats.save_hypotheses(path, []) == 0
     assert read(path) == "[]"
+
+
+def test_save_hypotheses_equals_the_per_grid_pair_writer(tmp_path):
+    # four solves: two of equal cardinality share source cells 2 and 5, so
+    # their runs interleave by target cell; every top-k, including those
+    # that cut inside a run, writes the reference's first records
+    rng = np.random.default_rng(5)
+    rotations = [random_rotation(rng) for _ in range(4)]
+    solves = [((0, 2, 5), (1, 4, 6), hypothesis(rotations[0], [1.0, -0.0, 2.5], 7, 0, 1)),
+              ((2, 3, 5), (0, 5), hypothesis(rotations[1], [0.0, 1e-9, -4.0], 7, 2, 0)),
+              ((1,), (2, 3, 7), hypothesis(rotations[2], [3.0, 3.0, 3.0], 9, 1, 2)),
+              ((4, 6), (8,), hypothesis(rotations[3], [-1.5, 0.25, 0.0], 5, 4, 8))]
+    path = str(tmp_path / "hyps.json")
+    total = sum(len(a) * len(b) for a, b, _ in solves)
+    for top_k in [None, *range(1, total + 2)]:
+        assert formats.save_hypotheses(path, solves, top_k) == min(top_k or total, total)
+        assert read(path) == hypotheses_to_json_per_grid_pair(solves, top_k)
+    records = json.loads(read(path))
+    assert [r["source_submap"] for r in records[6:18]] == [2] * 5 + [3] * 2 + [5] * 5
+    assert [r["target_submap"] for r in records[6:11]] == [0, 1, 4, 5, 6]
 
 
 def test_save_pr_table_writes_exact_bytes(tmp_path):

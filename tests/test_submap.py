@@ -8,7 +8,7 @@ from vista_align import submap
 from vista_align.core import Hyperparameters, InputError, ObjectMap
 from vista_align.submap import generate_submaps, mahalanobis_filter
 
-from conftest import map_from_points
+from conftest import generate_submaps_per_cell, map_from_points
 
 
 def test_mahalanobis_omega_100_keeps_all():
@@ -184,3 +184,43 @@ def test_submap_members_sorted_by_id():
         assert list(s.landmark_ids) == sorted(s.landmark_ids)
         for lid, p in zip(s.landmark_ids, s.points):
             assert np.allclose(p, pts[lid])
+
+
+def grid_cases():
+    """(map, params) pairs: seeded random maps with shuffled large ids, a
+    lattice whose cells sit on landmarks, so distances tie and n_max cuts
+    inside a tie, n_max at or above the landmark count, and too few
+    landmarks for any cell."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for n, n_max, step in ((20, 5, 0.7), (40, 12, 1.3), (30, 50, 1.0), (60, 30, 0.25)):
+        pts = rng.uniform(0.0, 6.0, size=(n, 3)) * np.array([1.0, 1.0, 0.2])
+        ids = (10 ** 6 + rng.permutation(n)).tolist()
+        cases.append((ObjectMap("a", ids, pts, np.tile(np.eye(3) * 1e-4, (n, 1, 1))),
+                      Hyperparameters(n_max=n_max, overlap=step, window=max(step, 2.0))))
+    lattice = np.array([[x, y, 0.0] for x in range(5) for y in range(5)], dtype=float)
+    ids = rng.permutation(25).tolist()
+    cases.append((ObjectMap("a", ids, lattice, np.tile(np.eye(3) * 1e-4, (25, 1, 1))),
+                  Hyperparameters(n_max=6, overlap=1.0)))
+    cases.append((map_from_points(lattice[:20]), Hyperparameters(n_max=50, overlap=1.0)))
+    cases.append((map_from_points(lattice[:4]), Hyperparameters(overlap=1.0)))
+    return cases
+
+
+@pytest.mark.parametrize("batch_rows", [1, 100, submap.BATCH_ROWS])
+def test_generate_submaps_equals_the_per_cell_loop(monkeypatch, batch_rows):
+    # 1 row puts each cell in a chunk of its own; 100 rows split the grid
+    # into chunks of a few cells and a shorter last one
+    monkeypatch.setattr(submap, "BATCH_ROWS", batch_rows)
+    sizes = set()
+    for obj_map, params in grid_cases():
+        got = generate_submaps(obj_map, params)
+        expected = generate_submaps_per_cell(obj_map, params)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.center.tobytes() == e.center.tobytes()
+            assert g.landmark_ids == e.landmark_ids
+            assert all(type(i) is int for i in g.landmark_ids)
+            assert g.points.tobytes() == e.points.tobytes()
+        sizes.add(len(got))
+    assert 0 in sizes and max(sizes) > 100
