@@ -22,6 +22,14 @@ whole graph (the restart node's near ties, `_heaviest_row`), they come
 `_BLOCK` entries at a time (`_blocks`). `has_clique` packs its bitsets from
 each visited row's own edges.
 
+On a pair with no overlap, most homotopy rounds repeat one 2-cycle of the
+ascent, between the restart node e_j and star(d), j's feasible row
+normalised. Once a round ends there and a certificate shows that every
+later round must too (`_RestartCycle`: the margin by which each other row
+stays non-positive only grows with the penalty, by more than rounding can
+move it), the loop jumps to the last round's star with one product. The
+result is the full schedule's, bit for bit (see `densest_clique`).
+
 Every set the heuristic returns is a clique of the graph A > 0: rounding and
 local moves only ever add a candidate that is feasible with every member. So
 its cardinality never exceeds the clique number, and `has_clique` tells
@@ -334,6 +342,14 @@ class _Penalised:
         return np.count_nonzero(inside[self.cols[edge]]) == len(nodes) ** 2
 
 
+def _step(M, u, restart):
+    """One step of the projected power iteration: max(M u, 0), normalised,
+    or `restart` when it collapses (M u <= 0 everywhere, up to 1e-12)."""
+    v = np.maximum(M @ u, 0.0)
+    norm = np.linalg.norm(v)
+    return v / norm if norm >= 1e-12 else restart
+
+
 def _ascend(M, u, iterations, restart):
     """Projected power iteration u <- max(M u, 0) / |max(M u, 0)| for at most
     `iterations` steps, stopping once u moves by less than 1e-9. An ascent
@@ -348,9 +364,7 @@ def _ascend(M, u, iterations, restart):
     result is identical to running every step."""
     path, seen = [u], {hash(u.tobytes()): [0]}   # path[k]: iterate after k steps
     for k in range(1, iterations + 1):
-        v = np.maximum(M @ u, 0.0)
-        norm = np.linalg.norm(v)
-        v = v / norm if norm >= 1e-12 else restart
+        v = _step(M, u, restart)
         if np.linalg.norm(v - u) < 1e-9:
             return v
         earlier = seen.setdefault(hash(v.tobytes()), [])
@@ -361,6 +375,61 @@ def _ascend(M, u, iterations, restart):
         path.append(v)
         u = v
     return u
+
+
+class _RestartCycle:
+    """The restart 2-cycle e_j -> star(d) -> e_j of `densest_clique`'s
+    homotopy, and the certificate that every later round ends on it (see
+    `densest_clique`). star(d) = max(M_d e_j, 0) normalised; its support is
+    S, row j's columns, for every penalty d the schedule reaches."""
+
+    def __init__(self, affinity, j, last):
+        self.affinity, self.j, self.last = affinity, j, last
+        self.row = slice(affinity.starts[j], affinity.starts[j + 1])
+        self.support = affinity.cols[self.row]
+        self.margins = None         # (P, Q), made at the first guard passed
+
+    def on_star(self, inside):
+        """The guard: the support of u, marked in `inside`, is exactly S."""
+        return (int(np.count_nonzero(inside)) == len(self.support)
+                and bool(inside[self.support].all()))
+
+    def settles(self, d_next, penalised, u, restart):
+        """Whether every round from penalty d_next to `last` must end on its
+        own star(d'): P < d_next Q on every row, which with P >= 0 also
+        makes Q > 0, so the margin d' Q - P only grows with d'; and u is
+        this round's star, bit for bit."""
+        if self.margins is None:
+            self.margins = self._margins()
+        P, Q = self.margins
+        return (bool((P < d_next * Q).all())
+                and np.array_equal(u, _step(penalised, restart, restart)))
+
+    def _margins(self):
+        """P and Q: for every row i != j, (M_d' v)_i rounds to <= 0 once
+        P_i <= d' Q_i, for any star v of a penalty d' <= `last` (see
+        `densest_clique`). Up to a common scale, such stars lie in the box
+        lo <= w <= hi, lo and hi = a -+ 2 eps (a + last) on S for row j's
+        entries a, and 0 elsewhere. P_i bounds in_i(hi) from above and Q_i
+        out_i(lo) from below, each less the product's rounding: g = (n + 8)
+        eps covers any order of summing a row or w, and the few roundings
+        after. If an entry of some star may fall to _SUPPORT_TOL, no row is
+        covered. Row j is left out: its entry is the one that survives."""
+        affinity, j = self.affinity, self.j
+        n = affinity.size
+        a = affinity.entries[self.row]
+        eps = np.finfo(float).eps
+        g = (n + 8) * eps
+        low, high = np.zeros(n), np.zeros(n)
+        low[self.support] = a - 2.0 * eps * (a + self.last)
+        high[self.support] = a + 2.0 * eps * (a + self.last)
+        if not low[self.support].min() > _SUPPORT_TOL * np.linalg.norm(high) * (1 + 4 * g):
+            return np.zeros(1), np.zeros(1)
+        starts = affinity.starts[:-1]
+        P = np.add.reduceat(affinity.entries * high[affinity.cols], starts) * (1 + 4 * g)
+        Q = low.sum() - np.add.reduceat(low[affinity.cols], starts) - 8 * g * high.sum()
+        P[j], Q[j] = 0.0, 1.0
+        return P, Q
 
 
 def _k_core(affinity, k):
@@ -449,6 +518,37 @@ def densest_clique(affinity):
     one on some overlapping pairs. The result is the one the full 200 steps
     give.
 
+    Fast-forward. On a pair with no overlap, the rounds from the second or
+    third on all end on that 2-cycle, e_j -> star(d) -> e_j, where star(d)
+    = max(M_d e_j, 0) normalised, with support S, row j's columns. A round
+    that starts from a star and ends on the cycle ends on its own star(d).
+    So once a round ends with support exactly S, not a clique (the guard,
+    O(n)), the loop asks `_RestartCycle.settles` for a certificate that
+    every later round must do the same:
+    - u is bit for bit this round's star(d), made by the ascent's own step;
+    - for every row i != j, every later penalty d' and every star v the
+      later rounds can meet, (M_d' v)_i rounds to <= 0. Then the step from
+      v leaves one positive entry x, at j, or none, and both give exactly
+      e_j: x / ||x|| is 1.0, as sqrt(fl(x^2)) is |x| in IEEE arithmetic,
+      and a collapse restarts at e_j itself. So each later round's ascent
+      runs star -> e_j -> star(d') -> e_j and ends on star(d'), whose
+      support is S again, not a clique, and never converges.
+    A later star differs from u only by rounding: the product gives
+    fl(fl(a + d') - d') for j's weights a, within eps (a + d') of a, so
+    every entry stays within 2 eps (a + d_59) of u's, up to a common scale
+    that does not change a sign. On S the exact (M_d' v)_i is in_i - d'
+    out_i, the weighted mass of i's edges into S less d' times the mass of
+    S off i's edges; bounding in_i from above and out_i from below over
+    that box, less the product's own rounding, gives a margin P_i - d' Q_i
+    that only falls as d' grows. Two checks would cover the remaining
+    schedule, P_i < d' Q_i at the next penalty and Q_i > 0 on the slope, but
+    P_i >= 0, so the first implies the second. P and Q are two row vectors,
+    made once per solve. Once certified, the loop sets the last
+    penalty d_59, made by the schedule's own repeated x1.4, makes star(d_59)
+    with one product and leaves: u is the full schedule's, bit for bit,
+    and so is the inlier set. A refused check costs no product; only a
+    passed one is followed by the product that compares u with star(d).
+
     The result is always a clique of A > 0 (`_grow` and `_local_improve` add
     only candidates feasible with every member), so its size is at most the
     clique number that `has_clique` bounds.
@@ -458,17 +558,25 @@ def densest_clique(affinity):
         return np.zeros(0, dtype=int)
     penalised = _Penalised(affinity)
 
+    j = _heaviest_row(affinity)
     restart = np.zeros(n)                         # e_j, j the heaviest row
-    restart[_heaviest_row(affinity)] = 1.0
+    restart[j] = 1.0
     u = _ascend(penalised, np.full(n, 1.0 / np.sqrt(n)), 100, restart)
 
-    d = 0.0
-    for _ in range(60):
+    penalties = [0.0]
+    while len(penalties) < 60:
+        penalties.append(0.25 if penalties[-1] == 0.0 else penalties[-1] * 1.4)
+    cycle = _RestartCycle(affinity, j, penalties[-1])
+    for r, d in enumerate(penalties):
         penalised.penalise(d)
         u = _ascend(penalised, u, 200, restart)
         inside = u > _SUPPORT_TOL
         if inside.any() and penalised.is_clique(inside):
             break
-        d = 0.25 if d == 0.0 else d * 1.4
+        if (r + 1 < len(penalties) and cycle.on_star(inside)
+                and cycle.settles(penalties[r + 1], penalised, u, restart)):
+            penalised.penalise(penalties[-1])     # the last round's star
+            u = _step(penalised, restart, restart)
+            break
 
     return np.array(_round(u, affinity), dtype=int)   # sorted

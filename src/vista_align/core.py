@@ -28,6 +28,13 @@ import numpy as np
 # `build_map` took 36 ms at 2,048 rows, 31 ms at 4,096 and 28 ms in one block.
 BATCH_ROWS = 4096
 
+# The finite range of input quantities. Coordinates and lengths (m) and pixel
+# quantities (px) lie within +-MAX_COORDINATE, map covariance entries (m^2)
+# within MAX_COORDINATE^2, and focal lengths are at least 1 / MAX_COORDINATE
+# px. So every square, product and ratio the pipeline forms of them, and sums
+# of millions of those, stay far inside the float range: no step overflows.
+MAX_COORDINATE = 1e9
+
 
 def row_blocks(starts, size):
     """Split units 0..n-1, unit u owning the rows starts[u]:starts[u + 1],
@@ -60,6 +67,11 @@ def _as_readonly(a, shape, name):
 
 
 def check_rotation(R, tol):
+    # an entry past 1 + tol puts its column's norm, and so ||R'R - I||, past
+    # tol; rejected before R'R, which a huge entry overflows
+    big = np.abs(R).max()
+    if big > 1.0 + tol:
+        raise ValueError("rotation is not orthonormal (an entry of magnitude %g)" % big)
     err = np.linalg.norm(R.T @ R - np.eye(3))
     if err >= tol:
         raise ValueError("rotation is not orthonormal (||R'R - I|| = %g)" % err)
@@ -78,8 +90,12 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         for name in ("fx", "fy"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError("%s must be finite and positive" % name)
+            if not 1.0 / MAX_COORDINATE <= getattr(self, name) <= MAX_COORDINATE:
+                raise ValueError("%s must lie in [%g, %g] px"
+                                 % (name, 1.0 / MAX_COORDINATE, MAX_COORDINATE))
+        for name in ("width", "height"):
+            if getattr(self, name) > MAX_COORDINATE:
+                raise ValueError("%s must be at most %g px" % (name, MAX_COORDINATE))
         if not (0 <= self.cx < self.width):
             raise ValueError("cx must lie within [0, width)")
         if not (0 <= self.cy < self.height):
@@ -98,8 +114,8 @@ class Poses:
     """Camera poses by frame: row k holds frame frames[k] (distinct ints),
     its body-to-odometry rotations[k] (F, 3, 3) and translations[k] (F, 3);
     poses[k] is row k's `Pose` and poses[lo:hi] the block's. Each row must
-    pass `RigidTransform`'s checks, made for all rows at once; the rows are
-    then sorted by frame."""
+    pass `check_pose`, made for all rows at once; the rows are then sorted
+    by frame."""
 
     frames: tuple
     rotations: np.ndarray
@@ -111,13 +127,15 @@ class Poses:
             raise ValueError("pose frames must be distinct")
         R = np.array(self.rotations, dtype=float).reshape(len(frames), 3, 3)
         t = np.array(self.translations, dtype=float).reshape(len(frames), 3)
-        finite = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
-        R1 = np.where(finite[:, None, None], R, np.eye(3))
+        # NaN fails both tests; an entry past 2 fails check_rotation anyway
+        sane = ((np.abs(R) <= 2.0).all(axis=(1, 2))
+                & (np.abs(t) <= MAX_COORDINATE).all(axis=1))
+        R1 = np.where(sane[:, None, None], R, np.eye(3))
         err = np.linalg.norm(np.swapaxes(R1, 1, 2) @ R1 - np.eye(3), axis=(1, 2))
-        for k in np.flatnonzero(~finite | (err >= 1e-8)
+        for k in np.flatnonzero(~sane | (err >= 1e-8)
                                 | (np.abs(np.linalg.det(R1) - 1.0) >= 1e-8)):
-            try:                        # RigidTransform names the fault
-                RigidTransform(R[k], t[k])
+            try:                        # check_pose names the fault
+                check_pose(R[k], t[k])
             except ValueError as exc:
                 raise ValueError("pose at frame %d: %s" % (frames[k], exc)) from exc
         order = sorted(range(len(frames)), key=frames.__getitem__)
@@ -292,6 +310,14 @@ class RigidTransform:
     def apply(self, points):
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
+
+
+def check_pose(rotation, translation):
+    """Raise the ValueError of a track-file pose that `RigidTransform`
+    rejects or whose translation lies past MAX_COORDINATE."""
+    RigidTransform(rotation, translation)
+    if not (np.abs(translation) <= MAX_COORDINATE).all():
+        raise ValueError("translation must lie within +-%g m" % MAX_COORDINATE)
 
 
 def project(pose, intrinsics, points):

@@ -14,8 +14,9 @@ import tempfile
 
 import numpy as np
 
-from .core import (BATCH_ROWS, CameraIntrinsics, Hyperparameters, InputError, ObjectMap,
-                   Poses, RigidTransform, Tracks, check_rotation, transform_angles)
+from .core import (BATCH_ROWS, MAX_COORDINATE, CameraIntrinsics, Hyperparameters,
+                   InputError, ObjectMap, Poses, RigidTransform, Tracks, check_pose,
+                   check_rotation, transform_angles)
 from .simulation import SceneSpec, TrajectorySpec
 
 
@@ -123,9 +124,17 @@ def parse_map(text):
                                   length=3))
         covariances.append(_require(rec, "covariance",
                                     context=" in landmark record", length=9))
+    positions = np.reshape(positions, (-1, 3))
+    covariances = np.reshape(covariances, (-1, 9))
+    for field, values, limit in (("position", positions, MAX_COORDINATE),
+                                 ("covariance", covariances, MAX_COORDINATE ** 2)):
+        far = (np.abs(values) > limit).any(axis=1)
+        if far.any():
+            raise InputError("field '%s' of landmark %d must lie within +-%g"
+                             % (field, ids[np.argmax(far)], limit))
     with _invalid("map"):
-        return ObjectMap(agent_id, ids, np.reshape(positions, (-1, 3)),
-                         np.reshape(covariances, (-1, 3, 3)), frame_label)
+        return ObjectMap(agent_id, ids, positions, covariances.reshape(-1, 3, 3),
+                         frame_label)
 
 
 def save_map(obj_map, path):
@@ -216,7 +225,7 @@ def _first_fault(data, intrinsics):
         if frame in poses:
             raise InputError("duplicate pose for field 'frame' = %d" % frame)
         with _invalid("pose at frame %d" % frame):
-            RigidTransform(rot.reshape(3, 3), tra)
+            check_pose(rot.reshape(3, 3), tra)
         poses.add(frame)
     ids = []
     for rec in _require(data, "tracks", list):

@@ -20,8 +20,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (BATCH_ROWS, ObjectMap, Poses, RigidTransform, Tracks, project,
-                   rotation_y, rotation_z)
+from .core import (BATCH_ROWS, MAX_COORDINATE, ObjectMap, Poses, RigidTransform,
+                   Tracks, project, rotation_y, rotation_z)
 
 # camera-to-world for a nadir view: optical axis straight down, image x = +x
 _R_NADIR = np.array([[1.0, 0.0, 0.0],
@@ -44,16 +44,18 @@ class SceneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "extent", tuple(float(e) for e in self.extent))
-        if len(self.extent) != 3 or not all(0 < e < math.inf for e in self.extent):
-            raise ValueError("extent must be three finite positive components")
+        if len(self.extent) != 3 or not all(0 < e <= MAX_COORDINATE for e in self.extent):
+            raise ValueError("extent must be three positive components of at most %g m"
+                             % MAX_COORDINATE)
         if self.n_objects < 0:
             raise ValueError("n_objects must be >= 0")
         if self.n_objects > self.MAX_OBJECTS:
             raise ValueError("n_objects must be <= %d" % self.MAX_OBJECTS)
         if not (0 <= self.n_dynamic <= self.n_objects):
             raise ValueError("n_dynamic must lie in [0, n_objects]")
-        if not abs(self.dynamic_velocity) < math.inf:
-            raise ValueError("dynamic_velocity must be finite")
+        if not abs(self.dynamic_velocity) <= MAX_COORDINATE:
+            raise ValueError("dynamic_velocity must be finite, within +-%g m/frame"
+                             % MAX_COORDINATE)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -78,11 +80,13 @@ class TrajectorySpec:
             raise ValueError("camera_pitch must lie in [0, 89] degrees")
         if len(self.waypoints) < 2:
             raise ValueError("at least two waypoints are required")
-        if not (np.all(np.isfinite(self.waypoints)) and abs(self.altitude) < math.inf):
-            raise ValueError("waypoints and altitude must be finite")
+        if not np.all(np.abs(self.waypoints) <= MAX_COORDINATE):
+            raise ValueError("waypoints must be finite, within +-%g m" % MAX_COORDINATE)
+        if not abs(self.altitude) <= MAX_COORDINATE:
+            raise ValueError("altitude must be finite, within +-%g m" % MAX_COORDINATE)
         xy = np.array(self.waypoints)[:, :2]
-        if not 0 < np.linalg.norm(np.diff(xy, axis=0), axis=1).sum() < math.inf:
-            raise ValueError("waypoints must span a non-degenerate, finite path")
+        if not np.linalg.norm(np.diff(xy, axis=0), axis=1).sum() > 0:
+            raise ValueError("waypoints must span a non-degenerate path")
 
 
 @dataclass(frozen=True)

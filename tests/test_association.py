@@ -443,8 +443,9 @@ def test_ascend_convergent_case_is_unchanged():
     assert counted.calls < 200       # the 200-step run converged
 
 
-def _clique_and_matvecs(monkeypatch, ascend, aff):
-    """densest_clique with `ascend` as its ascent loop, and its matvecs."""
+def _clique_and_matvecs(monkeypatch, ascend, aff, fast_forward=True):
+    """densest_clique with `ascend` as its ascent loop, and its matvecs;
+    without `fast_forward`, the homotopy runs every round."""
     calls = []
 
     def counted(M, u, iterations, restart):
@@ -453,8 +454,11 @@ def _clique_and_matvecs(monkeypatch, ascend, aff):
         calls.append(matrix.calls)
         return out
 
-    monkeypatch.setattr(association, "_ascend", counted)
-    return densest_clique(aff), sum(calls)
+    with monkeypatch.context() as patch:
+        patch.setattr(association, "_ascend", counted)
+        if not fast_forward:
+            patch.setattr(association._RestartCycle, "settles", lambda *args: False)
+        return densest_clique(aff), sum(calls)
 
 
 @pytest.mark.parametrize("overlap", [False, True])
@@ -466,14 +470,159 @@ def test_densest_clique_cycle_exit_keeps_the_inlier_set(monkeypatch, overlap):
         t = RigidTransform(rotation_z(40.0), np.array([2.0, -1.0, 0.0]))
         pb[:10] = t.apply(pa[:10])
     pairs, aff = build_affinity(sub(pa), sub(pb), Hyperparameters())
-    want, ref_calls = _clique_and_matvecs(monkeypatch, _reference_ascend, aff)
+    want, ref_calls = _clique_and_matvecs(monkeypatch, _reference_ascend, aff,
+                                          fast_forward=False)
     got, calls = _clique_and_matvecs(monkeypatch, _ascend, aff)
     assert got.tolist() == want.tolist()
     if overlap:
         assert pairs[got].tolist() == [[i, i] for i in range(10)]
     else:                            # the whole homotopy schedule cycles
         assert ref_calls > 10000
-        assert calls < 1000
+        assert calls < 50            # 42: two rounds, then the fast-forward
+
+
+def _solve(monkeypatch, aff, fast_forward=True):
+    """densest_clique's inlier set, the bytes of its u before rounding, its
+    penalised products, and whether the fast-forward fired; without
+    `fast_forward`, the homotopy runs every round."""
+    seen = {"products": 0, "fired": False}
+    product, settles, round_ = (association._Penalised.__matmul__,
+                                association._RestartCycle.settles, association._round)
+
+    def counted(self, u):
+        seen["products"] += 1
+        return product(self, u)
+
+    def spied(self, *args):
+        seen["fired"] = settles(self, *args)
+        return seen["fired"]
+
+    def rounded(u, affinity):
+        seen["u"] = u.tobytes()
+        return round_(u, affinity)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(association._Penalised, "__matmul__", counted)
+        patch.setattr(association._RestartCycle, "settles",
+                      spied if fast_forward else lambda *args: False)
+        patch.setattr(association, "_round", rounded)
+        out = densest_clique(aff).tolist()
+    return out, seen["u"], seen["products"], seen["fired"]
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_fast_forward_ends_where_the_full_schedule_does(monkeypatch, overlap):
+    # the u the rounding starts from, bit for bit; a pair where the
+    # fast-forward does not fire makes no extra penalised product
+    fired = 0
+    for seed in range(100):
+        aff = seeded_affinity(seed, overlap)
+        got = _solve(monkeypatch, aff)
+        want = _solve(monkeypatch, aff, fast_forward=False)
+        assert got[:2] == want[:2], seed
+        if got[3]:
+            fired += 1
+            assert got[2] < want[2], seed
+        else:
+            assert got[2] == want[2], seed
+    # 77 and 18 of 100: the overlapping pairs whose search finds no clique
+    # of the shared points end on the restart 2-cycle too
+    assert fired > 50 if not overlap else 0 < fired < 50
+
+
+def test_fast_forward_cuts_the_products_of_a_zero_overlap_pair(monkeypatch):
+    aff = random_affinity(32)            # 1,024 candidates, no overlap
+    got = _solve(monkeypatch, aff)
+    want = _solve(monkeypatch, aff, fast_forward=False)
+    assert got[:2] == want[:2] and got[3]
+    assert want[2] > 150 and got[2] <= 50      # 172 and 24
+
+
+def thin_margin_affinity():
+    """A zero-overlap graph (`seeded_affinity(1, False)`) and two candidates
+    added by hand: k, joined to the restart row j alone, by 1.6e-7, and i,
+    joined to j by 7e-8 and to j's other columns by 1e-9. So row i's margin
+    in_i - d out_i over j's columns, out_i = 1.6e-7, turns negative near
+    d = 0.9: at 0.96 the ascent settles on the restart 2-cycle, but at the
+    next penalty the margin is thinner than the later stars' rounding
+    (about 2 eps d_59 = 3.3e-8 an entry) could move. Returns the graph, j
+    and i."""
+    A = dense(seeded_affinity(1, False))
+    n = len(A)
+    j = int(np.argmax(A.sum(axis=1)))
+    M = np.zeros((n + 2, n + 2))
+    M[:n, :n] = A
+    M[n, n] = M[n + 1, n + 1] = 1.0
+    star = np.flatnonzero(A[j] > 0.0)
+    M[n, star] = M[star, n] = 1e-9
+    M[n, j] = M[j, n] = 7e-8
+    M[n + 1, j] = M[j, n + 1] = 1.6e-7
+    return affinity_from_dense(M), j, n
+
+
+def test_fast_forward_refuses_a_margin_too_thin_at_the_next_penalty(monkeypatch):
+    aff, j, i = thin_margin_affinity()
+    assert _heaviest_row(aff) == j
+    checks, settles = [], association._RestartCycle.settles
+
+    def spied(self, d_next, penalised, u, restart):
+        fired = settles(self, d_next, penalised, u, restart)
+        P, Q = self.margins
+        star = np.array_equal(u, association._step(penalised, restart, restart))
+        checks.append((d_next, np.flatnonzero(P >= d_next * Q).tolist(), star, fired))
+        return fired
+
+    monkeypatch.setattr(association._RestartCycle, "settles", spied)
+    got = _solve(monkeypatch, aff)
+    monkeypatch.undo()
+    want = _solve(monkeypatch, aff, fast_forward=False)
+    assert got[:2] == want[:2] and got[3]
+    # the first round that ends on its star is refused, on row i alone
+    first = next(c for c in checks if c[2])
+    assert first[1] == [i] and not first[3]
+    assert checks[-1][3] and checks[-1][0] == first[0] * 1.4
+
+
+def test_fast_forward_needs_u_to_be_the_star_bit_for_bit(monkeypatch):
+    aff = random_affinity(32)            # 1,024 candidates, no overlap
+    fired, settles = [], association._RestartCycle.settles
+
+    def spied(self, d_next, penalised, u, restart):
+        if settles(self, d_next, penalised, u, restart):
+            fired.append((self, d_next, penalised.d, u.copy(), restart))
+            return True
+        return False
+
+    monkeypatch.setattr(association._RestartCycle, "settles", spied)
+    densest_clique(aff)
+    (cycle, d_next, d, u, restart), = fired
+    penalised = _Penalised(aff)
+    penalised.penalise(d)
+    assert settles(cycle, d_next, penalised, u, restart)
+    # one ulp off star(d) in one entry of S: the later rounds could leave
+    # the cycle, so the certificate refuses
+    k = cycle.support[cycle.support != cycle.j][0]
+    u[k] = np.nextafter(u[k], 1.0)
+    assert not settles(cycle, d_next, penalised, u, restart)
+
+
+def test_fast_forward_refuses_a_star_entry_the_last_rounds_can_drop():
+    # restart row j gains a column of weight w. The later stars hold
+    # fl(fl(w + d) - d) for d up to d_59 = 7.5e7, within 2 eps (w + d_59) =
+    # 3.3e-8 of w: an entry w / ||a|| = 1.2e-8 could fall under _SUPPORT_TOL
+    # there, so the certificate covers no row at any penalty; 3e-8 cannot
+    A = dense(seeded_affinity(0, False))
+    n = len(A)
+    j = int(np.argmax(A.sum(axis=1)))
+    penalties = [0.25 * 1.4 ** k for k in range(59)]
+    for scale, covered in ((1.2e-8, False), (3e-8, True)):
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = A
+        M[n, n] = 1.0
+        M[n, j] = M[j, n] = scale * np.linalg.norm(A[j])
+        cycle = association._RestartCycle(affinity_from_dense(M), j, penalties[-1])
+        P, Q = cycle._margins()
+        assert any((P < d * Q).all() for d in penalties) == covered
 
 
 def seeded_affinity(seed, overlap):

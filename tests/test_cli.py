@@ -433,6 +433,17 @@ C45 = 0.5 ** 0.5
 FAR_LANDMARKS = [{"id": i, "position": [1e308 if i == 3 else i % 5, i // 5, 0.1 * i],
                   "covariance": [1, 0, 0, 0, 1, 0, 0, 0, 1]} for i in range(20)]
 
+FAR_COVARIANCE = [{"id": i, "position": [i % 5, i // 5, 0.1 * i],
+                   "covariance": [1e308 if i == 3 else 1, 0, 0, 0, 1, 0, 0, 0, 1]}
+                  for i in range(20)]
+# four cameras 1 m apart along x, 8 m up, and one object all four see: with
+# valid fields it triangulates, so a faulty field reaches triangulation
+FOUR_POSES = [{"frame": f, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+               "translation": [float(f), 0.0, 8.0]} for f in range(4)]
+ONE_TRACK = [{"id": 0, "detections": [{"frame": f, "u": 320.0 - 50.0 * f, "v": 240.0}
+                                      for f in range(4)]}]
+FAR_POSE = FOUR_POSES[:3] + [{**FOUR_POSES[3], "translation": [1e308, 0.0, 8.0]}]
+
 # case: (argv, {input file: patch of its JSON}, expected name)
 MALFORMED = {
     # usage errors exit 1 too, not argparse's 2, which is match's "no hypothesis"
@@ -489,6 +500,23 @@ MALFORMED = {
                              {"trajectory": {"intrinsics": {"fx": "a"}}}, "fx"),
     "tracks_nan_fx": (["build-map"], {"tracks": {"intrinsics": {"fx": NAN}}},
                       "fx"),
+    # the coordinate range (core.MAX_COORDINATE): each of these overflowed,
+    # with a RuntimeWarning or a traceback, before its field was named
+    "tracks_subnormal_fx": (["build-map"], {"tracks": {
+        "intrinsics": {"fx": 1e-320}, "poses": FOUR_POSES, "tracks": ONE_TRACK}}, "fx"),
+    "tracks_far_pose_translation": (["build-map"], {"tracks": {
+        "poses": FAR_POSE, "tracks": ONE_TRACK}}, "translation"),
+    "tracks_far_pose_rotation": (["build-map"], {"tracks": {"poses": [
+        {"frame": 0, "rotation": [1e308, 0, 0, 0, 1, 0, 0, 0, 1],
+         "translation": [5.0, 5.0, 8.0]}]}}, "rotation"),
+    "scene_far_extent": (["simulate"], {"scene": {"extent": [1e308, 1e308, 1.5]}},
+                         "extent"),
+    "scene_far_dynamic_velocity": (["simulate"], {"scene": {
+        "n_dynamic": 3, "dynamic_velocity": 1e308}}, "dynamic_velocity"),
+    "trajectory_far_waypoint": (["simulate"], {"trajectory": {
+        "waypoints": [[1.0, 1.0, 0.0], [1e308, 9.0, 0.0]]}}, "waypoints"),
+    "map_far_covariance": (["match"], {"a": {"landmarks": FAR_COVARIANCE}},
+                           "'covariance'"),
     "map_file_is_a_number": (["match", "--map-a", "{five}"], {}, "agent_id"),
     # 20 landmarks, one at x = 1e308: the inlier filter's covariance overflows
     "submaps_far_landmark": (["submaps", "--map", "{a}", "--out", "{out}"],

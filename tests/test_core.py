@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from vista_align.core import (CameraIntrinsics, Hyperparameters, ObjectMap, Poses,
-                              RigidTransform, Tracks, project, rotation_y,
-                              rotation_z, row_blocks, transform_angles)
+from vista_align.core import (MAX_COORDINATE, CameraIntrinsics, Hyperparameters,
+                              ObjectMap, Poses, RigidTransform, Tracks, project,
+                              rotation_y, rotation_z, row_blocks, transform_angles)
 
 from conftest import identity, random_rotation, rotation_x
 
@@ -209,6 +209,23 @@ def test_track_centroids_are_one_checked_array():
         Tracks([0, 1], [0, 2, 1], [0], np.ones((1, 2)))
     with pytest.raises(ValueError, match="rows be >= 0"):
         Tracks([0], [0, 1], [-1], np.ones((1, 2)))
+
+
+def test_inputs_hold_to_the_coordinate_range():
+    # the range's ends are accepted; past them, a field is named before any
+    # product of it can overflow
+    R = np.stack([np.eye(3)] * 2)
+    Poses([0, 1], R, [[MAX_COORDINATE, -MAX_COORDINATE, 0.0], [0.0, 0.0, 8.0]])
+    with pytest.raises(ValueError, match="frame 1: translation must lie within"):
+        Poses([0, 1], R, [[0.0, 0.0, 8.0], [MAX_COORDINATE * 1.5, 0.0, 8.0]])
+    R[1, 0, 0] = 1e308
+    with pytest.raises(ValueError, match="frame 1: rotation is not orthonormal"):
+        Poses([0, 1], R, np.zeros((2, 3)))
+    for fx in (1.0 / MAX_COORDINATE, MAX_COORDINATE):
+        CameraIntrinsics(fx, fx, 0.0, 0.0, int(MAX_COORDINATE), 1)
+    for fx, width in ((1e-320, 100), (1e10, 100), (1.0, 10 ** 10)):
+        with pytest.raises(ValueError, match="fx must lie|width must be"):
+            CameraIntrinsics(fx, 1.0, 0.0, 0.0, width, 1)
 
 
 def test_pose_table_checks_rows_in_order_then_sorts_by_frame():
