@@ -19,8 +19,10 @@ growth, the local moves), that row is scattered from the edges and summed
 as numpy sums it, so results are those of the dense matrix. `_rows` is the
 only code that scatters edges into dense rows; where the rows can span the
 whole graph (the restart node's near ties, `_heaviest_row`), they come
-`_BLOCK` entries at a time (`_blocks`). `has_clique` packs its bitsets from
-each visited row's own edges.
+`_BLOCK` entries at a time (`_blocks`). `_grow` scatters its live block,
+A[live][:, live], once live fits `_BLOCK` entries, and reads each step's
+rows from it. `has_clique` packs its bitsets from each visited row's own
+edges.
 
 On a pair with no overlap, most homotopy rounds repeat one 2-cycle of the
 ascent, between the restart node e_j and star(d), j's feasible row
@@ -39,12 +41,15 @@ of inliers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import InputError, row_blocks
 
+# The cap keeps every edge key p * n + q below n^2 = 10^8 < 2^31, so the
+# keys fit int32 (see `build_affinity`), and it bounds a graph's memory.
 MAX_CANDIDATES = 10000
 _SUPPORT_TOL = 1e-8
 _BLOCK = 1 << 17        # dense-row entries `_blocks` scatters at once: 1 MB
@@ -125,18 +130,27 @@ def build_affinity(submap_a, submap_b, params):
     # n^2 fits int32.
     key_a = np.add.outer(np.arange(na) * (nb * n), np.arange(na) * nb).ravel()
     key_b = np.add.outer(np.arange(nb) * n, np.arange(nb)).ravel()
-    a = np.flatnonzero(DA >= params.gamma)          # gamma within map A
+    # DA and DB are exactly symmetric (x - y is exactly -(y - x)), so the
+    # edge (p, q) and its mirror (q, p) have the same X: the search takes
+    # A's pairs with i < j, and mirrors what it finds.
+    a = np.flatnonzero(np.triu(DA.reshape(na, na) >= params.gamma, 1))
     b = np.flatnonzero(DB >= params.gamma)          # gamma within map B
     b = b[np.argsort(DB[b])]
     keys, weights = _agreeing(DA[a], key_a[a].astype(np.int32), DB[b],
                               key_b[b].astype(np.int32), params)
-    keys = np.concatenate([keys, np.arange(0, n * n, n + 1, dtype=np.int32)])
-    order = np.argsort(keys)
-    keys = keys[order]
-    entries = np.concatenate([weights, np.ones(n)])[order]
-    starts = np.searchsorted(keys, np.arange(n + 1, dtype=np.int32) * n)
+    p, q = np.divmod(keys, n)
+    keys = np.concatenate([keys, q * n + p,
+                           np.arange(0, n * n, n + 1, dtype=np.int32)])
+    weights = np.concatenate([weights, weights, np.ones(n)])
+    # The keys are distinct, so one sort of each key with its position (at
+    # most n^2 < 2^32) in the low 32 bits gives argsort's order and the
+    # sorted keys.
+    packed = np.sort((keys.astype(np.int64) << 32) | np.arange(len(keys)))
+    entries = weights[packed & 0xFFFFFFFF]
+    keys = packed >> 32
+    starts = np.searchsorted(keys, np.arange(n + 1) * n)
     return (np.indices((na, nb)).reshape(2, n).T,
-            AffinityMatrix(n, starts, (keys % n).astype(np.intp), entries))
+            AffinityMatrix(n, starts, keys % n, entries))
 
 
 def _agreeing(d, key_d, vals, key_v, params):
@@ -156,7 +170,9 @@ def _agreeing(d, key_d, vals, key_v, params):
     if not weights.all():
         hit[hit] = weights > 0.0
         weights = weights[weights > 0.0]
-    return key_d[s[hit]] + key_v[at[hit]], weights
+    keys = key_d[s]
+    keys += key_v[at]
+    return keys[hit], weights
 
 
 def _ranges(lo, lengths):
@@ -222,12 +238,19 @@ def _grow(affinity, seeds):
     the current set (ties: lowest index). Returns per seed the densest
     prefix of its growth sequence and that prefix's density.
 
-    All seeds grow at once, on (S, live) arrays: the columns still feasible
-    for some seed, fewer at every step. Each seed adds, step by step, the
-    same dense rows in the same order as growing it alone on the dense
-    matrix, so its sums are those.
+    All seeds grow at once, on (seeds, live) arrays: the seeds still
+    growing, and the columns still feasible for some seed. A seed with no
+    feasible column left is done and leaves the arrays. Each seed adds,
+    step by step, the same dense rows in the same order as growing it alone
+    on the dense matrix, so its sums are those. Until live fits a block of
+    `_BLOCK` entries, it drops the columns no seed can take at every step,
+    and each step scatters its added rows from the edges. Then
+    A[live][:, live] is scattered once, and each step reads its rows from
+    that block; live stays as it is, since a column no seed can take is
+    never any seed's argmax.
     """
     S, m = seeds.shape
+    grow = each = np.arange(S)      # the seeds still growing, and their rows
     live = np.zeros(affinity.size, dtype=bool)
     live[affinity.cols[_edges(affinity, seeds.ravel())[0]]] = True
     live = np.flatnonzero(live)
@@ -235,29 +258,38 @@ def _grow(affinity, seeds):
     at = np.searchsorted(live, seeds)                 # the seeds' own columns
     sig = rows.sum(axis=1)
     feas = np.logical_and.reduce(rows > 0.0, axis=1)
-    feas[np.arange(S)[:, None], at] = False
+    feas[each[:, None], at] = False
     # the m x m block of A on the seed, summed as numpy sums A[ix_(seed, seed)]
     Q = np.take_along_axis(rows, at[:, None, :], axis=2).reshape(S, m * m).sum(axis=1)
     best_density, best_size = Q / m, np.full(S, m)
-    members, k = [seeds], m
+    members, k, block = [seeds], m, None
     while True:
-        keep = feas.any(axis=0)
-        live, feas, sig = live[keep], feas[:, keep], sig[:, keep]
-        if not live.size:
-            break
-        step = np.where(feas, sig, -np.inf).argmax(axis=1)
-        grow = np.flatnonzero(feas[np.arange(S), step])
-        j, at = live[step[grow]], step[grow]
-        Q[grow] += 1.0 + 2.0 * sig[grow, at]
+        if block is None:
+            keep = feas.any(axis=0)
+            live, feas, sig = live[keep], feas[:, keep], sig[:, keep]
+            if not live.size:
+                break
+            if live.size ** 2 <= _BLOCK:
+                block = _rows(affinity, live, live)       # A[live][:, live]
+        at = np.where(feas, sig, -np.inf).argmax(axis=1)
+        going = feas[each, at]      # False once a seed has no feasible column
+        if not going.all():
+            grow, feas, sig = grow[going], feas[going], sig[going]
+            Q, at = Q[going], at[going]
+            if not grow.size:
+                break
+            each = np.arange(grow.size)
+        j = live[at]
+        Q += 1.0 + 2.0 * sig[each, at]
         k += 1
         added = np.full(S, -1)
         added[grow] = j
         members.append(added[:, None])
-        rows = _rows(affinity, j, live)
-        feas[grow] &= rows > 0.0
-        feas[grow, at] = False
-        sig[grow] = sig[grow] + rows
-        density = Q[grow] / k
+        rows = _rows(affinity, j, live) if block is None else block[at]
+        feas &= rows > 0.0
+        feas[each, at] = False
+        sig += rows
+        density = Q / k
         better = density > best_density[grow] + 1e-12
         best_density[grow[better]], best_size[grow[better]] = density[better], k
     members = np.hstack(members)
@@ -331,13 +363,21 @@ class _Penalised:
         self.d, self.shifted = d, self.affinity.entries + d
 
     def __matmul__(self, u):
-        return np.add.reduceat(self.shifted * u[self.cols], self.starts) - self.d * u.sum()
+        terms = u.take(self.cols)          # one edge-length array, scaled in place
+        terms *= self.shifted
+        out = np.add.reduceat(terms, self.starts)
+        out -= self.d * u.sum()
+        return out
 
     def is_clique(self, inside):
         """Whether the nodes marked in the boolean array `inside` are
         pairwise feasible. By symmetry, k nodes are a clique exactly when
-        their rows hold k^2 edges, the diagonal included, to one another."""
+        their rows hold k^2 edges, the diagonal included, to one another;
+        so a node with fewer than k edges rules it out before any is read."""
         nodes = np.flatnonzero(inside)
+        starts = self.affinity.starts
+        if (starts[nodes + 1] - starts[nodes] < len(nodes)).any():
+            return False
         edge = _edges(self.affinity, nodes)[0]
         return np.count_nonzero(inside[self.cols[edge]]) == len(nodes) ** 2
 
@@ -345,9 +385,19 @@ class _Penalised:
 def _step(M, u, restart):
     """One step of the projected power iteration: max(M u, 0), normalised,
     or `restart` when it collapses (M u <= 0 everywhere, up to 1e-12)."""
-    v = np.maximum(M @ u, 0.0)
-    norm = np.linalg.norm(v)
-    return v / norm if norm >= 1e-12 else restart
+    v = M @ u
+    np.maximum(v, 0.0, out=v)
+    norm = _norm(v)
+    if norm >= 1e-12:
+        v /= norm
+        return v
+    return restart
+
+
+def _norm(x):
+    """np.linalg.norm(x) of a 1-D float array, bit for bit: the square root
+    of x.dot(x), without the wrapper's argument handling."""
+    return math.sqrt(x.dot(x))
 
 
 def _ascend(M, u, iterations, restart):
@@ -363,9 +413,10 @@ def _ascend(M, u, iterations, restart):
     of their bytes, and each hit is confirmed with an exact comparison. The
     result is identical to running every step."""
     path, seen = [u], {hash(u.tobytes()): [0]}   # path[k]: iterate after k steps
+    move = np.empty_like(u)
     for k in range(1, iterations + 1):
         v = _step(M, u, restart)
-        if np.linalg.norm(v - u) < 1e-9:
+        if _norm(np.subtract(v, u, out=move)) < 1e-9:
             return v
         earlier = seen.setdefault(hash(v.tobytes()), [])
         for first in earlier:

@@ -240,6 +240,18 @@ class ObjectMap:
     def __len__(self):
         return len(self.ids)
 
+    def select(self, keep):
+        """The landmarks where the (m,) bool mask `keep` holds, in order, as
+        a map of the same agent and frame. Every landmark of a map has passed
+        its checks, so the subset's covariances are not checked again."""
+        positions, covariances = self.positions[keep], self.covariances[keep]
+        positions.flags.writeable = covariances.flags.writeable = False
+        out = object.__new__(ObjectMap)
+        out.__dict__.update(agent_id=self.agent_id, positions=positions,
+                            ids=tuple(i for i, k in zip(self.ids, keep) if k),
+                            covariances=covariances, frame_label=self.frame_label)
+        return out
+
 
 @dataclass(frozen=True)
 class Hyperparameters:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BATCH_ROWS, InputError, ObjectMap
+from .core import BATCH_ROWS, InputError
 
 # A grid member costs 40 bytes of its cell's Submap, or 72 when its landmark
 # id is above 256 and so is not one of CPython's cached small ints
@@ -77,10 +77,7 @@ def mahalanobis_filter(obj_map, omega_percentile):
                       "Euclidean distance for the inlier filter")
         dist = np.linalg.norm(centered, axis=1)
     thresh = np.percentile(dist, omega_percentile)
-    keep = dist <= thresh
-    return ObjectMap(obj_map.agent_id,
-                     [i for i, k in zip(obj_map.ids, keep) if k], pos[keep],
-                     obj_map.covariances[keep], obj_map.frame_label)
+    return obj_map.select(dist <= thresh)
 
 
 def generate_submaps(obj_map, params):

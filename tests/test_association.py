@@ -14,6 +14,7 @@ from vista_align.core import (Hyperparameters, InputError, RigidTransform,
                               rotation_z)
 from vista_align.submap import Submap
 
+from conftest import _grow as grow_dense
 from conftest import _local_improve as local_improve_dense
 from conftest import (affinity_from_dense, build_affinity_dense, clique_number,
                       dense, densest_clique_dense, densest_clique_exact,
@@ -826,11 +827,127 @@ def test_penalised_product_and_clique_test_match_the_dense_matrix(overlap):
         subsets = [clique, clique[:2], clique[1:], [int(rng.integers(n))]]
         subsets += [np.union1d(clique, [j]) for j in rng.integers(n, size=5)]
         subsets += [rng.choice(n, size=k, replace=False) for k in (2, 3, 5, 8)]
+        mass = A.sum(axis=1)
+        subsets += [np.arange(n), np.flatnonzero(mass > np.median(mass))]
         for s in subsets:
             inside = np.zeros(n, dtype=bool)
             inside[s] = True
             assert penalised.is_clique(inside) == \
                 (not infeasible[np.ix_(s, s)].any())
+
+
+def overlapping_affinity(seed, m=32, shared=20):
+    """build_affinity on m seeded points against m points of which `shared`
+    are a rigidly moved, noisy copy of the first: m^2 candidates, with a
+    clique of about `shared` true associations."""
+    rng = np.random.default_rng(seed)
+    pa = rng.uniform(0.0, 4.0, size=(m, 3))
+    pb = rng.uniform(0.0, 4.0, size=(m, 3))
+    t = RigidTransform(rotation_z(rng.uniform(-180.0, 180.0)), rng.normal(size=3))
+    pb[:shared] = t.apply(pa[:shared]) + rng.normal(0.0, 0.01, size=(shared, 3))
+    return build_affinity(sub(pa), sub(pb), Hyperparameters())[1]
+
+
+def schedule_penalties():
+    penalties = [0.0]
+    while len(penalties) < 60:
+        penalties.append(0.25 if penalties[-1] == 0.0 else penalties[-1] * 1.4)
+    return penalties
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_penalised_product_is_the_edge_list_expression_bit_for_bit(overlap):
+    # the product's buffered, in-place form against the expression it
+    # replaces, at the schedule's penalties, on dense, sparse and unit u
+    rng = np.random.default_rng(3)
+    graphs = [seeded_affinity(seed, overlap) for seed in range(5)]
+    graphs.append(overlapping_affinity(4) if overlap else random_affinity(32))
+    penalties = schedule_penalties()
+    for aff in graphs:
+        n, cols, starts = aff.size, aff.cols, aff.starts[:-1]
+        penalised = _Penalised(aff)
+        vectors = [rng.uniform(size=n), np.maximum(rng.normal(size=n), 0.0),
+                   np.eye(n)[rng.integers(n)], np.zeros(n)]
+        for d in (0.0, penalties[1], penalties[2], penalties[30], penalties[-1]):
+            penalised.penalise(d)
+            shifted = aff.entries + d
+            held = []
+            for u in vectors:
+                want = np.add.reduceat(shifted * u[cols], starts) - d * u.sum()
+                got = penalised @ u
+                assert got.tobytes() == want.tobytes()
+                held.append((got, want))
+            # a product leaves earlier products' results as they were
+            for got, want in held:
+                assert got.tobytes() == want.tobytes()
+
+
+def test_norm_is_numpy_norm_bit_for_bit():
+    # np.linalg.norm squares by a dot product, not numpy's pairwise sum: on
+    # some of these vectors the two round apart
+    rng = np.random.default_rng(5)
+    vectors = [np.eye(9)[4], np.zeros(3), rng.normal(size=5) * 1e-160,
+               rng.normal(size=5) * 1e150, np.full(7, 1.0 / np.sqrt(7.0))]
+    for _ in range(20):
+        vectors += [rng.uniform(size=1024), np.maximum(rng.normal(size=1024), 0.0),
+                    rng.lognormal(0.0, 3.0, size=1024)]
+    pairwise_differs = 0
+    for x in vectors:
+        assert association._norm(x) == np.linalg.norm(x)
+        pairwise_differs += math.sqrt(np.sum(x * x)) != np.linalg.norm(x)
+    assert pairwise_differs > 0
+
+
+@pytest.mark.parametrize("when", ["never", "default", "first"])
+def test_grow_with_and_without_the_live_block_matches_the_dense_growth(
+        monkeypatch, when):
+    # 1,024 candidates a graph. _BLOCK 0 never scatters the live block, the
+    # default scatters it once live falls to 362 columns, mid-growth on the
+    # overlapping graphs, and 2^40 scatters it at the first step.
+    block = {"never": 0, "default": association._BLOCK, "first": 1 << 40}[when]
+    monkeypatch.setattr(association, "_BLOCK", block)
+    rows, calls = association._rows, []
+
+    def spy(affinity, nodes, live=None):
+        # the live block is scattered as _rows(affinity, live, live)
+        calls.append((nodes is live, None if live is None else len(live)))
+        return rows(affinity, nodes, live)
+
+    monkeypatch.setattr(association, "_rows", spy)
+    rng = np.random.default_rng(8)
+    switched = 0
+    for aff in [overlapping_affinity(seed) for seed in range(3)] + [random_affinity(32)]:
+        A = dense(aff)
+        row = np.repeat(np.arange(aff.size), np.diff(aff.starts))
+        edges = np.flatnonzero(aff.cols > row)
+        singles = np.argsort(-A.sum(axis=1), kind="stable")[:32, None]
+        pairs = np.column_stack([row, aff.cols])[rng.choice(edges, 16, replace=False)]
+        for seeds in (singles, pairs):
+            calls.clear()
+            got = _grow(aff, seeds)
+            want = [grow_dense(list(seed), A, A > 0.0) for seed in seeds.tolist()]
+            assert got == ([m for m, _ in want], [density for _, density in want])
+            made = [i for i, (block_call, _) in enumerate(calls) if block_call]
+            assert calls[0][1] > 362 and len(made) <= 1
+            if when == "never":
+                assert not made
+            elif when == "first":
+                assert made == [1]
+            elif made:
+                switched += made[0] > 1
+    assert switched > 0 or when != "default"
+
+
+def test_clique_test_reads_the_degrees_first():
+    # groups {0, 1, 2} and {3, 4}, 4 also joined to 5: each member of the
+    # first has exactly 3 edges, the diagonal included, so its degree alone
+    # cannot rule the set out; 5 has 2 edges, which rules out any set of 3
+    penalised = _Penalised(unit_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)]))
+    for members, clique in [([0, 1, 2], True), ([3, 4], True), ([0, 1, 3], False),
+                            ([3, 4, 5], False), ([4], True), (list(range(6)), False)]:
+        inside = np.zeros(6, dtype=bool)
+        inside[members] = True
+        assert penalised.is_clique(inside) == clique, members
 
 
 def test_densest_clique_extra_memory_is_a_fraction_of_the_matrix():

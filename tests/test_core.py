@@ -302,6 +302,32 @@ def test_object_map_arrays_are_checked():
         ObjectMap("a", [0], [[np.nan, 0.0, 0.0]], [np.eye(3)])
 
 
+def test_object_map_select_is_the_constructors_map_without_its_checks(monkeypatch):
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(40, 3, 3))
+    m = ObjectMap("b", rng.permutation(100)[:40], rng.normal(size=(40, 3)),
+                  A @ A.transpose(0, 2, 1), frame_label="local")
+    keeps = [rng.uniform(size=40) < 0.8, np.ones(40, bool), np.zeros(40, bool)]
+    wants = [ObjectMap(m.agent_id, [i for i, k in zip(m.ids, keep) if k],
+                       m.positions[keep], m.covariances[keep], m.frame_label)
+             for keep in keeps]
+
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("select re-checked a covariance")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for keep, want in zip(keeps, wants):
+        got = m.select(keep)
+        assert type(got) is ObjectMap
+        assert (got.agent_id, got.ids, got.frame_label) == \
+            (want.agent_id, want.ids, want.frame_label)
+        for a, b in [(got.positions, want.positions),
+                     (got.covariances, want.covariances)]:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes() and not a.flags.writeable
+    assert m.positions.flags.writeable is False     # the source map is untouched
+
+
 def test_core_types_are_immutable():
     pose = RigidTransform(np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):

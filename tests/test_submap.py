@@ -25,6 +25,22 @@ def test_mahalanobis_removes_gross_outlier():
     assert 100 not in filtered.ids
 
 
+def test_mahalanobis_filter_does_not_recheck_the_kept_covariances(monkeypatch):
+    rng = np.random.default_rng(3)
+    m = map_from_points(rng.normal(size=(144, 3)))      # ids 0..143
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *args: calls.append(1) or eigvalsh(*args))
+    got = mahalanobis_filter(m, 95.0)
+    assert not calls and 0 < len(got) < len(m)
+    kept = list(got.ids)
+    want = ObjectMap(m.agent_id, kept, m.positions[kept], m.covariances[kept])
+    assert got.ids == want.ids and got.agent_id == want.agent_id
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.covariances.tobytes() == want.covariances.tobytes()
+
+
 def test_mahalanobis_95th_percentile_keeps_95_of_100():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(100, 3))
