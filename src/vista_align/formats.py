@@ -44,17 +44,11 @@ _NUMBER = (int, float)
 _compact = json.JSONEncoder(separators=(",", ":")).encode   # full-precision floats
 
 
-def _int(digits):
-    value = int(digits)
-    float(value)  # OverflowError: every number must fit a float
-    return value
-
-
 def _json(text, what):
     """Decode one input document; `what` names the file in the error."""
     try:
-        return json.loads(text, parse_int=_int)
-    except (ValueError, OverflowError, RecursionError) as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise InputError("%s is not valid JSON: %s" % (what, exc)) from exc
 
 
@@ -81,15 +75,22 @@ def _require(record, field, kind=None, context="", default=None, length=None):
         return _numbers(value, field, length, context)
     if isinstance(value, bool) or not isinstance(value, kind):
         raise InputError("field '%s' has wrong type%s" % (field, context))
+    if kind is _NUMBER:
+        _numbers([value], field, 1, context)    # it must fit a float
     return value
 
 
 def _numbers(value, field, length, context=""):
+    """`value`, a list of `length` numbers, as a float array."""
     if not (isinstance(value, list) and len(value) == length
             and all(type(v) in _NUMBER for v in value)):
         raise InputError("field '%s' must be a list of %d numbers%s"
                          % (field, length, context))
-    return np.array(value, dtype=float)
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError as exc:    # an integer that no float holds
+        raise InputError("field '%s' holds an integer past the float range%s"
+                         % (field, context)) from exc
 
 
 @contextlib.contextmanager
@@ -199,15 +200,16 @@ def _track_file_in_bulk(data, intrinsics):
                 | {*map(type, us), *map(type, vs)} <= {int, float}):
             return None
         uv = np.array([us, vs], dtype=float).T.reshape(-1, 2)
-        if not (np.isfinite(uv).all() and len(set(frames)) == len(frames)
-                and len(set(ids)) == len(ids) and min(us, default=0) >= 0
+        if not (len(set(ids)) == len(ids) and min(us, default=0) >= 0
                 and min(vs, default=0) >= 0 and max(us, default=0) < intrinsics.width
                 and max(vs, default=0) < intrinsics.height):
             return None
+        # Poses rejects repeated frames and Tracks a NaN centroid
         poses = Poses(frames, np.reshape(rot, (-1, 3, 3)), np.reshape(tra, (-1, 3)))
         row = dict(zip(poses.frames, range(len(poses))))
         return poses, Tracks(ids, np.cumsum([0, *map(len, dets)]), [row[f] for f in at], uv)
-    except (KeyError, TypeError, ValueError):   # a missing field or pose, a bad row
+    # a missing field or pose, a bad row, an integer past the float range
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
 
 
@@ -252,11 +254,8 @@ def parse_track_file(text):
     """Parse a track file into (intrinsics, Poses, Tracks). The file is
     checked in bulk; one that fails is read again record by record, to report
     the fault of its first faulty record."""
-    return _track_file(_json(text, "track file"))
-
-
-def _track_file(data):
-    """`parse_track_file` of the decoded document."""
+    data = _json(text, "track file")
+    del text            # free the text before the tables are built
     intrinsics = _intrinsics(data)
     tables = _track_file_in_bulk(data, intrinsics)
     if tables is None:
@@ -272,7 +271,7 @@ def save_track_file(path, intrinsics, poses, tracks):
 
 
 def load_track_file(path):
-    return _track_file(_json(_read(path), "track file"))
+    return parse_track_file(_read(path))
 
 
 def parse_config(text):

@@ -89,7 +89,12 @@ def generate_submaps(obj_map, params):
     if len(obj_map) == 0:
         return []
     pos = obj_map.positions
-    ids = np.array(obj_map.ids)
+    # Landmark ids are any ints. An array of ids past int64 is float64 and
+    # rounds them, so cells order by each landmark's rank by id and gather
+    # their ids from an object array of the exact ints.
+    ids = np.array(obj_map.ids, dtype=object)
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=obj_map.ids.__getitem__)] = np.arange(len(ids))
     step = params.overlap
     # Counted in Python floats, with no warning: an extent past the float
     # range reads inf and its count nan, which fails the cap's test too.
@@ -117,8 +122,8 @@ def generate_submaps(obj_map, params):
     for lo in range(0, len(c3), step_cells):
         centers = c3[lo:lo + step_cells]
         dist = np.linalg.norm(pos[None, :, :] - centers[:, None, :], axis=2)
-        order = np.lexsort((np.broadcast_to(ids, dist.shape), dist))[:, :params.n_max]
-        order = np.take_along_axis(order, np.argsort(ids[order], axis=1), axis=1)
+        order = np.lexsort((np.broadcast_to(rank, dist.shape), dist))[:, :params.n_max]
+        order = np.take_along_axis(order, np.argsort(rank[order], axis=1), axis=1)
         for center, members, points in zip(centers[:, :2], ids[order].tolist(),
                                            pos[order]):
             submaps.append(Submap(center, members, points))

@@ -223,6 +223,36 @@ def test_submaps_command(workdir):
         assert len(sm["landmark_ids"]) == len(sm["points"])
 
 
+def test_ids_past_int64_match_as_their_ranks(tmp_path):
+    # ids -1 and 2^63 + 1 + i: an array of them is float64, which rounds
+    # every large id to 2^63. Relabelled 0..m-1 in the same order, the map
+    # must give the same hypotheses, and the submaps only ids of the map.
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.0, 20.0, size=(40, 3)) * np.array([1.0, 1.0, 0.1])
+    big = [-1] + [2 ** 63 + 1 + i for i in rng.permutation(39).tolist()]
+    cov = np.tile(np.eye(3) * 1e-4, (40, 1, 1))
+    moved = RigidTransform(rotation_z(20.0), np.array([3.0, -2.0, 0.0])).apply(pts)
+    cfg = str(tmp_path / "grid.cfg")
+    formats.atomic_write(cfg, "n_max = 10\nwindow = 7\noverlap = 7\n")
+    hypotheses = []
+    for name, ids in (("big", big), ("rank", [sorted(big).index(i) for i in big])):
+        a, b, out = (str(tmp_path / (name + x)) for x in ("_a.json", "_b.json", ".json"))
+        formats.save_map(ObjectMap("a", ids, pts, cov), a)
+        formats.save_map(ObjectMap("b", ids, moved, cov), b)
+        assert cli.run(["match", "--map-a", a, "--map-b", b, "--out", out,
+                        "--config", cfg]) == 0
+        with open(out, "rb") as fh:
+            hypotheses.append(fh.read())
+    assert hypotheses[0] == hypotheses[1]
+    out_dir = tmp_path / "submaps"
+    assert cli.run(["submaps", "--map", str(tmp_path / "big_a.json"),
+                    "--out", str(out_dir), "--config", cfg]) == 0
+    written = []
+    for name in json.loads((out_dir / "index.json").read_text())["submaps"]:
+        written += json.loads((out_dir / name).read_text())["landmark_ids"]
+    assert written and set(written) <= set(big)
+
+
 def test_match_identical_maps_identity(workdir):
     map_path = simulate_and_build(workdir)
     out = str(workdir / "hyps.json")
@@ -549,6 +579,34 @@ MALFORMED = {
     "nan_duplicate_rate": (["simulate", "--duplicate-rate", "nan"], {},
                            "--duplicate-rate"),
 }
+
+
+def past_the_float_range(tag, big):
+    """Cases putting `big`, an integer that no float holds, in a number
+    field of each input kind."""
+    return {
+        "tracks_%s_u" % tag: (["build-map"], {"tracks": {
+            "poses": FOUR_POSES, "tracks": [{"id": 0, "detections": [
+                {**ONE_TRACK[0]["detections"][0], "u": big}]}]}}, "'u'"),
+        "tracks_%s_rotation" % tag: (["build-map"], {"tracks": {"poses": [
+            {**FOUR_POSES[0], "rotation": [big, 0, 0, 0, 1, 0, 0, 0, 1]}]}},
+            "'rotation'"),
+        "tracks_%s_fx" % tag: (["build-map"], {"tracks": {"intrinsics": {"fx": big}}},
+                               "'fx'"),
+        "map_%s_position" % tag: (["match"], {"a": {"landmarks": [
+            {**FAR_LANDMARKS[0], "position": [0, big, 0]}]}}, "'position'"),
+        "truth_%s_translation" % tag: (["evaluate"], {"truth": {
+            "translation": [0, 0, big]}}, "'translation'"),
+        "scene_%s_extent" % tag: (["simulate"], {"scene": {"extent": [10, big, 1.5]}},
+                                  "'extent'"),
+        "trajectory_%s_altitude" % tag: (["simulate"],
+                                         {"trajectory": {"altitude": big}}, "'altitude'"),
+    }
+
+
+# 2 * 10^308 lies just past the float range
+MALFORMED.update(past_the_float_range("2e308", 2 * 10 ** 308))
+MALFORMED.update(past_the_float_range("1e400", 10 ** 400))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -322,20 +322,26 @@ def test_parse_track_file_reports_the_first_fault(first, second):
         assert parse_error(formats.parse_track_file, text) == expected
 
 
+# integers that no float holds: 2^1024 rounds past the largest float
+PAST_FLOATS = st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024)
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(edits=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3),
                                 st.sampled_from(["frame", "u", "v", None]),
                                 st.none() | st.booleans() | st.integers(-5, 40)
-                                | st.floats() | st.text(max_size=2)),
+                                | st.floats() | st.text(max_size=2) | PAST_FLOATS),
                       max_size=4),
        pose_edits=st.lists(st.tuples(st.integers(0, 29),
                                      st.sampled_from(["frame", "rotation",
                                                       "translation"]),
-                                     st.none() | st.integers(-1, 40)
+                                     st.none() | st.integers(-1, 40) | PAST_FLOATS
                                      | st.lists(st.floats(-1.5, 1.5), min_size=3,
                                                 max_size=3)
                                      | st.lists(st.sampled_from([0.0, 1.0, -1.0]),
-                                                min_size=9, max_size=9)),
+                                                min_size=9, max_size=9)
+                                     | st.lists(PAST_FLOATS, min_size=3, max_size=3)
+                                     | st.lists(PAST_FLOATS, min_size=9, max_size=9)),
                            max_size=3))
 def test_parse_track_file_first_error_equals_per_record_parser(edits, pose_edits):
     data = faulty_track_file()
@@ -348,8 +354,10 @@ def test_parse_track_file_first_error_equals_per_record_parser(edits, pose_edits
         elif isinstance(dets[d], dict):
             dets[d][field] = value
     text = json.dumps(data)
-    assert parse_error(formats.parse_track_file, text) \
-        == parse_error(parse_track_file_per_record, text)
+    error = parse_error(formats.parse_track_file, text)
+    assert error == parse_error(parse_track_file_per_record, text)
+    # the text is valid JSON: a fault is named by its field or record
+    assert "not valid JSON" not in str(error)
 
 
 def test_parse_config_empty_gives_defaults():
@@ -571,7 +579,7 @@ def json_documents(fields):
     """Arbitrary JSON values whose objects use `fields` and one unknown key."""
     keys = st.sampled_from(fields + ["other"])
     scalars = (st.none() | st.booleans() | st.integers() | st.floats()
-               | st.text(max_size=3))
+               | st.text(max_size=3) | PAST_FLOATS)
     return st.recursive(
         scalars,
         lambda inner: (st.lists(inner, max_size=9)
