@@ -10,6 +10,7 @@ import contextlib
 import itertools
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -48,8 +49,11 @@ def _json(text, what):
     """Decode one input document; `what` names the file in the error."""
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError("%s is not valid JSON: %s" % (what, exc)) from exc
+    except ValueError as exc:       # CPython's limit on an integer's digits
+        raise InputError("%s holds an integer of more than %d digits, more than Python "
+                         "will read" % (what, sys.get_int_max_str_digits())) from exc
 
 
 def _read(path):

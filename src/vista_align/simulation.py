@@ -8,8 +8,8 @@ Occlusion is modeled only through random dropout.
 
 A scene is a `Scene` of per-object arrays. Rendering projects a block of
 frames in one `project` call, as many as fit in BATCH_ROWS frame x object
-rows but at least one, and draws the detections' noise and dropout in
-(frame, object) order, so a seed reproduces the same tracks.
+rows but at least one, and draws the detections' noise and then their
+dropout in (frame, object) order, so a seed reproduces the same tracks.
 """
 
 from __future__ import annotations
@@ -151,15 +151,12 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
     handoffs. Returns (Tracks, Poses); a track's pose rows are its frames.
 
     Random draws, all from one generator seeded with `seed`, come in this
-    order: one split flag per object (only if duplicate_rate > 0); then the
-    frames in ascending order, and within a frame the in-image objects in
-    ascending index, each drawing its noise pair and then, if its noisy pixel
-    is still in the image, its dropout uniform; last, one split cut per split
-    object of at least two detections, in ascending object index. A frame's
-    draws are made in one call when only noise or only dropout is on, which
-    gives the same values as one draw per detection. With both on, whether a
-    detection draws a uniform depends on its noise pair, so those draws are
-    made one detection at a time.
+    order: one split flag per object (only if duplicate_rate > 0); then one
+    noise pair per in-image detection (only if noise > 0); then one dropout
+    uniform per detection its noise left in the image (only if dropout > 0);
+    last, one split cut per split object of at least two detections, in
+    ascending object index. Noise pairs and uniforms each go in (frame,
+    object) order, and every noise pair is drawn before any uniform.
 
     The frames are projected a block at a time, at most BATCH_ROWS frame x
     object rows but at least one frame, which bounds the working arrays;
@@ -180,24 +177,18 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
         inside = _in_image(projected, intrinsics)
         at, seen = np.nonzero(inside)           # in (frame, object) order
         px = projected[inside]
-        keep = np.ones(len(seen), dtype=bool)
-        if noise > 0 and dropout > 0:
-            # a uniform is drawn only for a detection its noise left in the image
-            for k in range(len(seen)):
-                px[k] += rng.normal(0.0, noise, size=2)
-                keep[k] = _in_image(px[k], intrinsics) and rng.uniform() >= dropout
-        elif noise > 0:
-            px += np.concatenate([rng.normal(0.0, noise, size=(c, 2))
-                                  for c in inside.sum(axis=1)])
+        if noise > 0:
+            px += rng.normal(0.0, noise, size=px.shape)
             keep = _in_image(px, intrinsics)
-        elif dropout > 0:
-            keep = np.concatenate([rng.uniform(size=c)
-                                   for c in inside.sum(axis=1)]) >= dropout
-        frames.append(f[at[keep]])
-        objects.append(seen[keep])
-        pixels.append(px[keep])
+            at, seen, px = at[keep], seen[keep], px[keep]
+        frames.append(f[at])
+        objects.append(seen)
+        pixels.append(px)
 
-    objects = np.concatenate(objects)
+    frames, objects, pixels = map(np.concatenate, (frames, objects, pixels))
+    if dropout > 0:
+        keep = rng.uniform(size=len(objects)) >= dropout
+        frames, objects, pixels = frames[keep], objects[keep], pixels[keep]
     order = np.argsort(objects, kind="stable")      # by object, frames ascending
     ends = np.cumsum(np.bincount(objects, minlength=n)).tolist()
 
@@ -214,8 +205,7 @@ def render_tracks(scene, trajectory, intrinsics, noise=0.0, dropout=0.0,
             ids.append(next_id)
             starts.append(hi)
             next_id += 1
-    return Tracks(ids, starts, np.concatenate(frames)[order],
-                  np.concatenate(pixels)[order]), poses
+    return Tracks(ids, starts, frames[order], pixels[order]), poses
 
 
 def perturb_frame(obj_map, yaw_deg, translation):
@@ -223,11 +213,9 @@ def perturb_frame(obj_map, yaw_deg, translation):
     covariances accordingly. Returns (perturbed map, exact truth transform
     mapping original coordinates into perturbed coordinates)."""
     truth = RigidTransform(rotation_z(yaw_deg), np.array(translation, dtype=float))
-    positions, covariances = [], []
-    for p, C in zip(obj_map.positions, obj_map.covariances):
-        cov = truth.rotation @ C @ truth.rotation.T
-        positions.append(truth.apply(p))
-        covariances.append(0.5 * (cov + cov.T))
-    return ObjectMap(obj_map.agent_id, obj_map.ids, np.reshape(positions, (-1, 3)),
-                     np.reshape(covariances, (-1, 3, 3)), obj_map.frame_label), truth
-
+    R = truth.rotation
+    # one (1, 3) @ (3, 3) product per landmark, the kernel of `truth.apply(p)`
+    positions = (obj_map.positions[:, None, :] @ R.T)[:, 0] + truth.translation
+    cov = R @ obj_map.covariances @ R.T
+    return ObjectMap(obj_map.agent_id, obj_map.ids, positions,
+                     0.5 * (cov + cov.transpose(0, 2, 1)), obj_map.frame_label), truth

@@ -78,7 +78,7 @@ TRACKS_SHA256 = {
               "8549b28e7a92aaeb9a20a8079e568d89f4ffc0aac257aee9adf5d6122f5594c3"),
     "noise+dropout+duplicates": (
         "--noise 0.5 --dropout 0.2 --duplicate-rate 0.2",
-        "2512868e38bd9362b92e5eef3abda3dd5b08f1f375f035cac54702171f96b0aa"),
+        "47d3254922f0d2d1521a84349a6e31f8eee573a06cf2ec1921964298bc9b6dfa"),
     "dropout": ("--dropout 0.2",
                 "f5e8463927c3ddcc62d74cff5ba42d0bd743b4a884a4945205d99719e86992d3"),
     "none": ("", "165fdd29a186216f465525be03dec98a7dd4787bb05facfc00bbe0da52075398"),
@@ -102,7 +102,9 @@ def test_simulate_bytes_are_pinned(workdir, flags, tracks_sha256):
 # 45 deg agent: 28,800 frame x object rows and about 17,600 detections span
 # several BATCH_ROWS blocks in render and in triangulation, where the scene
 # above fits in one. sha256 of simulate's files and of the map build-map
-# makes from them, recorded before the front end ran in blocks.
+# makes from them, recorded before the front end ran in blocks. The noise +
+# dropout digests, here and above, were re-recorded when the dropout uniforms
+# came to be drawn after every noise pair instead of one detection at a time.
 M_SCENE = {"n_objects": 144, "extent": [20.0, 20.0, 1.5], "n_dynamic": 14,
            "dynamic_velocity": 1.0, "seed": 0}
 M_TRAJECTORY = {**TRAJECTORY, "frames": 200, "camera_pitch": 45.0,
@@ -116,8 +118,8 @@ M_SHA256 = {
               "f032a1375752a9a063ebcc5a71c9350bca194cbaf8b1e25766acd27e0f541f45"),
     "noise+dropout+duplicates": (
         "--noise 0.5 --dropout 0.2 --duplicate-rate 0.2",
-        "931a41caa218f47c12aceabab3146eddda50cea0e1ed789fb4dc1ca3c88fefe1",
-        "4953364d15750592f64d9ad158fa7c24c4f6d4b175be4c060a6ced5e6c49e10e"),
+        "a770448ee97f942e66ebe5b628435f8b9f117692426ee4e70d43103c10b2a472",
+        "2c9b526df008d3f4faeeb19ff5f1f75824c28a5e4b3889134ce40c7686e125e6"),
 }
 
 
@@ -403,7 +405,8 @@ def small_maps(tmp_path):
     120-landmark map, a map file holding a bare number, a truth file, configs
     with a NaN sigma, an out-of-range omega_percentile, n_max = 101,
     n_max = 4, n_max set twice, n_max = 1e2 and overlap = 1e-300, a file that
-    is not UTF-8, and valid scene, trajectory and track files."""
+    is not UTF-8, a map holding a 5,001-digit integer, and valid scene,
+    trajectory and track files."""
     rng = np.random.default_rng(12)
     pts = rng.uniform(0.0, 5.0, size=(20, 3)) * np.array([1.0, 1.0, 0.3])
     m = map_from_points(pts)
@@ -439,6 +442,13 @@ def small_maps(tmp_path):
     paths["not_utf8"] = str(tmp_path / "not_utf8.json")
     with open(paths["not_utf8"], "wb") as fh:
         fh.write(b"\xff\xfe\xfd")
+    # a position of 5,001 digits: past CPython's default limit of 4,300
+    paths["long_int"] = str(tmp_path / "long_int.json")
+    formats.atomic_write(paths["long_int"], json.dumps({
+        "agent_id": "a", "frame_label": "odom", "landmarks": [
+            {"id": 0, "position": [0, "DIGITS", 0],
+             "covariance": [1, 0, 0, 0, 1, 0, 0, 0, 1]}]}).replace(
+                 '"DIGITS"', "1" + "0" * 5000))
     paths["dir"], paths["out"] = str(tmp_path), str(tmp_path / "out")
     return paths
 
@@ -571,6 +581,8 @@ MALFORMED = {
         "rotation": [C45, -C45, 0, C45, C45, 0, 0, 0, 1],
         "translation": [1.7e308, 1.7e308, 0]}}, "translation"),
     "map_not_utf8": (["match", "--map-a", "{not_utf8}"], {}, "{not_utf8}"),
+    "map_5001_digit_integer": (["match", "--map-a", "{long_int}"], {},
+                               "map file holds an integer of more than"),
     "config_not_utf8": (["match", "--config", "{not_utf8}"], {}, "{not_utf8}"),
     "omega_percentile_above_100": (["match", "--config", "{omega_cfg}"], {},
                                    "omega_percentile"),

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import stat
+import sys
 import tracemalloc
 
 import numpy as np
@@ -608,3 +609,20 @@ def test_parsers_reject_deep_nesting():
                   formats.parse_trajectory_spec):
         with pytest.raises(InputError, match="not valid JSON"):
             parse("[" * 100000)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this interpreter reads integers of any length")
+def test_parsers_name_the_file_of_an_integer_past_the_digit_limit():
+    # CPython reads no integer of more than sys.get_int_max_str_digits()
+    # digits: the error names the file, not the interpreter's remedy
+    digits = "1" + "0" * sys.get_int_max_str_digits()
+    for parse, what in ((formats.parse_map, "map file"),
+                        (formats.parse_track_file, "track file"),
+                        (formats.parse_transform, "transform file"),
+                        (formats.parse_scene_spec, "scene spec"),
+                        (formats.parse_trajectory_spec, "trajectory spec")):
+        with pytest.raises(InputError, match=what + " holds an integer of more than"
+                           ) as error:
+            parse('{"position": [0, %s, 0]}' % digits)
+        assert "set_int_max_str_digits" not in str(error.value)

@@ -216,7 +216,7 @@ def reference_render(objects, trajectory, intrinsics, noise, dropout,
     rng = np.random.default_rng(seed)
     split = [duplicate_rate > 0 and rng.uniform() < duplicate_rate for _ in objects]
     poses = trajectory_poses(trajectory)
-    detections = [[] for _ in objects]
+    seen = []           # (object, frame, pixel) in (frame, object) order
     n_behind = 0
 
     def inside(px):
@@ -238,8 +238,10 @@ def reference_render(objects, trajectory, intrinsics, noise, dropout,
                 px = px + rng.normal(0.0, noise, size=2)
                 if not inside(px):
                     continue
-            if dropout > 0 and rng.uniform() < dropout:
-                continue
+            seen.append((i, f, px))
+    detections = [[] for _ in objects]
+    for i, f, px in seen:       # every noise pair is drawn before any uniform
+        if not (dropout > 0 and rng.uniform() < dropout):
             detections[i].append((f, px))
     tracks, next_id = [], len(objects)
     for i, dets in enumerate(detections):
@@ -255,8 +257,9 @@ def reference_render(objects, trajectory, intrinsics, noise, dropout,
             for i, d in tracks], n_behind
 
 
-# (noise, dropout, duplicate_rate): noise alone and dropout alone are drawn a
-# frame at a time, noise with dropout one detection at a time
+# (noise, dropout, duplicate_rate): render_tracks draws a block's noise in one
+# call and, after the last block, one dropout uniform per detection still in
+# the image; each mode must equal the one-detection-at-a-time reference
 DRAW_MODES = {"noise": (0.7, 0.0, 0.0), "dropout": (0.0, 0.2, 0.0),
               "noise+dropout+duplicates": (0.7, 0.2, 0.3), "none": (0.0, 0.0, 0.0)}
 
@@ -331,3 +334,19 @@ def test_perturb_frame_transforms_positions_and_covariances():
         wa = np.linalg.eigvalsh(a)
         wb = np.linalg.eigvalsh(b)
         assert np.allclose(wa, wb, atol=1e-12)
+
+
+@pytest.mark.parametrize("yaw", [0.0, 37.5, -123.0])
+def test_perturb_frame_equals_per_landmark_loop_exactly(yaw):
+    # the bulk products must give each landmark's bits, as one
+    # `truth.apply(p)` and one R C R' would
+    rng = np.random.default_rng(21)
+    A = rng.normal(size=(40, 3, 3))
+    m = ObjectMap("a", range(40), rng.uniform(-50.0, 50.0, size=(40, 3)),
+                  A @ A.transpose(0, 2, 1))
+    m2, truth = perturb_frame(m, yaw, [3.0, -7.5, 0.25])
+    R = truth.rotation
+    for p, C, q, D in zip(m.positions, m.covariances, m2.positions, m2.covariances):
+        cov = R @ C @ R.T
+        assert np.array_equal(q, truth.apply(p))
+        assert np.array_equal(D, 0.5 * (cov + cov.T))
