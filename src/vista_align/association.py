@@ -19,7 +19,7 @@ growth, the local moves), that row is scattered from the edges and summed
 as numpy sums it, so results are those of the dense matrix. `_rows` is the
 only code that scatters edges into dense rows; where the rows can span the
 whole graph (the restart node's near ties, `_heaviest_row`), they come
-`_BLOCK` entries at a time (`_blocks`). `_grow` scatters its live block,
+`_BLOCK` entries at a time. `_grow` scatters its live block,
 A[live][:, live], once live fits `_BLOCK` entries, and reads each step's
 rows from it. `has_clique` packs its bitsets from each visited row's own
 edges.
@@ -46,13 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, row_blocks
+from .core import InputError
 
 # The cap keeps every edge key p * n + q below n^2 = 10^8 < 2^31, so the
 # keys fit int32 (see `build_affinity`), and it bounds a graph's memory.
 MAX_CANDIDATES = 10000
 _SUPPORT_TOL = 1e-8
-_BLOCK = 1 << 17        # dense-row entries `_blocks` scatters at once: 1 MB
+_BLOCK = 1 << 17        # dense entries scattered at once: 1 MB
 
 
 @dataclass(frozen=True)
@@ -207,14 +207,6 @@ def _rows(affinity, nodes, live=None):
     return out
 
 
-def _blocks(affinity, nodes):
-    """The dense rows A[nodes], as (nodes, rows) blocks of at most `_BLOCK`
-    entries, in order."""
-    step = max(1, _BLOCK // affinity.size)
-    for b in range(0, len(nodes), step):
-        yield nodes[b:b + step], _rows(affinity, nodes[b:b + step])
-
-
 def _heaviest_row(affinity):
     """np.argmax(A.sum(axis=1)) of the dense matrix, without it.
 
@@ -223,12 +215,14 @@ def _heaviest_row(affinity):
     another row. Any two orders of summing a row's m <= 10^6 non-negative
     terms agree to within a relative 3e-10, so only rows whose edge sum is
     within 1e-9 of the largest can hold the dense maximum; those rows are
-    scattered dense, a bounded block at a time (`_blocks`), and summed as
-    numpy sums the dense matrix. Ties go to the lowest row, as argmax's do.
+    scattered dense, `_BLOCK` entries at a time, and summed as numpy sums
+    the dense matrix. Ties go to the lowest row, as argmax's do.
     """
     sums = np.add.reduceat(affinity.entries, affinity.starts[:-1])
     near = np.flatnonzero(sums >= sums.max() * (1.0 - 1e-9))
-    dense = np.concatenate([rows.sum(axis=1) for _, rows in _blocks(affinity, near)])
+    step = max(1, _BLOCK // affinity.size)
+    dense = np.concatenate([_rows(affinity, near[b:b + step]).sum(axis=1)
+                            for b in range(0, len(near), step)])
     return int(near[np.argmax(dense)])
 
 
@@ -487,21 +481,17 @@ def _k_core(affinity, k):
     """The graph's k-core as a bool mask over its nodes: what is left once
     nodes with fewer than k - 1 neighbours are removed, round by round,
     until none is. A row's edges include its diagonal, so a node stays
-    while k of its edges reach the core. Each round counts them over blocks
-    of whole rows of at most `_BLOCK` edges (`row_blocks`), at 9 bytes a
-    block edge: about 1.2 MB, whatever the graph's size."""
+    while k of its edges reach the core. Each round counts every row's core
+    edges in one pass, at 9 bytes an edge; with the graph's own 16 bytes an
+    edge, that stays below `build_affinity`'s peak on the same graph."""
     cols, starts = affinity.cols, affinity.starts
-    blocks = row_blocks(starts, _BLOCK)
     core = np.diff(starts) >= k
-    while core.any():
-        kept = core.copy()
-        for lo, hi in blocks:
-            a, b = starts[lo], starts[hi]
-            kept[lo:hi] &= np.add.reduceat(core[cols[a:b]], starts[lo:hi] - a,
-                                           dtype=np.intp) >= k
-        if np.array_equal(kept, core):
+    left = np.count_nonzero(core)
+    while left:
+        core &= np.add.reduceat(core[cols], starts[:-1], dtype=np.intp) >= k
+        left, before = np.count_nonzero(core), left
+        if left == before:
             break
-        core = kept
     return core
 
 

@@ -321,9 +321,9 @@ def densest_clique_exact(affinity):
 
 
 def k_core_in_one_pass(affinity, k):
-    """`association._k_core` as it counted every row's core edges at once,
-    9 bytes an edge of the graph: the reference the block-wise count must
-    match."""
+    """The graph's k-core, peeled round by round with every row's core
+    edges counted at once: the one-pass peel `association._k_core` makes,
+    written out as the reference `has_clique_per_edge` starts from."""
     cols, starts = affinity.cols, affinity.starts
     core = np.diff(starts) >= k                 # a row's edges include itself
     while core.any():

@@ -131,6 +131,27 @@ def test_solve_submap_pair_no_structure_returns_none():
     assert solve_submap_pair(sa, sb, Hyperparameters()) is None
 
 
+def test_solve_submap_pair_collinear_inliers_return_none(monkeypatch):
+    # seven points on a line, moved rigidly: the inlier set holds them all,
+    # but no rotation about the line is determined
+    pa = np.outer([0.0, 0.4, 1.1, 1.5, 2.6, 3.0, 3.9], [1.0, 0.5, 0.2])
+    truth = RigidTransform(rotation_z(30.0), np.array([1.0, 2.0, 0.0]))
+    sa = Submap([0.0, 0.0], range(7), pa)
+    sb = Submap([0.0, 0.0], range(7), truth.apply(pa))
+    raised = []
+
+    def spied(*args):
+        try:
+            return arun(*args)
+        except DegenerateGeometryError:
+            raised.append(len(args[0]))
+            raise
+
+    monkeypatch.setattr(alignment, "arun", spied)
+    assert solve_submap_pair(sa, sb, Hyperparameters()) is None
+    assert raised == [7]
+
+
 def test_align_maps_identical_maps():
     rng = np.random.default_rng(5)
     pts = rng.uniform(0.0, 5.0, size=(20, 3)) * np.array([1.0, 1.0, 0.3])

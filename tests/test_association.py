@@ -18,7 +18,7 @@ from conftest import _grow as grow_dense
 from conftest import _local_improve as local_improve_dense
 from conftest import (affinity_from_dense, build_affinity_dense, clique_number,
                       dense, densest_clique_dense, densest_clique_exact,
-                      has_clique_per_edge, k_core_in_one_pass, random_rotation)
+                      has_clique_per_edge, random_rotation)
 
 
 def sub(points):
@@ -188,6 +188,18 @@ def test_build_affinity_matches_the_dense_build(scale):
         ref_pairs, M = build_affinity_dense(sa, sb, params)
         assert np.array_equal(pairs, ref_pairs)
         assert_same_graph(aff, M)
+
+
+def test_build_affinity_drops_weights_that_underflow():
+    # sigma = 0.002: exp(-X^2 / 2 sigma^2) underflows to 0 once |X| passes
+    # sigma * 38.6 = 0.077, inside the 0.1 cutoff, and a zero weight makes
+    # no edge, as a zero of the dense matrix is none
+    rng = np.random.default_rng(5)
+    sa, sb = (sub(rng.uniform(0.0, 4.0, size=(12, 3))) for _ in range(2))
+    params = Hyperparameters(sigma=0.002)
+    aff = build_affinity(sa, sb, params)[1]
+    assert_same_graph(aff, build_affinity_dense(sa, sb, params)[1])
+    assert len(aff.cols) < len(build_affinity(sa, sb, Hyperparameters())[1].cols)
 
 
 # Points on a 5 cm lattice in a 1 m cube: intra-map distances often agree
@@ -764,33 +776,27 @@ def test_has_clique_matches_the_per_edge_bitsets(monkeypatch):
     assert len(packed) < 10
 
 
-@pytest.mark.parametrize("block", [1, 997, association._BLOCK])
-def test_k_core_by_row_blocks_equals_the_one_pass_peel(monkeypatch, block):
-    # a block of 1 edge puts every row in a block of its own
-    monkeypatch.setattr(association, "_BLOCK", block)
-    graphs = [seeded_affinity(seed, overlap) for seed in range(10)
-              for overlap in (False, True)] + [random_affinity(20)]
-    sizes = set()
-    for aff in graphs:
-        for k in range(1, 9):
-            core = association._k_core(aff, k)
-            assert np.array_equal(core, k_core_in_one_pass(aff, k))
-            sizes.add(int(core.sum()))
-    assert 0 in sizes and len(sizes) > 5
-
-
-def test_k_core_peak_memory_is_bounded_by_the_block():
-    # 1.2 million edges, nine blocks: the one-pass peel peaked at 9 bytes an
-    # edge, 11 MB; by blocks it stays near 9 bytes an edge of one block
-    aff = random_affinity(70)
-    assert len(aff.cols) > 8 * association._BLOCK
-    tracemalloc.start()
-    try:
-        association._k_core(aff, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * association._BLOCK
+def test_screened_solve_peaks_where_the_build_does():
+    # 2,500 candidates with no overlap, 50 points each in a 30 m cube: the
+    # screen rejects the pair. Its k-core peel takes 9 bytes an edge, on top
+    # of the graph's 16, where the build peaked at about 47 (2.2 MB), so the
+    # screened solve peaks where the build does
+    rng = np.random.default_rng(11)
+    sa, sb = (sub(rng.uniform(0.0, 30.0, size=(50, 3))) for _ in range(2))
+    params = Hyperparameters()
+    assert not has_clique(build_affinity(sa, sb, params)[1], params.s_max + 1)
+    peaks = []
+    for run in (lambda: build_affinity(sa, sb, params),
+                lambda: alignment.solve_submap_pair(sa, sb, params, need=params.s_max)):
+        tracemalloc.start()
+        try:
+            out = run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert out is None
+    build, solve = peaks
+    assert abs(solve - build) <= 0.05 * build
 
 
 def test_has_clique_peak_memory_is_a_small_fraction_of_the_dense_matrix():

@@ -85,6 +85,21 @@ TRACKS_SHA256 = {
 }
 
 
+def test_simulate_seed_flag_replaces_the_scene_seed(workdir):
+    # the scene file's seed 3 moved to 8, and --seed 3 puts it back: the
+    # files are the pinned ones of seed 3
+    with open(workdir / "scene.json", "w") as fh:
+        json.dump({**SCENE, "seed": 8}, fh)
+    sim = workdir / "sim"
+    assert cli.run(["simulate", "--scene", str(workdir / "scene.json"),
+                    "--trajectory", str(workdir / "trajectory.json"),
+                    "--out", str(sim), "--seed", "3"]) == 0
+    digest = {name: hashlib.sha256((sim / name).read_bytes()).hexdigest()
+              for name in ("tracks.json", "ground_truth.json")}
+    assert digest == {"tracks.json": TRACKS_SHA256["none"][1],
+                      "ground_truth.json": GROUND_TRUTH_SHA256}
+
+
 @pytest.mark.parametrize("flags, tracks_sha256", TRACKS_SHA256.values(),
                          ids=TRACKS_SHA256.keys())
 def test_simulate_bytes_are_pinned(workdir, flags, tracks_sha256):
@@ -404,7 +419,8 @@ def small_maps(tmp_path):
     """Two copies of a 20-landmark map, an empty map, a 4-landmark map, a
     120-landmark map, a map file holding a bare number, a truth file, configs
     with a NaN sigma, an out-of-range omega_percentile, n_max = 101,
-    n_max = 4, n_max set twice, n_max = 1e2 and overlap = 1e-300, a file that
+    n_max = 4, n_max set twice, n_max = 1e2, overlap = 1e-300 and a line
+    that is not 'key = value', a file that
     is not UTF-8, a map holding a 5,001-digit integer, and valid scene,
     trajectory and track files."""
     rng = np.random.default_rng(12)
@@ -439,6 +455,8 @@ def small_maps(tmp_path):
     formats.atomic_write(paths["exp_cfg"], "n_max = 1e2\n")
     paths["overlap_cfg"] = str(tmp_path / "overlap.cfg")
     formats.atomic_write(paths["overlap_cfg"], "overlap = 1e-300\n")
+    paths["no_equals_cfg"] = str(tmp_path / "no_equals.cfg")
+    formats.atomic_write(paths["no_equals_cfg"], "# the grid\nn_max 10\n")
     paths["not_utf8"] = str(tmp_path / "not_utf8.json")
     with open(paths["not_utf8"], "wb") as fh:
         fh.write(b"\xff\xfe\xfd")
@@ -493,6 +511,10 @@ MALFORMED = {
     "removed_voxel_flag": (["evaluate", "--voxel", "0.5"], {}, "--voxel"),
     # 10^15 + 1 s_max values: the cap is checked before the sweep is built
     "sweep_over_cap": (["evaluate", "--sweep", "0:1000000000000000"], {}, "--sweep"),
+    "sweep_not_integers": (["evaluate", "--sweep", "3:x"], {},
+                           "sweep must be 'lo:hi', got '3:x'"),
+    "sweep_decreasing": (["evaluate", "--sweep", "5:3"], {}, "hi >= lo"),
+    "negative_seed_flag": (["simulate", "--seed", "-1"], {}, "--seed must be >= 0"),
     "empty_map": (["match", "--map-b", "{empty}"], {}, "landmarks"),
     "directory_as_map": (["match", "--map-a", "{dir}"], {}, "{dir}"),
     "negative_top_k": (["match", "--top-k", "-1"], {}, "--top-k"),
@@ -503,6 +525,8 @@ MALFORMED = {
                              "'n_max' is set twice"),
     "config_int_in_float_notation": (["match", "--config", "{exp_cfg}"], {},
                                      "'n_max' must be an integer"),
+    "config_line_not_key_value": (["match", "--config", "{no_equals_cfg}"], {},
+                                  "config line 2 is not 'key = value'"),
     # 5 m / 1e-300 = 5e300 cells a side: over the grid cap before it is built
     "grid_over_cap": (["match", "--config", "{overlap_cfg}"], {}, "overlap"),
     "no_submap_pair": (["evaluate", "--map-a", "{tiny}", "--map-b", "{tiny}"],
@@ -523,6 +547,8 @@ MALFORMED = {
     "scene_nan_extent": (["simulate"], {"scene": {"extent": [NAN, 1, 1]}},
                          "extent"),
     "scene_negative_seed": (["simulate"], {"scene": {"seed": -1}}, "seed"),
+    "scene_negative_n_objects": (["simulate"], {"scene": {"n_objects": -1}},
+                                 "n_objects must be >= 0"),
     "scene_string_velocity": (["simulate"],
                               {"scene": {"dynamic_velocity": "x"}},
                               "dynamic_velocity"),
@@ -533,6 +559,12 @@ MALFORMED = {
                                    "waypoints"),
     "trajectory_string_altitude": (["simulate"],
                                    {"trajectory": {"altitude": "x"}}, "altitude"),
+    "trajectory_altitude_past_the_range": (["simulate"],
+                                           {"trajectory": {"altitude": 2e9}},
+                                           "altitude must be finite"),
+    "trajectory_cy_at_height": (["simulate"],
+                                {"trajectory": {"intrinsics": {"cy": 480}}},
+                                "cy must lie within [0, height)"),
     "trajectory_fractional_width": (["simulate"],
                                     {"trajectory": {"intrinsics": {"width": 640.5}}},
                                     "width"),
