@@ -399,26 +399,21 @@ def _ascend(M, u, iterations, restart):
     `iterations` steps, stopping once u moves by less than 1e-9. An ascent
     that collapses (M u <= 0 everywhere) restarts from `restart`.
 
-    A step is a function of u alone, so once a new iterate equals, bit for
-    bit, an earlier one, the iterates repeat with that period for every
-    remaining step, and the convergence test, which has already failed on
-    each step of the cycle, never fires. The loop then returns at once the
-    iterate the full schedule would end on. Iterates are looked up by a hash
-    of their bytes, and each hit is confirmed with an exact comparison. The
-    result is identical to running every step."""
-    path, seen = [u], {hash(u.tobytes()): [0]}   # path[k]: iterate after k steps
-    move = np.empty_like(u)
+    A step is a function of u alone, so once a new iterate's bytes equal
+    those of the iterate two steps before it, the last two iterates
+    alternate for every remaining step, and the convergence test, which has
+    already failed on both, never fires. The loop then returns at once the
+    one of the two the full schedule would end on. Only those two are kept:
+    a cycle of a longer period runs the schedule out. Either way the result
+    is identical to running every step."""
+    before, move = None, np.empty_like(u)   # before: the iterate two steps back
     for k in range(1, iterations + 1):
         v = _step(M, u, restart)
         if _norm(np.subtract(v, u, out=move)) < 1e-9:
             return v
-        earlier = seen.setdefault(hash(v.tobytes()), [])
-        for first in earlier:
-            if np.array_equal(path[first], v):
-                return path[first + (iterations - first) % (k - first)]
-        earlier.append(k)
-        path.append(v)
-        u = v
+        if before is not None and v.tobytes() == before.tobytes():
+            return v if (iterations - k) % 2 == 0 else u
+        before, u = u, v
     return u
 
 
@@ -553,11 +548,11 @@ def densest_clique(affinity):
     node (`_heaviest_row`) and the rounding, which grows all its seeds at
     once (`_grow`) and polishes on the dense rows of one set. No step makes
     an n x n array, and the result is the one the dense matrix gives.
-    Each round's ascent ends early on an exact cycle (see `_ascend`): a
-    2-cycle on a pair with no overlap, where the iterate alternates between
-    the restart e_j and j's normalised feasible neighbourhood, or a longer
-    one on some overlapping pairs. The result is the one the full 200 steps
-    give.
+    Each round's ascent ends early on an exact 2-cycle (see `_ascend`), as
+    on a pair with no overlap, where the iterate alternates between the
+    restart e_j and j's normalised feasible neighbourhood. A longer cycle,
+    met on a few overlapping pairs, runs the round's 200 steps out. Either
+    way the result is the one the full 200 steps give.
 
     Fast-forward. On a pair with no overlap, the rounds from the second or
     third on all end on that 2-cycle, e_j -> star(d) -> e_j, where star(d)

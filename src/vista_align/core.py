@@ -279,6 +279,10 @@ class Hyperparameters:
         for name in self.__dataclass_fields__:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be finite and strictly positive" % name)
+        # coordinates lie within +-MAX_COORDINATE, so (X / sigma)^2 of the
+        # consistency score stays below about 1.2e37
+        if self.sigma < 1.0 / MAX_COORDINATE:
+            raise ValueError("sigma must be at least %g m" % (1.0 / MAX_COORDINATE))
         if self.epsilon < self.sigma:
             raise ValueError("epsilon must be >= sigma")
         if self.n_max <= self.s_max:     # every submap would be dropped

@@ -10,8 +10,8 @@ from vista_align.association import (MAX_CANDIDATES, _ascend, _grow, _heaviest_r
                                      _local_improve, _Penalised, build_affinity,
                                      consistency_score, densest_clique,
                                      has_clique)
-from vista_align.core import (Hyperparameters, InputError, RigidTransform,
-                              rotation_z)
+from vista_align.core import (MAX_COORDINATE, Hyperparameters, InputError,
+                              RigidTransform, rotation_z)
 from vista_align.submap import Submap
 
 from conftest import _grow as grow_dense
@@ -32,6 +32,15 @@ def _pair_density(idx, M):
 
 def test_consistency_score_zero_difference():
     assert consistency_score(0.0, 0.05, 0.1) == 1.0
+
+
+def test_consistency_score_at_the_sigma_floor_stays_finite():
+    # coordinates lie within +-MAX_COORDINATE, so no X reaches 4e9 m; at the
+    # floor (X / sigma)^2 stays below 1.6e37, and warnings are errors here
+    sigma = Hyperparameters(sigma=1.0 / MAX_COORDINATE).sigma
+    assert consistency_score(4 * MAX_COORDINATE, sigma, 8 * MAX_COORDINATE) == 0.0
+    with pytest.raises(ValueError, match="sigma must be at least 1e-09 m"):
+        Hyperparameters(sigma=0.5 / MAX_COORDINATE)
 
 
 def test_consistency_score_table_values():
@@ -430,6 +439,7 @@ def test_ascend_two_cycle_returns_the_full_schedule_result(state):
 
 
 def test_ascend_longer_cycle_returns_the_full_schedule_result():
+    # only a 2-cycle exits early: a 3-cycle runs every step of the schedule
     M = np.roll(np.eye(3), 1, axis=0)        # e_0 -> e_1 -> e_2 -> e_0
     start = np.eye(3)[0]
     for iterations in (1, 2, 3, 4, 5, 6, 7, 199, 200):
@@ -437,7 +447,38 @@ def test_ascend_longer_cycle_returns_the_full_schedule_result():
         got = _ascend(counted, start, iterations, start)
         want = _reference_ascend(M, start, iterations, start)
         assert got.tobytes() == want.tobytes()
-        assert counted.calls <= 3
+        assert counted.calls == iterations
+
+
+class Scaling:
+    """An operator whose product scales u by `d`, entry by entry."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def __matmul__(self, u):
+        return self.d * u
+
+
+def test_ascend_holds_a_few_iterates_not_every_one():
+    # d from 0.99 to 1.0: the iterate drifts toward the last entries and
+    # neither converges nor cycles within 200 steps, so the ascent runs
+    # them all; it keeps a few vectors of 8n bytes, not one per step
+    n = 10_000
+    M = Scaling(np.linspace(0.99, 1.0, n))
+    u = np.full(n, 1.0 / np.sqrt(n))
+    restart = np.zeros(n)
+    restart[0] = 1.0
+    want = _reference_ascend(M, u, 200, restart)
+    tracemalloc.start()
+    try:
+        got = _ascend(M, u, 200, restart)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert not np.array_equal(want, _reference_ascend(M, u, 199, restart))
+    assert peak < 12 * 8 * n
 
 
 def test_ascend_convergent_case_is_unchanged():

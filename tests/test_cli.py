@@ -1,13 +1,19 @@
+import copy
+import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vista_align import (alignment, cli, evaluation, formats, submap,
                          triangulation)
@@ -418,11 +424,11 @@ TRACKS = {"intrinsics": TRAJECTORY["intrinsics"],
 def small_maps(tmp_path):
     """Two copies of a 20-landmark map, an empty map, a 4-landmark map, a
     120-landmark map, a map file holding a bare number, a truth file, configs
-    with a NaN sigma, an out-of-range omega_percentile, n_max = 101,
-    n_max = 4, n_max set twice, n_max = 1e2, overlap = 1e-300 and a line
-    that is not 'key = value', a file that
-    is not UTF-8, a map holding a 5,001-digit integer, and valid scene,
-    trajectory and track files."""
+    with a NaN sigma, sigma = 1e-300, an out-of-range omega_percentile,
+    n_max = 101, n_max = 4, n_max set twice, n_max = 1e2, overlap = 1e-300
+    and a line that is not 'key = value', a file that is not UTF-8, a map
+    holding a 5,001-digit integer, and valid scene, trajectory and track
+    files."""
     rng = np.random.default_rng(12)
     pts = rng.uniform(0.0, 5.0, size=(20, 3)) * np.array([1.0, 1.0, 0.3])
     m = map_from_points(pts)
@@ -455,6 +461,8 @@ def small_maps(tmp_path):
     formats.atomic_write(paths["exp_cfg"], "n_max = 1e2\n")
     paths["overlap_cfg"] = str(tmp_path / "overlap.cfg")
     formats.atomic_write(paths["overlap_cfg"], "overlap = 1e-300\n")
+    paths["tiny_sigma_cfg"] = str(tmp_path / "tiny_sigma.cfg")
+    formats.atomic_write(paths["tiny_sigma_cfg"], "sigma = 1e-300\n")
     paths["no_equals_cfg"] = str(tmp_path / "no_equals.cfg")
     formats.atomic_write(paths["no_equals_cfg"], "# the grid\nn_max 10\n")
     paths["not_utf8"] = str(tmp_path / "not_utf8.json")
@@ -519,6 +527,9 @@ MALFORMED = {
     "directory_as_map": (["match", "--map-a", "{dir}"], {}, "{dir}"),
     "negative_top_k": (["match", "--top-k", "-1"], {}, "--top-k"),
     "nan_sigma": (["match", "--config", "{nan_cfg}"], {}, "sigma"),
+    # (X / sigma)^2 of the consistency score overflowed, with a RuntimeWarning
+    "tiny_sigma": (["match", "--config", "{tiny_sigma_cfg}"], {},
+                   "sigma must be at least 1e-09 m"),
     "n_max_not_above_s_max": (["match", "--config", "{n_max_4_cfg}"], {},
                               "n_max must be > s_max"),
     "config_key_set_twice": (["match", "--config", "{dup_cfg}"], {},
@@ -805,3 +816,107 @@ def test_evaluate_pr_rows_are_pinned(small_maps, config, rows_sha256):
     with open(small_maps["out"]) as fh:
         rows = "".join(",".join(line.split(",")[:5]) + "\n" for line in fh)
     assert hashlib.sha256(rows.encode()).hexdigest() == rows_sha256
+
+
+# Valid inputs of every kind the commands read, each small enough that one
+# command on them takes milliseconds: 8 landmarks, 8 objects over 10 frames,
+# and one track seen by four cameras. The config sets every key.
+FUZZ_POINTS = np.random.default_rng(5).uniform(0.0, 3.0, size=(8, 3))
+FUZZ_INPUTS = {
+    "map": json.loads(formats.map_to_json(map_from_points(FUZZ_POINTS))),
+    "tracks": {**TRACKS, "poses": FOUR_POSES, "tracks": ONE_TRACK},
+    "config": dataclasses.asdict(Hyperparameters()),
+    "transform": json.loads(formats.transform_to_json(identity())),
+    "scene": {**SCENE, "n_objects": 8, "n_dynamic": 2, "dynamic_velocity": 1.0},
+    "trajectory": {**TRAJECTORY, "frames": 10, "camera_pitch": 10.0},
+}
+# the commands that read each kind, the mutated file in {kind}
+FUZZ_COMMANDS = {
+    "map": [["match", "--map-a", "{map}", "--map-b", "{valid_map}", "--out", "{out}"]],
+    "tracks": [["build-map", "--tracks", "{tracks}", "--out", "{out}"]],
+    "config": [["build-map", "--tracks", "{valid_tracks}", "--out", "{out}"],
+               ["match", "--map-a", "{valid_map}", "--map-b", "{valid_map}",
+                "--out", "{out}"],
+               ["evaluate", "--map-a", "{valid_map}", "--map-b", "{valid_map}",
+                "--truth", "{valid_transform}", "--out", "{out}"]],
+    "transform": [["evaluate", "--map-a", "{valid_map}", "--map-b", "{valid_map}",
+                   "--truth", "{transform}", "--out", "{out}"]],
+    "scene": [["simulate", "--scene", "{scene}", "--trajectory",
+               "{valid_trajectory}", "--out", "{out}"]],
+    "trajectory": [["simulate", "--scene", "{valid_scene}", "--trajectory",
+                    "{trajectory}", "--out", "{out}"]],
+}
+DROP, NEGATE = "drop", "negate"
+# drop the field, give it another JSON type, or set a number out of range
+MUTATIONS = [DROP, None, True, "x", [1.0], {}, NAN, 1e-300, 10 ** 400, NEGATE]
+
+
+def _paths(doc, path=()):
+    """The path of every field and list entry inside the JSON value `doc`."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def fuzz_cases(draw):
+    kind = draw(st.sampled_from(sorted(FUZZ_INPUTS)))
+    path = draw(st.sampled_from(list(_paths(FUZZ_INPUTS[kind]))))
+    return (kind, path, draw(st.sampled_from(MUTATIONS)),
+            draw(st.integers(0, len(FUZZ_COMMANDS[kind]) - 1)))
+
+
+def _mutated(doc, path, mutation):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == DROP:
+        del parent[path[-1]]
+    elif mutation == NEGATE:
+        old = parent[path[-1]]
+        number = type(old) in (int, float)
+        parent[path[-1]] = -abs(old) if number and old else -1
+    else:
+        parent[path[-1]] = mutation
+    return doc
+
+
+def _input_text(kind, doc):
+    if kind == "config":      # one 'key = value' line a key, the value as JSON
+        return "".join("%s = %s\n" % (k, json.dumps(v)) for k, v in doc.items())
+    return json.dumps(doc)
+
+
+# sigma = 1e-300 overflowed the consistency score's square with a warning
+@example(("config", ("sigma",), 1e-300, 1))
+@example(("config", ("sigma",), 1e-300, 2))
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(case=fuzz_cases())
+def test_one_mutated_field_exits_0_1_or_2_without_a_warning(case):
+    # each input kind with one field dropped, of another JSON type, or set
+    # to NaN, 1e-300, 10^400 or a negative number: the command that reads
+    # it returns an exit code, with an error message for 1, and never
+    # raises or warns
+    kind, path, mutation, command = case
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"out": os.path.join(tmp, "out")}
+        for name, doc in FUZZ_INPUTS.items():
+            files["valid_" + name] = files[name] = os.path.join(tmp, name)
+            formats.atomic_write(files[name], _input_text(name, doc))
+        files[kind] = os.path.join(tmp, "mutated")
+        formats.atomic_write(files[kind], _input_text(
+            kind, _mutated(FUZZ_INPUTS[kind], path, mutation)))
+        argv = [a.format(**files) for a in FUZZ_COMMANDS[kind][command]]
+        if kind == "config":
+            argv += ["--config", files["config"]]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.run(argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2)
+    assert (code == 1) == err.getvalue().startswith("error:")
